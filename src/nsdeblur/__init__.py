@@ -8,23 +8,23 @@ optimizers.  A no-reference sharpness index and a synthetic-degradation
 harness round out the toolkit.
 """
 
-from .armodel import ArModel, OperatorMatrix, build_operator, estimate_ar, suggest_order
+from .armodel import ArModel, OperatorMatrix, build_operator, estimate_ar
 from .config import OptimizerConfig, RunReport, format_report, parse_report
 from .deconv import (bvdr_optimize, convergence_check, cs_optimize,
                      deconvolve_once, denoise_prefilter)
 from .errors import (DeblurError, DegenerateKernelError,
                      DegenerateOperatorError, DimensionError,
                      InputError, InsufficientDataError)
-from .grid import (convolve, correlate, delta_kernel, gradient, lex_window,
+from .grid import (convolve, correlate, delta_kernel, gradient,
                    normalize_kernel, to_luminance)
-from .ipsf import (convolution_matrix, ipsf_space, ipsf_spectral,
-                   optimize_ipsf_space, optimize_ipsf_spectral)
-from .linalg import EigenDecomposition, pseudo_inverse, solve_least_squares, sym_eigen
-from .nullspace import CnsBasis, cns_dimension_for_blur, compute_cns, save_basis
+from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
+                   optimize_ipsf_spectral)
+from .linalg import EigenDecomposition, sym_eigen
+from .nullspace import CnsBasis, compute_cns
 from .pipeline import EstimateResult, PipelineConfig, estimate_kernels, restore
 from .psf import GradientStats, estimate_psf, gradient_stats, optimize_psf
 from .quality import AiConfig, anisotropy_index, psnr
-from .surface import curvature_operator, metric_determinant, surface_area, tv_operator
+from .surface import curvature_operator, metric_determinant, surface_area
 from .synth import (add_impulse_noise, ar_texture, disk_kernel,
                     gaussian_kernel, motion_kernel, smooth_stencil, texture)
 

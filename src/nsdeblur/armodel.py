@@ -9,21 +9,17 @@ which is what makes the operator's null side usable for kernel recovery.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import toeplitz
 
 from .errors import DimensionError, InsufficientDataError
-from .grid import as_image
+from .grid import as_image, shifted_taps, window_gram
+from .linalg import lstsq
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
-
-#: Row-chunk size for the normal-equation accumulation.
-_CHUNK_ROWS = 48
 
 
 @dataclass(frozen=True)
@@ -96,46 +92,29 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
     if rows < p or cols < q:
         raise InsufficientDataError(
             f"fit region {rows}x{cols} smaller than model {p}x{q}")
-    sub = img[top:top + rows, left:left + cols]
-    windows = sliding_window_view(sub, (p, q))
-    ni, nk = windows.shape[:2]
-    n_eq = ni * nk
+    n_eq = (rows - p + 1) * (cols - q + 1)
     n_unknown = p * q - 1
-    if n_eq < n_unknown and n_unknown > 0:
+    if n_eq < n_unknown:
         raise InsufficientDataError(
             f"{n_eq} equations for {n_unknown} unknowns; enlarge the region")
 
+    # one pass over the windows: the free block and the center column of
+    # the full Gram give the normal equations, and c^T G c the residual
+    gram = window_gram(img[top:top + rows, left:left + cols], p, q)
     center_col = (p // 2) * q + (q // 2)
-    if n_unknown == 0:
-        coeffs = np.ones((1, 1))
-        residual = float(np.mean(sub * sub))
-        return ArModel(p=p, q=q, coeffs=coeffs, residual=residual, ridge=0.0)
-
-    gram = np.zeros((n_unknown, n_unknown))
-    rhs = np.zeros(n_unknown)
     keep = np.arange(p * q) != center_col
-    for i0 in range(0, ni, _CHUNK_ROWS):
-        block = windows[i0:i0 + _CHUNK_ROWS].reshape(-1, p * q)
-        free = block[:, keep]
-        center = block[:, center_col]
-        gram += free.T @ free
-        rhs -= free.T @ center
-    ridge = RIDGE_SCALE * float(np.trace(gram))
+    free = gram[np.ix_(keep, keep)]
+    ridge = RIDGE_SCALE * float(np.trace(free))
+    system = free + ridge * np.eye(n_unknown)
+    rhs = -gram[keep, center_col]
     try:
-        a_free = np.linalg.solve(gram + ridge * np.eye(n_unknown), rhs)
+        a_free = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        a_free, *_ = np.linalg.lstsq(gram + ridge * np.eye(n_unknown), rhs,
-                                     rcond=None)
+        a_free = lstsq(system, rhs)
     coeffs = np.empty(p * q)
     coeffs[keep] = a_free
     coeffs[center_col] = 1.0
-
-    sq_sum = 0.0
-    for i0 in range(0, ni, _CHUNK_ROWS):
-        block = windows[i0:i0 + _CHUNK_ROWS].reshape(-1, p * q)
-        r = block @ coeffs
-        sq_sum += float(r @ r)
-    residual = sq_sum / n_eq
+    residual = float(coeffs @ gram @ coeffs) / n_eq
     return ArModel(p=p, q=q, coeffs=coeffs.reshape(p, q),
                    residual=residual, ridge=ridge)
 
@@ -160,65 +139,5 @@ def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:
         raise DimensionError(
             f"kernel {l}x{m} must be strictly smaller than model "
             f"{model.p}x{model.q}")
-    pm, qm = model.p, model.q
-    cols_i, cols_k = pm + l - 1, qm + m - 1
-    a = np.asarray(model.coeffs)
-    mat = np.zeros((l * m, cols_i * cols_k))
-    for s_i in range(l):
-        for s_k in range(m):
-            row = np.zeros((cols_i, cols_k))
-            row[s_i:s_i + pm, s_k:s_k + qm] = a
-            mat[s_i * m + s_k] = row.ravel()
-    return OperatorMatrix(matrix=mat, l=l, m=m, p=pm, q=qm)
-
-
-def _axis_autocorr(values: np.ndarray, lags: int) -> np.ndarray:
-    n = values.shape[0]
-    out = np.empty(lags)
-    for d in range(lags):
-        out[d] = float(np.mean(values[:n - d] * values[d:]))
-    return out
-
-
-def _axis_order(image: np.ndarray, axis: int, max_order: int) -> int:
-    x = np.moveaxis(image, axis, 0)
-    x = x - x.mean()
-    r = _axis_autocorr(x, max_order)
-    if r[0] <= 1e-12 * max(1.0, float(np.mean(x * x)) + 1.0) or r[0] <= 0:
-        return 0
-    corr = toeplitz(r)
-    col = np.abs(np.linalg.pinv(corr)[:, -1])
-    interior = col[:-1]
-    if interior.size < 3 or col[-1] <= 0:
-        return 0
-    # entries scale like prediction coefficients relative to col[-1];
-    # below 10% of that scale a "peak" is indistinguishable from noise
-    level = 0.1 * col[-1]
-    last_peak = 0
-    for j in range(1, interior.size - 1):
-        if (interior[j] > interior[j - 1] and interior[j] >= interior[j + 1]
-                and interior[j] >= level):
-            last_peak = j + 1  # 1-based position within the column
-    return last_peak
-
-
-def suggest_order(image, max_order: int) -> tuple[int, int]:
-    """Heuristic model order per axis: position of the last significant
-    local peak in the final column of the inverse autocorrelation matrix,
-    rounded up to odd.  Advisory only; callers may override freely.
-    """
-    img = as_image(image)
-    if max_order < 3 or max_order % 2 == 0:
-        raise DimensionError(f"max_order must be odd and >= 3, got {max_order}")
-    orders = []
-    for axis in (0, 1):
-        pos = _axis_order(img, axis, min(max_order, img.shape[axis] - 1))
-        if pos == 0:
-            orders.append(3)
-        else:
-            pos = max(pos, 3)
-            orders.append(min(pos + 1 - pos % 2, max_order))
-    if np.ptp(img) == 0:
-        warnings.warn("constant image: returning minimum model order",
-                      RuntimeWarning, stacklevel=2)
-    return orders[0], orders[1]
+    return OperatorMatrix(matrix=shifted_taps(np.asarray(model.coeffs), l, m),
+                          l=l, m=m, p=model.p, q=model.q)

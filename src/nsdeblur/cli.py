@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import OptimizerConfig, format_report, make_report
+from .config import STOP_NOT_RUN, OptimizerConfig, format_report, make_report
 from .errors import DeblurError, InputError
 from .fileio import read_image, read_kernel, write_image, write_kernel
 from .pipeline import PipelineConfig, estimate_kernels, restore
@@ -167,7 +167,7 @@ def cmd_deblur(args) -> int:
             with open(args.report, "w", encoding="ascii") as fh:
                 fh.write(format_report(
                     report if report is not None
-                    else make_report([], [], "eps_reached")))
+                    else make_report([], [], STOP_NOT_RUN)))
     except DeblurError as exc:
         print(f"deblur failed at stage {stage}: {exc}", file=sys.stderr)
         return exc.exit_code

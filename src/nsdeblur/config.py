@@ -11,6 +11,7 @@ STOP_EPS = "eps_reached"
 STOP_INCREASE = "residual_increased"
 STOP_CAP = "iter_cap"
 STOP_GATE = "lambda_gate_failed"
+STOP_NOT_RUN = "not_run"
 
 #: Smallest regularization weight tried before a run is declared gated out.
 LAMBDA_FLOOR = 1e-5
@@ -93,6 +94,53 @@ def make_report(residuals, lambdas, stop_reason: str,
                      convergence_ratio_max=ratio_max,
                      transition_iter=transition_iter,
                      extras=extras or {})
+
+
+def _gated_run(state, step, lam: float, cfg: OptimizerConfig):
+    """Iterate ``step`` at one weight; None when the weight is rejected."""
+    n_gate = cfg.q + 1
+    diffs: list[float] = []
+    stop = STOP_CAP
+    for _ in range(cfg.max_iters):
+        result = step(state, lam)
+        if result is None:
+            return None
+        new_state, d = result
+        diffs.append(d)
+        if 2 <= len(diffs) <= n_gate and d > cfg.eps:
+            # the first pair measures the initialization jump, so it only
+            # needs to not grow; later pairs must contract by theta
+            factor = 1.0 if len(diffs) == 2 else cfg.theta
+            if diffs[-1] * factor > diffs[-2]:
+                return None
+        state = new_state
+        if d <= cfg.eps:
+            stop = STOP_EPS
+            break
+    return state, diffs, stop
+
+
+def gated_iterate(state0, step, cfg: OptimizerConfig
+                  ) -> tuple[object, RunReport]:
+    """Gate-and-iterate loop of the kernel-shape optimizers.
+
+    ``step(state, lam)`` takes one optimizer step at weight ``lam`` and
+    returns (next state, squared step size), or None when the step failed
+    numerically, which rejects the weight.  The weight starts at
+    cfg.lambda0 and is halved, restarting from ``state0``, until a run's
+    first cfg.q + 1 steps pass the contraction gate and no step fails;
+    that run continues until the squared step drops to cfg.eps or
+    cfg.max_iters steps are taken.  If no weight down to LAMBDA_FLOOR
+    passes, ``state0`` is returned with a gate-failed report.
+    """
+    lam = cfg.lambda0
+    while lam >= LAMBDA_FLOOR:
+        result = _gated_run(state0, step, lam, cfg)
+        if result is not None:
+            state, diffs, stop = result
+            return state, make_report(diffs, [lam] * len(diffs), stop)
+        lam *= 0.5
+    return state0, make_report([], [], STOP_GATE)
 
 
 def format_report(report: RunReport) -> str:

@@ -72,16 +72,14 @@ def _fallback_weight(x, g, h, s, s_prev, reg, reg_prev) -> float:
     return num / den
 
 
-def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None,
-                  reg_operator=curvature_operator
+def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
                   ) -> tuple[np.ndarray, RunReport]:
     """Balanced-variation restoration with a dynamically updated weight.
 
     Starts from the single-pass estimate; each step adds the data residual
     and the weighted, inverse-kernel-smoothed regularization field.  The
     scalar weight is re-derived per iteration and falls back to the
-    steady-state ratio when the recursion degenerates.  Alternative
-    regularization operators (e.g. total variation) may be passed in.
+    steady-state ratio when the recursion degenerates.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
@@ -89,8 +87,8 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None,
     gk = as_kernel(g)
     s_prev = x
     s = convolve(x, gk)
-    reg_prev = reg_operator(s_prev)     # regularization field of the input
-    reg = reg_operator(s)
+    reg_prev = curvature_operator(s_prev)   # regularization field of the input
+    reg = curvature_operator(s)
     lam = _seed_weight(x, gk, hk, s, reg, reg_prev, cfg.alpha)
     if not np.isfinite(lam):
         lam = _fallback_weight(x, gk, hk, s, s_prev, reg, reg_prev)
@@ -121,7 +119,7 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None,
             stop = STOP_INCREASE       # keep the pre-increase image
             break
         s_prev, s = s, s_next
-        reg_prev, reg = reg, reg_operator(s)
+        reg_prev, reg = reg, curvature_operator(s)
         if d <= cfg.eps:
             stop = STOP_EPS
             break

@@ -11,6 +11,7 @@ therefore preserves constants.  Boundary handling is selected by name:
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import DegenerateKernelError, DimensionError
@@ -19,6 +20,9 @@ BOUNDARY_MODES = {"replicate": "nearest", "zero": "constant"}
 
 #: Tap-sum tolerance for a normalized kernel.
 KERNEL_SUM_TOL = 1e-12
+
+#: Window rows per block in :func:`window_gram`.
+_CHUNK_ROWS = 48
 
 
 def as_image(data, copy: bool = False) -> np.ndarray:
@@ -116,15 +120,31 @@ def gradient(image) -> np.ndarray:
     return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1] + p[1:-1, 2:] - p[1:-1, :-2])
 
 
-def lex_window(image, top: int, left: int, rows: int, cols: int) -> np.ndarray:
-    """Row-major flattening of the sub-block image[top:top+rows, left:left+cols]."""
-    img = as_image(image)
-    if rows < 1 or cols < 1:
-        raise DimensionError("window must have positive extent")
-    if top < 0 or left < 0 or top + rows > img.shape[0] or left + cols > img.shape[1]:
-        raise DimensionError(
-            f"window {(top, left, rows, cols)} outside image {img.shape}")
-    return img[top:top + rows, left:left + cols].ravel().copy()
+def window_gram(field: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Sum of w w^T over every p x q window w of ``field``, each window
+    flattened row-major: the covariance-method Gram of linear prediction.
+
+    Windows are taken in blocks of rows so the copy stays small."""
+    wins = sliding_window_view(field, (p, q))
+    gram = np.zeros((p * q, p * q))
+    for i0 in range(0, wins.shape[0], _CHUNK_ROWS):
+        block = wins[i0:i0 + _CHUNK_ROWS].reshape(-1, p * q)
+        gram += block.T @ block
+    return gram
+
+
+def shifted_taps(taps: np.ndarray, l: int, m: int) -> np.ndarray:
+    """(l*m) x ((a+l-1)*(b+m-1)) matrix for an a x b tap block: row
+    s_i*m + s_k holds the taps placed at offset (s_i, s_k) of the
+    (a+l-1) x (b+m-1) grid, flattened row-major.  Its product with a
+    flattened grid u evaluates sum taps * u[s_i:s_i+a, s_k:s_k+b] at
+    every offset."""
+    a, b = taps.shape
+    mat = np.zeros((l, m, a + l - 1, b + m - 1))
+    for s_i in range(l):
+        for s_k in range(m):
+            mat[s_i, s_k, s_i:s_i + a, s_k:s_k + b] = taps
+    return mat.reshape(l * m, -1)
 
 
 def to_luminance(rgb: np.ndarray) -> np.ndarray:

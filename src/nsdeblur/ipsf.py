@@ -14,33 +14,14 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import (STOP_GATE, LAMBDA_FLOOR, STOP_CAP, STOP_EPS,
-                     OptimizerConfig, RunReport, make_report)
+from .config import OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import as_image, as_kernel, convolve, normalize_kernel
+from .grid import (as_image, as_kernel, convolve, normalize_kernel,
+                   shifted_taps, window_gram)
+from .linalg import lstsq
 from .nullspace import CnsBasis
-from .psf import basis_derivative_products, iterate_spectrum
-
-_CHUNK_ROWS = 64
-
-
-def convolution_matrix(kernel) -> np.ndarray:
-    """(l*m) x ((2l-1)(2m-1)) operator: row (i, j) holds the kernel taps
-    placed at offset (i, j), so the product with a flattened
-    (2l-1) x (2m-1) grid u computes the full convolution samples
-    sum_{k,m} kernel[k,m] * u[i+k, j+m]."""
-    k = as_kernel(kernel)
-    l, m = k.shape
-    wl, wm = 2 * l - 1, 2 * m - 1
-    mat = np.zeros((l * m, wl * wm))
-    for i in range(l):
-        for j in range(m):
-            block = np.zeros((wl, wm))
-            block[i:i + l, j:j + m] = k
-            mat[i * m + j] = block.ravel()
-    return mat
+from .psf import iterate_spectrum
 
 
 def _delta_index(l: int, m: int) -> int:
@@ -59,13 +40,13 @@ def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
     if hk.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {hk.shape} does not match basis {(basis.l, basis.m)}")
-    hmat = convolution_matrix(hk)
-    m0 = basis.squared_flat.T @ hmat          # (K, N)
+    # (K, N): full convolution of each squared grid with h, N = (2l-1)(2m-1)
+    m0 = basis.squared_flat.T @ shifted_taps(hk, *hk.shape)
     if np.abs(m0).max() <= 1e-300:
         raise DegenerateKernelError("inversion system has zero rank")
     target = np.zeros(m0.shape[1])
     target[_delta_index(basis.l, basis.m)] = 1.0
-    u, *_ = np.linalg.lstsq(m0.T, target, rcond=None)
+    u = lstsq(m0.T, target)
     flat = basis.squared_flat @ u
     s = float(flat.sum())
     if abs(s) <= 1e-12:
@@ -85,18 +66,10 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
     if g.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {g.shape} does not match basis {(basis.l, basis.m)}")
-    hmat = convolution_matrix(as_kernel(h))
-    m0 = basis.squared_flat.T @ hmat
-    psi = m0 @ m0.T
-    anchor = m0[:, _delta_index(basis.l, basis.m)].copy()
-    squared = basis.squared_flat
-    u0, *_ = np.linalg.lstsq(squared, g.ravel(), rcond=None)
-    dx, dy = basis_derivative_products(basis)
-    _, flat, report = iterate_spectrum(u0, squared, psi,
-                                       lambda u: anchor, dx, dy, cfg)
-    if report.stop_reason == STOP_GATE:
-        return g, report
-    return flat.reshape(basis.l, basis.m), report
+    hk = as_kernel(h)
+    m0 = basis.squared_flat.T @ shifted_taps(hk, *hk.shape)
+    return iterate_spectrum(g, basis, m0 @ m0.T,
+                            m0[:, _delta_index(basis.l, basis.m)], cfg)
 
 
 def _space_system(image: np.ndarray, h: np.ndarray
@@ -111,17 +84,14 @@ def _space_system(image: np.ndarray, h: np.ndarray
         raise DimensionError(
             f"image {x.shape} too small for a {l}x{m} space-route inverse")
     y = convolve(x, hk)
-    wins = sliding_window_view(y, (wl, wm))
-    ni, nk = wins.shape[:2]
-    n = wl * wm
-    ryy = np.zeros((n, n))
-    ryx = np.zeros(n)
+    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
-    for i0 in range(0, ni, _CHUNK_ROWS):
-        block = wins[i0:i0 + _CHUNK_ROWS].reshape(-1, n)
-        ryy += block.T @ block
-        ryx += block.T @ centers[i0:i0 + _CHUNK_ROWS].ravel()
-    return ryy, ryx, wl, wm
+    # cross-correlation of y with the centers through the FFT: the product
+    # of transforms at y's size is circular, and no offset below (wl, wm)
+    # reaches a wrapped sample
+    spec = np.fft.rfft2(y) * np.conj(np.fft.rfft2(centers, s=y.shape))
+    ryx = np.fft.irfft2(spec, s=y.shape)[:wl, :wm].ravel()
+    return window_gram(y, wl, wm), ryx, wl, wm
 
 
 def _effective_ridge(ryy: np.ndarray, ridge: float, quiet: bool = False
@@ -226,39 +196,16 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
             f"initial taps {g_init.shape} do not match system {(wl, wm)}")
     ops = difference_operators(wl, wm)
     ryy = ryy + _effective_ridge(ryy, ridge, quiet=True) * np.eye(wl * wm)
-    flat0 = g_init.ravel()
-    n_gate = cfg.q + 1
 
-    def run(lam: float):
-        flat = flat0.copy()
-        diffs: list[float] = []
-        stop = STOP_CAP
-        for _ in range(cfg.max_iters):
-            system = ryy - lam * curvature_system_matrix(flat, ops)
-            try:
-                flat_new = np.linalg.solve(system, ryx)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(flat_new)):
-                return None
-            d = float(np.sum((flat_new - flat) ** 2))
-            diffs.append(d)
-            if 2 <= len(diffs) <= n_gate and d > cfg.eps:
-                factor = 1.0 if len(diffs) == 2 else cfg.theta
-                if diffs[-1] * factor > diffs[-2]:
-                    return None
-            flat = flat_new
-            if d <= cfg.eps:
-                stop = STOP_EPS
-                break
-        return flat, diffs, stop
+    def step(flat, lam):
+        system = ryy - lam * curvature_system_matrix(flat, ops)
+        try:
+            flat_new = np.linalg.solve(system, ryx)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(flat_new)):
+            return None
+        return flat_new, float(np.sum((flat_new - flat) ** 2))
 
-    lam = cfg.lambda0
-    while lam >= LAMBDA_FLOOR:
-        result = run(lam)
-        if result is not None:
-            flat, diffs, stop = result
-            report = make_report(diffs, [lam] * len(diffs), stop)
-            return flat.reshape(wl, wm), report
-        lam *= 0.5
-    return g_init, make_report([], [], STOP_GATE)
+    flat, report = gated_iterate(g_init.ravel(), step, cfg)
+    return flat.reshape(wl, wm), report

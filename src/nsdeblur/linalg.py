@@ -1,19 +1,18 @@
-"""Dense least squares, symmetric eigendecomposition and pseudo-inverse.
+"""Dense least squares and symmetric eigendecomposition.
 
 Thin contracts over numpy.linalg: eigenvalues are always returned in
-descending order, least squares supports an optional ridge term, and the
-pseudo-inverse uses a relative singular-value cutoff.
+descending order, and least squares returns the minimum-norm solution
+or raises a typed error.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-#: Default relative singular-value cutoff for pseudo-inversion.
-PINV_CUTOFF = 1e-10
+from .errors import DegenerateKernelError
 
 
 @dataclass(frozen=True)
@@ -27,27 +26,25 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def solve_least_squares(matrix, rhs, ridge: float = 0.0) -> np.ndarray:
-    """argmin_x ||M x - b||^2 + ridge * ||x||^2.
+def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of a x = b, with singular values
+    below eps * max(a.shape) * sigma_max treated as zero.
 
-    With ridge 0 and a rank-deficient matrix the minimum-norm solution is
-    returned and a degeneracy warning is emitted.
+    LAPACK's divide-and-conquer SVD (gelsd) can fail to converge on
+    near-singular systems; the same solution is then taken from the plain
+    SVD routine (gelss) with the same cutoff.  Raises DegenerateKernelError
+    when both fail.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64).ravel()
-    if m.ndim != 2 or m.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: matrix {m.shape} vs rhs {b.shape}")
-    if ridge < 0.0:
-        raise ValueError("ridge must be nonnegative")
-    if ridge == 0.0:
-        x, _, rank, _ = np.linalg.lstsq(m, b, rcond=None)
-        if rank < m.shape[1]:
-            warnings.warn(
-                f"least-squares system rank {rank} < {m.shape[1]} unknowns; "
-                "returning minimum-norm solution", RuntimeWarning, stacklevel=2)
-        return x
-    gram = m.T @ m + ridge * np.eye(m.shape[1])
-    return np.linalg.solve(gram, m.T @ b)
+    try:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return scipy.linalg.lstsq(a, b, cond=np.finfo(np.float64).eps
+                                  * max(a.shape), lapack_driver="gelss")[0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernelError(
+            f"least-squares solve failed: {exc}") from exc
 
 
 def sym_eigen(matrix, rtol: float = 1e-10) -> EigenDecomposition:
@@ -61,11 +58,3 @@ def sym_eigen(matrix, rtol: float = 1e-10) -> EigenDecomposition:
     values, vectors = np.linalg.eigh(0.5 * (b + b.T))
     order = np.argsort(values)[::-1]
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])
-
-
-def pseudo_inverse(matrix, tol: float = PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose inverse; singular values below tol * sigma_max dropped."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"matrix must be a non-empty 2D array, got {m.shape}")
-    return np.linalg.pinv(m, rcond=tol)

@@ -120,28 +120,3 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False,
         squared[j - split] = v * v
     return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, vectors=eig.vectors,
                     split=split, squared_basis=squared)
-
-
-def cns_dimension_for_blur(basis: CnsBasis) -> int:
-    """Null-side dimension K; smaller K means stronger blur."""
-    return basis.null_dim
-
-
-def save_basis(path, basis: CnsBasis) -> None:
-    """Diagnostic dump: "L M K" header, all eigenvalues, then the null-side
-    vectors row-major."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{basis.l} {basis.m} {basis.null_dim}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in basis.eigenvalues) + "\n")
-        for row in basis.null_vectors:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_basis_dump(path) -> dict:
-    """Read a :func:`save_basis` file back into plain arrays."""
-    with open(path, encoding="ascii") as fh:
-        l, m, k = (int(t) for t in fh.readline().split())
-        eigenvalues = np.array([float(t) for t in fh.readline().split()])
-        rows = [[float(t) for t in fh.readline().split()] for _ in range(l * m)]
-    return {"l": l, "m": m, "null_dim": k, "eigenvalues": eigenvalues,
-            "null_vectors": np.array(rows)}

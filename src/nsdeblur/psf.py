@@ -13,16 +13,13 @@ area of the kernel.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from dataclasses import dataclass
 
-from .config import (LAMBDA_FLOOR, STOP_CAP, STOP_EPS, STOP_GATE,
-                     OptimizerConfig, RunReport, make_report)
+from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import as_kernel, gradient, normalize_kernel
+from .grid import as_kernel, gradient, normalize_kernel, window_gram
+from .linalg import lstsq
 from .nullspace import CnsBasis
-
-_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -33,19 +30,6 @@ class GradientStats:
 
     rho: np.ndarray
     omega: np.ndarray
-
-
-def _window_gram(field: np.ndarray, l: int, m: int) -> np.ndarray:
-    """Sum of w w^T over all l x m windows of ``field`` (positions limited
-    to (rows-l) x (cols-m) as in the extended-matrix layout)."""
-    wins = sliding_window_view(field, (l, m))[:field.shape[0] - l,
-                                              :field.shape[1] - m]
-    ni, nk = wins.shape[:2]
-    gram = np.zeros((l * m, l * m))
-    for i0 in range(0, ni, _CHUNK_ROWS):
-        block = wins[i0:i0 + _CHUNK_ROWS].reshape(-1, l * m)
-        gram += block.T @ block
-    return gram
 
 
 def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -80,7 +64,9 @@ def gradient_stats(image, basis: CnsBasis) -> GradientStats:
         raise DimensionError(
             f"image {img.shape} too small for {l}x{m} gradient statistics")
     grad = gradient(img)
-    gram = _window_gram(grad, l, m)
+    # window positions limited to (rows-l) x (cols-m), as in the
+    # extended-matrix layout
+    gram = window_gram(grad[:-1, :-1], l, m)
     cross = gram[:, ::-1]                      # columns reversed: Gram . J
     v_ns = basis.null_vectors
     rho = v_ns.T @ cross @ v_ns
@@ -142,63 +128,40 @@ def surface_penalty_matrix(v: np.ndarray, dx: np.ndarray, dy: np.ndarray
     return (dx * w[:, None]).T @ dx + (dy * w[:, None]).T @ dy
 
 
-def iterate_spectrum(v0: np.ndarray, squared: np.ndarray,
-                     system_gram: np.ndarray, rhs_fn, dx: np.ndarray,
-                     dy: np.ndarray, cfg: OptimizerConfig
-                     ) -> tuple[np.ndarray, np.ndarray, RunReport]:
-    """Shared gate-and-iterate driver for the spectral kernel optimizers.
+def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
+                     anchor: np.ndarray, cfg: OptimizerConfig
+                     ) -> tuple[np.ndarray, RunReport]:
+    """Surface-penalty smoothing of a kernel in the spectrum space of the
+    squared null-basis grids, shared by the spectral kernel optimizers.
 
-    Solves (system_gram + 2*lambda*penalty(v)) v_next = rhs_fn(v) per step,
-    renormalizing the kernel each time.  The weight lambda starts at
-    cfg.lambda0 and is halved (restarting from v0) until the first cfg.q
-    steps contract by at least cfg.theta; if no weight down to the floor
-    passes the gate, v0 is returned with a gate-failed report.
-    Returns (v, kernel_flat, report).
+    Starts from the least-squares spectrum of ``h`` and per step solves
+    (system_gram + 2*lambda*penalty(v)) v_next = anchor, renormalizing the
+    kernel each time; the weight is gated by :func:`gated_iterate` on the
+    summed squared tap change.  If no weight passes, ``h`` is returned
+    with the gate-failed report.
     """
-    flat0 = squared @ v0
-    n_gate = cfg.q + 1
+    squared = basis.squared_flat
+    dx, dy = basis_derivative_products(basis)
 
-    def run(lam: float):
-        v = v0.copy()
-        flat = flat0.copy()
-        diffs: list[float] = []
-        stop = STOP_CAP
-        for _ in range(cfg.max_iters):
-            system = system_gram + 2.0 * lam * surface_penalty_matrix(v, dx, dy)
-            try:
-                v_new = np.linalg.solve(system, rhs_fn(v))
-            except np.linalg.LinAlgError:
-                return None
-            flat_new = squared @ v_new
-            s = float(flat_new.sum())
-            if abs(s) <= 1e-12 or not np.all(np.isfinite(flat_new)):
-                return None
-            flat_new /= s
-            v_new = v_new / s
-            d = float(np.sum((flat_new - flat) ** 2))
-            diffs.append(d)
-            if 2 <= len(diffs) <= n_gate and d > cfg.eps:
-                # the first pair measures the initialization jump, so it
-                # only needs to not grow; later pairs must contract by theta
-                factor = 1.0 if len(diffs) == 2 else cfg.theta
-                if diffs[-1] * factor > diffs[-2]:
-                    return None
-            v, flat = v_new, flat_new
-            if d <= cfg.eps:
-                stop = STOP_EPS
-                break
-        return v, flat, diffs, stop
+    def step(state, lam):
+        v, flat = state
+        system = system_gram + 2.0 * lam * surface_penalty_matrix(v, dx, dy)
+        try:
+            v_new = np.linalg.solve(system, anchor)
+        except np.linalg.LinAlgError:
+            return None
+        flat_new = squared @ v_new
+        s = float(flat_new.sum())
+        if abs(s) <= 1e-12 or not np.all(np.isfinite(flat_new)):
+            return None
+        flat_new /= s
+        return (v_new / s, flat_new), float(np.sum((flat_new - flat) ** 2))
 
-    lam = cfg.lambda0
-    while lam >= LAMBDA_FLOOR:
-        result = run(lam)
-        if result is not None:
-            v, flat, diffs, stop = result
-            report = make_report(diffs, [lam] * len(diffs), stop)
-            return v, flat, report
-        lam *= 0.5
-    report = make_report([], [], STOP_GATE)
-    return v0, flat0, report
+    v0 = lstsq(squared, h.ravel())
+    (_, flat), report = gated_iterate((v0, squared @ v0), step, cfg)
+    if report.stop_reason == STOP_GATE:
+        return h, report
+    return flat.reshape(basis.l, basis.m), report
 
 
 def optimize_psf(h0, basis: CnsBasis, cfg: OptimizerConfig | None = None
@@ -215,13 +178,6 @@ def optimize_psf(h0, basis: CnsBasis, cfg: OptimizerConfig | None = None
         raise DimensionError(
             f"kernel {h.shape} does not match basis {(basis.l, basis.m)}")
     squared = basis.squared_flat
-    v0, *_ = np.linalg.lstsq(squared, h.ravel(), rcond=None)
-    gram = squared.T @ squared
-    dx, dy = basis_derivative_products(basis)
-    anchor = squared.T @ h.ravel()   # projections of the estimate being smoothed
-
-    _, flat, report = iterate_spectrum(v0, squared, gram,
-                                       lambda v: anchor, dx, dy, cfg)
-    if report.stop_reason == STOP_GATE:
-        return h, report
-    return flat.reshape(basis.l, basis.m), report
+    # data term: projections of the estimate being smoothed
+    return iterate_spectrum(h, basis, squared.T @ squared,
+                            squared.T @ h.ravel(), cfg)

@@ -62,19 +62,3 @@ def curvature_operator(grid) -> np.ndarray:
     sigma = 1.0 + sx * sx + sy * sy
     return sigma ** -1.5 * ((1.0 + sy * sy) * sxx + (1.0 + sx * sx) * syy
                             - 2.0 * sx * sy * sxy)
-
-
-def tv_operator(grid, alpha: float = 1.0, eps: float = 1e-8) -> np.ndarray:
-    """Variational derivative of the total-variation functional
-    ||grad S||^alpha, alpha in {0.5, 0.8, 1, 2}.  Optional drop-in
-    regularizer for the balanced-variation optimizer; never a default.
-    """
-    if alpha not in (0.5, 0.8, 1.0, 2.0):
-        raise ValueError(f"alpha must be one of 0.5, 0.8, 1, 2, got {alpha}")
-    g = as_image(grid)
-    if g.shape[0] < 3 or g.shape[1] < 3:
-        raise DimensionError(f"tv_operator needs a >=3x3 grid, got {g.shape}")
-    sx, sy = _first_derivatives(g)
-    mag = np.sqrt(sx * sx + sy * sy + eps)
-    w = alpha * mag ** (alpha - 2.0)
-    return np.gradient(w * sx, axis=0) + np.gradient(w * sy, axis=1)

@@ -39,7 +39,7 @@ def test_criterion_01_null_space_membership():
     model = nd.estimate_ar(blurred, 7, 7, region=(0, 0, 128, 128))
     op = nd.build_operator(model, 5, 5)
     rows, cols = op.patch_shape
-    patch = nd.lex_window(blurred, 30, 30, rows, cols)
+    patch = blurred[30:30 + rows, 30:30 + cols].ravel()
     res_patch = np.linalg.norm(op.matrix @ patch) / np.linalg.norm(patch)
     hvec = h_true.ravel()
     res_kernel = np.linalg.norm(hvec @ op.matrix)

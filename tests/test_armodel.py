@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 import nsdeblur as nd
-from nsdeblur.armodel import apply_stencil, default_fit_region
+from numpy.lib.stride_tricks import sliding_window_view
+
+from nsdeblur.armodel import RIDGE_SCALE, apply_stencil, default_fit_region
 from nsdeblur.errors import DimensionError, InsufficientDataError
 
 
@@ -15,6 +16,36 @@ def test_white_noise_1x1_model():
     top, left, side, _ = default_fit_region(img.shape, 1, 1)
     region = img[top:top + side, left:left + side]
     assert model.residual == pytest.approx(np.mean(region * region))
+
+
+def two_pass_fit(image, p, q):
+    """Reference fit: normal equations from the free and center columns of
+    every window of the default region, then a second pass for the
+    residual."""
+    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    windows = sliding_window_view(image[top:top + rows, left:left + cols],
+                                  (p, q)).reshape(-1, p * q)
+    center = (p // 2) * q + q // 2
+    keep = np.arange(p * q) != center
+    free = windows[:, keep]
+    gram = free.T @ free
+    ridge = RIDGE_SCALE * np.trace(gram)
+    coeffs = np.ones(p * q)
+    coeffs[keep] = np.linalg.solve(gram + ridge * np.eye(p * q - 1),
+                                   -free.T @ windows[:, center])
+    r = windows @ coeffs
+    return coeffs.reshape(p, q), float(r @ r) / r.size
+
+
+@pytest.mark.parametrize("seed, shape, p, q", [
+    (3, (96, 96), 5, 5), (7, (128, 100), 7, 9), (11, (160, 160), 13, 13)])
+def test_one_pass_fit_matches_two_pass_reference(seed, shape, p, q):
+    img = nd.convolve(nd.texture(shape, seed=seed), nd.gaussian_kernel(1.0, 5))
+    model = nd.estimate_ar(img, p, q)
+    coeffs, residual = two_pass_fit(img, p, q)
+    assert (np.abs(model.coeffs - coeffs).max()
+            <= 1e-8 * np.abs(coeffs).max())
+    assert model.residual == pytest.approx(residual, rel=1e-8)
 
 
 def test_center_pinned_to_one():
@@ -87,7 +118,7 @@ def test_operator_annihilates_self_synthesized_patches():
     model = nd.estimate_ar(img, 5, 5)
     op = nd.build_operator(model, 3, 3)
     rows, cols = op.patch_shape
-    window = nd.lex_window(img, 20, 20, rows, cols)
+    window = img[20:20 + rows, 20:20 + cols].ravel()
     assert (np.linalg.norm(op.matrix @ window)
             <= 1e-6 * np.linalg.norm(window))
 
@@ -99,49 +130,3 @@ def test_build_operator_sizing_checks():
         nd.build_operator(model, 5, 3)
     with pytest.raises(DimensionError):
         nd.build_operator(model, 3, 4)
-
-
-def test_suggest_order_white_noise_is_minimum():
-    img = np.random.default_rng(9).random((64, 64))
-    assert nd.suggest_order(img, 21) == (3, 3)
-
-
-def test_suggest_order_constant_warns():
-    with pytest.warns(RuntimeWarning):
-        assert nd.suggest_order(np.full((32, 32), 0.5), 9) == (3, 3)
-
-
-def test_suggest_order_tracks_periodic_structure():
-    i, k = np.mgrid[0:128, 0:128]
-    img = (np.sin(2 * np.pi * (i + k) / 9.0)
-           + 0.1 * np.random.default_rng(10).standard_normal((128, 128)))
-    p, q = nd.suggest_order(img, 21)
-    assert 5 <= p <= 21 and 5 <= q <= 21
-
-    # oracle: independent scan of the inverse-autocorrelation column
-    def oracle_axis(x, axis, max_order):
-        v = np.moveaxis(x, axis, 0)
-        v = v - v.mean()
-        r = np.array([np.mean(v[:v.shape[0] - d] * v[d:])
-                      for d in range(max_order)])
-        col = np.abs(np.linalg.pinv(toeplitz(r))[:, -1])
-        interior, level = col[:-1], 0.1 * col[-1]
-        pos = 0
-        for j in range(1, interior.size - 1):
-            if (interior[j] > interior[j - 1]
-                    and interior[j] >= interior[j + 1]
-                    and interior[j] >= level):
-                pos = j + 1
-        pos = max(pos, 3)
-        return min(pos + 1 - pos % 2, max_order)
-
-    assert (p, q) == (oracle_axis(img, 0, 21), oracle_axis(img, 1, 21))
-
-
-def test_suggest_order_structured_texture_in_reported_range():
-    i, k = np.mgrid[0:128, 0:128]
-    img = nd.texture((128, 128), seed=23, rolloff=1.4, noise_floor=0.02)
-    img = (0.4 * img + 0.3 * (1.0 + np.sin(2 * np.pi * i / 11.0)) / 2.0
-           + 0.3 * (1.0 + np.sin(2 * np.pi * k / 11.0)) / 2.0)
-    p, q = nd.suggest_order(img, 33)
-    assert 9 <= p <= 33 and 9 <= q <= 33

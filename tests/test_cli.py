@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nsdeblur as nd
 from nsdeblur.cli import main, read_config_file
-from nsdeblur.config import OptimizerConfig
+from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
 from nsdeblur.fileio import read_image, read_kernel, write_image, write_pgm
 from nsdeblur.pipeline import PipelineConfig
 
@@ -97,6 +98,7 @@ def test_estimate_then_deblur_round_trip(workdir):
     rc = main(["deblur", str(blurred), "--ipsf-file", str(g_path),
                "--output", str(out), "--report", str(dbrep)])
     assert rc == 0
+    assert dbrep.read_text().splitlines()[-1] == f"stop_reason: {STOP_NOT_RUN}"
     clean = read_image(workdir / "clean.pgm")
     assert (nd.psnr(read_image(out), clean)
             > nd.psnr(read_image(blurred), clean))
@@ -168,3 +170,23 @@ def test_numerical_failure_exit_4(tmp_path, capsys):
                "--report", str(tmp_path / "r.txt")])
     assert rc == 4
     assert "estimate failed" in capsys.readouterr().err
+
+
+def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
+                                      corpus_texture):
+    def fail_to_converge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail_to_converge)
+    monkeypatch.setattr(scipy.linalg, "lstsq", fail_to_converge)
+    blurred = tmp_path / "blurred.pgm"
+    write_pgm(blurred, nd.convolve(corpus_texture, nd.gaussian_kernel(1.0, 5)))
+    rc = main(["estimate", str(blurred), "--ar-order", "13", "13",
+               "--psf-size", "9", "9",
+               "--out-psf", str(tmp_path / "h.kern"),
+               "--out-ipsf", str(tmp_path / "g.kern"),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "estimate failed at stage estimate" in err
+    assert "Traceback" not in err

@@ -3,8 +3,8 @@ import pytest
 
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 from nsdeblur.grid import (as_kernel, convolve, correlate, delta_kernel,
-                           gradient, lex_window, normalize_kernel,
-                           to_luminance)
+                           gradient, normalize_kernel, to_luminance,
+                           window_gram)
 
 
 def loop_convolve(img, kernel, boundary="replicate"):
@@ -144,15 +144,16 @@ def test_gradient_needs_3x3():
         gradient(np.ones((2, 5)))
 
 
-def test_lex_window_cases():
-    img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(lex_window(img, 0, 1, 1, 1), [2.0])
-    np.testing.assert_array_equal(lex_window(img, 0, 0, 2, 2),
-                                  [1.0, 2.0, 3.0, 4.0])
-    full = np.arange(9, dtype=float).reshape(3, 3)
-    np.testing.assert_array_equal(lex_window(full, 0, 0, 3, 3), full.ravel())
-    with pytest.raises(DimensionError):
-        lex_window(img, 1, 1, 2, 2)
+@pytest.mark.parametrize("shape, p, q", [((130, 70), 5, 7), ((48, 48), 9, 9),
+                                         ((20, 31), 1, 1)])
+def test_window_gram_matches_stacked_windows(shape, p, q):
+    field = np.random.default_rng(p * q).standard_normal(shape)
+    rows = np.array([field[i:i + p, k:k + q].ravel()
+                     for i in range(shape[0] - p + 1)
+                     for k in range(shape[1] - q + 1)])
+    ref = rows.T @ rows
+    gram = window_gram(field, p, q)
+    assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_luminance_weights():

@@ -4,6 +4,7 @@ import pytest
 import nsdeblur as nd
 from conftest import SPACE_CFG, center_share
 from nsdeblur.config import OptimizerConfig
+from nsdeblur.grid import shifted_taps
 from nsdeblur.ipsf import (_space_system, curvature_system_matrix,
                            difference_operators)
 from nsdeblur.surface import surface_area
@@ -18,7 +19,7 @@ def sharp_basis(corpus_texture):
 def test_convolution_matrix_realizes_full_convolution():
     rng = np.random.default_rng(0)
     h = rng.random((3, 5))
-    mat = nd.convolution_matrix(h)
+    mat = shifted_taps(h, *h.shape)
     assert mat.shape == (15, 45)
     u = rng.random((5, 9))
     out = (mat @ u.ravel()).reshape(3, 5)
@@ -41,7 +42,7 @@ def test_spectral_single_vector_closed_form(corpus_texture):
         force_single=True)
     h = nd.delta_kernel(9)
     g = nd.ipsf_spectral(h, basis)
-    m0 = basis.squared_flat.T @ nd.convolution_matrix(h)
+    m0 = basis.squared_flat.T @ shifted_taps(h, *h.shape)
     center = (17 * 17 - 1) // 2
     u_closed = float(m0[0, center] / (m0[0] @ m0[0]))
     flat = basis.squared_flat[:, 0] * u_closed
@@ -88,6 +89,21 @@ def test_space_inverse_matches_dense_oracle():
     b = np.array(target)
     ref = np.linalg.solve(a.T @ a + 1e-6 * np.eye(25), a.T @ b)
     np.testing.assert_allclose(g.ravel(), ref, atol=1e-8)
+
+
+def test_space_cross_correlation_matches_window_products(corpus_texture):
+    """The FFT cross-correlation against the window centers equals the
+    accumulated window-times-center products."""
+    h = nd.gaussian_kernel(1.0, 5)
+    ryy, ryx, wl, wm = _space_system(corpus_texture, h)
+    y = nd.convolve(corpus_texture, h)
+    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
+    centers = corpus_texture[4:4 + ni, 4:4 + nk]
+    ref = np.zeros(wl * wm)
+    for i in range(ni):
+        for k in range(nk):
+            ref += y[i:i + wl, k:k + wm].ravel() * centers[i, k]
+    assert np.abs(ryx - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_space_crop_returns_kernel_size(corpus_texture):

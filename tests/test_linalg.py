@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nsdeblur.linalg import pseudo_inverse, solve_least_squares, sym_eigen
+from nsdeblur.errors import DegenerateKernelError
+from nsdeblur.linalg import lstsq, sym_eigen
+
+
+def fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def test_identity_system_returns_rhs():
     b = np.array([3.0, -1.0, 2.0])
-    np.testing.assert_allclose(solve_least_squares(np.eye(3), b), b)
+    np.testing.assert_allclose(lstsq(np.eye(3), b), b)
 
 
 def test_overdetermined_mean():
-    x = solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
+    x = lstsq(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
     assert x[0] == pytest.approx(1.0)
 
 
@@ -19,7 +25,7 @@ def test_recovers_constructed_solution(seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((20, 6))
     x0 = rng.standard_normal(6)
-    x = solve_least_squares(m, m @ x0)
+    x = lstsq(m, m @ x0)
     np.testing.assert_allclose(x, x0, atol=1e-8)
 
 
@@ -27,24 +33,35 @@ def test_residual_orthogonal_to_columns():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((15, 4))
     b = rng.standard_normal(15)
-    x = solve_least_squares(m, b)
+    x = lstsq(m, b)
     assert np.abs(m.T @ (m @ x - b)).max() < 1e-8
 
 
-def test_rank_deficient_warns_and_returns_min_norm():
+def test_rank_deficient_returns_min_norm():
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.warns(RuntimeWarning):
-        x = solve_least_squares(m, np.array([2.0, 2.0]))
+    x = lstsq(m, np.array([2.0, 2.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
 
-def test_ridge_shrinks_solution():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((12, 3))
+@pytest.mark.parametrize("seed", range(2))
+def test_lstsq_falls_back_to_plain_svd(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 6))  # rank 3
     b = rng.standard_normal(12)
-    plain = solve_least_squares(m, b)
-    ridged = solve_least_squares(m, b, ridge=10.0)
-    assert np.linalg.norm(ridged) < np.linalg.norm(plain)
+    gelsd = lstsq(m, b)
+    gelss = scipy.linalg.lstsq(m, b, cond=np.finfo(np.float64).eps * 12,
+                               lapack_driver="gelss")[0]
+    monkeypatch.setattr(np.linalg, "lstsq", fail_to_converge)
+    x = lstsq(m, b)
+    np.testing.assert_array_equal(x, gelss)
+    np.testing.assert_allclose(x, gelsd, atol=1e-10)
+
+
+def test_lstsq_raises_typed_error_when_both_solvers_fail(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", fail_to_converge)
+    monkeypatch.setattr(scipy.linalg, "lstsq", fail_to_converge)
+    with pytest.raises(DegenerateKernelError):
+        lstsq(np.eye(3), np.ones(3))
 
 
 def test_eigen_diagonal():
@@ -77,24 +94,3 @@ def test_eigen_reconstruction_and_trace(seed):
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_pinv_of_invertible_is_inverse():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(pseudo_inverse(m), np.linalg.inv(m),
-                               atol=1e-12)
-
-
-def test_pinv_of_zero_is_zero():
-    np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 2))),
-                                  np.zeros((2, 3)))
-
-
-def test_pinv_penrose_identities_on_low_rank():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
-    p = pseudo_inverse(m)
-    np.testing.assert_allclose(m @ p @ m, m, atol=1e-8)
-    np.testing.assert_allclose(p @ m @ p, p, atol=1e-8)
-    np.testing.assert_allclose((m @ p).T, m @ p, atol=1e-8)
-    np.testing.assert_allclose((p @ m).T, p @ m, atol=1e-8)

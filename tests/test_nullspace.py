@@ -4,7 +4,6 @@ import pytest
 import nsdeblur as nd
 from nsdeblur.armodel import ArModel, OperatorMatrix
 from nsdeblur.errors import DegenerateOperatorError
-from nsdeblur.nullspace import load_basis_dump
 
 
 def test_delta_stencil_operator_is_degenerate():
@@ -53,7 +52,6 @@ def test_basis_orthonormal_and_squares_nonnegative():
     assert np.abs(ortho - np.eye(25)).max() < 1e-10
     assert basis.squared_basis.min() >= 0.0
     assert 1 <= basis.split < 25
-    assert basis.null_dim == nd.cns_dimension_for_blur(basis)
 
 
 def test_force_single_mode():
@@ -92,16 +90,3 @@ def test_true_kernel_in_left_null_side():
     eigen_side = basis.vectors[:, :basis.split]
     proj = eigen_side.T @ hvec
     assert np.sum(proj ** 2) <= 0.10 * np.sum(hvec ** 2)
-
-
-def test_basis_dump_round_trip(tmp_path):
-    img = nd.texture((96, 96), seed=19)
-    basis = nd.compute_cns(
-        nd.build_operator(nd.estimate_ar(img, 9, 9), 5, 5))
-    path = tmp_path / "basis.txt"
-    nd.save_basis(path, basis)
-    data = load_basis_dump(path)
-    assert (data["l"], data["m"]) == (5, 5)
-    assert data["null_dim"] == basis.null_dim
-    np.testing.assert_array_equal(data["eigenvalues"], basis.eigenvalues)
-    np.testing.assert_array_equal(data["null_vectors"], basis.null_vectors)

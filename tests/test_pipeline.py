@@ -65,13 +65,3 @@ def test_denoise_pipeline_path(corpus_texture):
     assert (nd.psnr(result.prefiltered, corpus_texture)
             > nd.psnr(noisy, corpus_texture))
     assert abs(result.psf.sum() - 1.0) <= 1e-12
-
-
-def test_bvdr_accepts_tv_regularizer(gaussian_case):
-    from functools import partial
-    case = gaussian_case
-    out, rep = nd.bvdr_optimize(case.blurred, case.psf, case.ipsf_spectral,
-                                reg_operator=partial(nd.tv_operator,
-                                                     alpha=1.0))
-    assert np.all(np.isfinite(out))
-    assert rep.iterations >= 1

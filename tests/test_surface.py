@@ -4,7 +4,7 @@ from scipy.ndimage import gaussian_filter
 
 from nsdeblur.errors import DimensionError
 from nsdeblur.surface import (curvature_operator, metric_determinant,
-                              surface_area, tv_operator)
+                              surface_area)
 
 
 def smooth_field(seed, n=16, amp=0.03, flat_margin=3):
@@ -99,12 +99,6 @@ def test_gradient_consistency_on_smooth_fields(seed):
             fd = (surface_area(plus) - surface_area(minus)) / (2.0 * eta)
             worst = max(worst, abs(fd + curv[i, k]))
     assert worst <= 1e-3 * scale
-
-
-def test_tv_operator_flat_and_validation():
-    assert np.abs(tv_operator(np.full((5, 5), 1.0))).max() < 1e-3
-    with pytest.raises(ValueError):
-        tv_operator(np.ones((5, 5)), alpha=1.5)
 
 
 def test_size_validation():
