@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -21,13 +22,15 @@ from .quality import AiConfig, anisotropy_index, psnr
 from .synth import add_impulse_noise, disk_kernel, gaussian_kernel, motion_kernel
 from .grid import convolve
 
-_CONFIG_KEYS = {
-    "ar_p": int, "ar_q": int, "psf_l": int, "psf_m": int,
-    "optimizer": str, "ipsf_route": str, "denoise": bool,
-    "denoise_order": int, "denoise_size": int, "space_ridge": float,
-    "lambda0": float, "delta_t": float, "theta": float, "q": int,
-    "eps": float, "max_iters": int, "alpha": float,
-}
+
+def _settings(cls) -> dict:
+    """Name -> type of every dataclass field with a plain default."""
+    return {f.name: type(f.default) for f in fields(cls)
+            if f.default is not MISSING}
+
+
+_SOLVER_KEYS = _settings(OptimizerConfig)
+_CONFIG_KEYS = {**_settings(PipelineConfig), **_SOLVER_KEYS}
 
 
 def read_config_file(path) -> dict:
@@ -76,9 +79,7 @@ def _build_config(args) -> PipelineConfig:
         val = getattr(args, flag, None)
         if val is not None:
             values[key] = val
-    solver_keys = {k: values.pop(k) for k in
-                   ("lambda0", "delta_t", "theta", "q", "eps", "max_iters",
-                    "alpha") if k in values}
+    solver_keys = {k: values.pop(k) for k in _SOLVER_KEYS if k in values}
     cfg = PipelineConfig(**values, solver=OptimizerConfig(**solver_keys))
     cfg.validate()
     return cfg

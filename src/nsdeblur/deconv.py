@@ -34,42 +34,43 @@ def deconvolve_once(image, kernel) -> np.ndarray:
     return convolve(as_image(image), kernel, "replicate")
 
 
-def _seed_weight(x, g, h, s0, reg0, reg_x, alpha: float) -> float:
-    """Initial regularization weight from the image/first-estimate gap."""
-    num = _mean_abs(convolve(s0 - x, h))
-    den = alpha * _mean_abs(convolve(reg0, g))
-    if not np.isfinite(den) or den <= 0.0:
-        return np.nan
-    arg = _mean_abs(convolve(reg0 - reg_x, g)) / den
-    with np.errstate(over="ignore"):
-        grow = np.expm1(arg)
-    if not np.isfinite(grow) or grow <= 0.0:
-        return np.nan
-    return num / den / grow
+def _filtered(s, hk, gk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three filtered fields of one iterate s, with reg its
+    regularization field: (conv(s, h), conv(reg, g), conv(|reg|, g))."""
+    reg = curvature_operator(s)
+    return convolve(s, hk), convolve(reg, gk), convolve(np.abs(reg), gk)
 
 
-def _update_weight(lam_prev, x, g, h, s, s_prev, reg, reg_prev, delta
-                   ) -> float:
-    """Dynamic weight recursion from consecutive step statistics."""
-    den = delta * _mean_abs(convolve(reg, g))
-    if not np.isfinite(den) or den <= 0.0:
-        return np.nan
-    grow = _mean_abs(convolve(s - s_prev, h)) / den
-    decay = _mean_abs(convolve(np.abs(reg) - np.abs(reg_prev), g)) / den
-    with np.errstate(over="ignore"):
-        val = (lam_prev + grow) * np.exp(-decay)
-    return float(val)
+def _weight(cur, prev, lam_prev, cfg: OptimizerConfig) -> float:
+    """Dynamic regularization weight from the filtered fields of the
+    current and previous iterates.
 
-
-def _fallback_weight(x, g, h, s, s_prev, reg, reg_prev) -> float:
-    """Steady-state weight: ratio of smoothed to excited variations."""
-    den = _mean_abs(convolve(np.abs(reg) - np.abs(reg_prev), g))
-    num = _mean_abs(convolve(s - s_prev, h))
-    if num <= 0.0:
+    Filtering is linear, so differences of the carried fields are the
+    filtered step variations.  ``lam_prev`` None seeds the weight from the
+    first-estimate/image gap; otherwise the recursion grows it with the
+    excited (data-side) variation and decays it with the smoothed one.
+    When either degenerates, the steady-state ratio of the two is used.
+    """
+    (hs, gr, ga), (hs0, gr0, ga0) = cur, prev
+    excited = _mean_abs(hs - hs0)
+    smoothed = _mean_abs(ga - ga0)
+    scale = (cfg.alpha if lam_prev is None else cfg.delta_t) * _mean_abs(gr)
+    lam = np.nan
+    if np.isfinite(scale) and scale > 0.0:
+        with np.errstate(over="ignore"):
+            if lam_prev is None:
+                grow = np.expm1(_mean_abs(gr - gr0) / scale)
+                if np.isfinite(grow) and grow > 0.0:
+                    lam = excited / scale / grow
+            else:
+                lam = (lam_prev + excited / scale) * np.exp(-smoothed / scale)
+    if np.isfinite(lam):
+        return float(lam)
+    if excited <= 0.0:
         return 0.0
-    if not np.isfinite(den) or den <= 0.0:
+    if not np.isfinite(smoothed) or smoothed <= 0.0:
         return np.nan
-    return num / den
+    return excited / smoothed
 
 
 def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
@@ -79,36 +80,32 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
     Starts from the single-pass estimate; each step adds the data residual
     and the weighted, inverse-kernel-smoothed regularization field.  The
     scalar weight is re-derived per iteration and falls back to the
-    steady-state ratio when the recursion degenerates.
+    steady-state ratio when the recursion degenerates.  Each iterate is
+    filtered once (three convolutions) and its fields are carried into the
+    next step and weight; the iterate before the first step is the input.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
     hk = as_kernel(h)
     gk = as_kernel(g)
-    s_prev = x
+    prev = _filtered(x, hk, gk)
     s = convolve(x, gk)
-    reg_prev = curvature_operator(s_prev)   # regularization field of the input
-    reg = curvature_operator(s)
-    lam = _seed_weight(x, gk, hk, s, reg, reg_prev, cfg.alpha)
-    if not np.isfinite(lam):
-        lam = _fallback_weight(x, gk, hk, s, s_prev, reg, reg_prev)
+    cur = _filtered(s, hk, gk)
+    lam = _weight(cur, prev, None, cfg)
 
     residuals: list[float] = []
     lambdas: list[float] = []
     stop = STOP_CAP
     for k in range(cfg.max_iters):
         if k > 0:
-            lam = _update_weight(lam, x, gk, hk, s, s_prev, reg, reg_prev,
-                                 cfg.delta_t)
-            if not np.isfinite(lam):
-                lam = _fallback_weight(x, gk, hk, s, s_prev, reg, reg_prev)
+            prev, cur = cur, _filtered(s, hk, gk)
+            lam = _weight(cur, prev, lam, cfg)
             if not np.isfinite(lam):
                 stop = STOP_GATE
                 break
         # lambda0 is the configured maximum of the dynamic weight
         lam = min(max(lam, 0.0), cfg.lambda0)
-        s_next = s + cfg.delta_t * (x - convolve(s, hk)
-                                    + lam * convolve(reg, gk))
+        s_next = s + cfg.delta_t * (x - cur[0] + lam * cur[1])
         if not np.all(np.isfinite(s_next)):
             stop = STOP_GATE
             break
@@ -118,8 +115,7 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
         if len(residuals) >= 2 and d > residuals[-2]:
             stop = STOP_INCREASE       # keep the pre-increase image
             break
-        s_prev, s = s, s_next
-        reg_prev, reg = reg, curvature_operator(s)
+        s = s_next
         if d <= cfg.eps:
             stop = STOP_EPS
             break
@@ -134,16 +130,15 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
 
     The curvature correction at each pixel is scaled by the squared data
     residual over twice the local metric determinant, then smoothed with
-    the inverse kernel.  Returns the best-seen iterate when the step size
-    turns back up (a local minimum was passed).
+    the inverse kernel.  Keeps the pre-increase iterate when the step size
+    turns back up (a local minimum was passed), as the balanced-variation
+    optimizer does.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
     hk = as_kernel(h)
     gk = as_kernel(g)
     s = convolve(x, gk)
-    best = s
-    best_d = np.inf
     residuals: list[float] = []
     lambdas: list[float] = []
     dt_bounds: list[float] = []
@@ -166,11 +161,8 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
         lambdas.append(float(np.mean(weight)))
         data_residuals.append(float(np.mean(r * r)))
         sigma_means.append(float(np.mean(sigma)))
-        if d < best_d:
-            best, best_d = s_next, d
         if len(residuals) >= 2 and d > residuals[-2]:
-            stop = STOP_INCREASE
-            s = best                    # best-seen iterate, not the last
+            stop = STOP_INCREASE       # keep the pre-increase image
             break
         s = s_next
         if d <= cfg.eps:

@@ -25,9 +25,15 @@ KERNEL_SUM_TOL = 1e-12
 _CHUNK_ROWS = 48
 
 
+def _as_float64(data, copy: bool) -> np.ndarray:
+    # np.array(copy=False) raises on NumPy 2 whenever a conversion is needed
+    return (np.array(data, dtype=np.float64) if copy
+            else np.asarray(data, dtype=np.float64))
+
+
 def as_image(data, copy: bool = False) -> np.ndarray:
     """Coerce to a finite 2D float64 array."""
-    img = np.array(data, dtype=np.float64, copy=copy)
+    img = _as_float64(data, copy)
     if img.ndim != 2:
         raise DimensionError(f"image must be 2D, got shape {img.shape}")
     if img.size == 0:
@@ -39,7 +45,7 @@ def as_image(data, copy: bool = False) -> np.ndarray:
 
 def as_kernel(data, copy: bool = False) -> np.ndarray:
     """Coerce to a finite 2D float64 kernel with odd dimensions."""
-    k = np.array(data, dtype=np.float64, copy=copy)
+    k = _as_float64(data, copy)
     if k.ndim != 2:
         raise DimensionError(f"kernel must be 2D, got shape {k.shape}")
     l, m = k.shape
@@ -48,11 +54,6 @@ def as_kernel(data, copy: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(k)):
         raise DimensionError("kernel contains NaN or Inf")
     return k
-
-
-def kernel_center(kernel: np.ndarray) -> tuple[int, int]:
-    """Row/column index of the center tap."""
-    return kernel.shape[0] // 2, kernel.shape[1] // 2
 
 
 def normalize_kernel(kernel: np.ndarray) -> np.ndarray:

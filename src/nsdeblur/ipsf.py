@@ -143,26 +143,14 @@ def ipsf_space(image, h, ridge: float = 0.0, crop: bool = False,
     return g
 
 
-def _grad_matrix_1d(n: int) -> np.ndarray:
-    """Matrix form of np.gradient along a length-n axis."""
-    d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1], d[i, i + 1] = -0.5, 0.5
-    d[0, 0], d[0, 1] = -1.0, 1.0
-    d[n - 1, n - 2], d[n - 1, n - 1] = -1.0, 1.0
-    return d
-
-
 def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:
     """First/second/mixed difference matrices on the flattened wl x wm
     grid, matching the repeated central-difference scheme of the surface
     module (one-sided full differences at the outermost lines)."""
-    dx1 = _grad_matrix_1d(wl)
-    dy1 = _grad_matrix_1d(wm)
-    eye_x = np.eye(wl)
-    eye_y = np.eye(wm)
-    dx = np.kron(dx1, eye_y)
-    dy = np.kron(eye_x, dy1)
+    eye_x, eye_y = np.eye(wl), np.eye(wm)
+    # np.gradient of the identity is the matrix form of np.gradient
+    dx = np.kron(np.gradient(eye_x, axis=0), eye_y)
+    dy = np.kron(eye_x, np.gradient(eye_y, axis=0))
     return {"dx": dx, "dy": dy, "dxx": dx @ dx, "dyy": dy @ dy,
             "dxy": dx @ dy}
 

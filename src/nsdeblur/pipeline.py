@@ -87,7 +87,8 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
         g, ipsf_report = optimize_ipsf_spectral(g0, h, basis, cfg.solver)
     else:
         g0 = ipsf_space(x, h, ridge=cfg.space_ridge)
-        g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver)
+        g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,
+                                             ridge=cfg.space_ridge)
     return EstimateResult(psf=h, ipsf=g, basis=basis,
                           psf_report=psf_report, ipsf_report=ipsf_report,
                           prefiltered=prefiltered,

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import nsdeblur as nd
-from nsdeblur.cli import main, read_config_file
+from nsdeblur.cli import _build_config, build_parser, main, read_config_file
 from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
 from nsdeblur.fileio import read_image, read_kernel, write_image, write_pgm
 from nsdeblur.pipeline import PipelineConfig
@@ -152,6 +152,28 @@ def test_config_file_parsing_and_override(tmp_path):
     from nsdeblur.errors import InputError
     with pytest.raises(InputError):
         read_config_file(bad)
+
+
+def test_every_setting_reaches_its_config(tmp_path):
+    """Each field of both config dataclasses is a config-file key, and
+    solver keys land in the solver config."""
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text(
+        "ar_p = 11\nar_q = 13\npsf_l = 5\npsf_m = 7\noptimizer = cs\n"
+        "ipsf_route = space\ndenoise = yes\ndenoise_order = 21\n"
+        "denoise_size = 9\nspace_ridge = 0.5\nlambda0 = 0.02\n"
+        "delta_t = 0.2\ntheta = 4\nq = 2\neps = 1e-6\nmax_iters = 7\n"
+        "alpha = 2.5\n")
+    args = build_parser().parse_args(
+        ["deblur", "in.pgm", "--ipsf-file", "g.kern", "--output", "o.pgm",
+         "--config", str(cfg_file), "--max-iters", "9"])
+    cfg = _build_config(args)
+    assert cfg == PipelineConfig(
+        ar_p=11, ar_q=13, psf_l=5, psf_m=7, optimizer="cs",
+        ipsf_route="space", denoise=True, denoise_order=21, denoise_size=9,
+        space_ridge=0.5,
+        solver=OptimizerConfig(lambda0=0.02, delta_t=0.2, theta=4.0, q=2,
+                               eps=1e-6, max_iters=9, alpha=2.5))
 
 
 def test_inconsistent_sizes_exit_3(workdir):

@@ -3,7 +3,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import nsdeblur as nd
-from nsdeblur.config import (STOP_CAP, STOP_EPS, STOP_INCREASE,
+from nsdeblur.config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
                              OptimizerConfig, make_report)
 from nsdeblur.deconv import convergence_check
 
@@ -142,3 +142,132 @@ def test_denoise_prefilter_near_identity_on_clean(corpus_texture):
     rel = (np.linalg.norm(filtered - corpus_texture)
            / np.linalg.norm(corpus_texture))
     assert rel <= 0.2
+
+
+# --- balanced-variation weight: carried fields against the recomputing form
+
+def _mean_abs(a):
+    return float(np.mean(np.abs(a)))
+
+
+def _reference_bvdr(image, h, g, cfg):
+    """The balanced-variation loop with separate seed, recursion and
+    steady-state weight rules, each re-filtering the fields it reads
+    (five convolutions per iteration)."""
+    conv = nd.convolve
+
+    def seed(s0, reg0, reg_x):
+        num = _mean_abs(conv(s0 - x, h))
+        den = cfg.alpha * _mean_abs(conv(reg0, g))
+        if not np.isfinite(den) or den <= 0.0:
+            return np.nan
+        arg = _mean_abs(conv(reg0 - reg_x, g)) / den
+        with np.errstate(over="ignore"):
+            grow = np.expm1(arg)
+        if not np.isfinite(grow) or grow <= 0.0:
+            return np.nan
+        return num / den / grow
+
+    def update(lam_prev, s, s_prev, reg, reg_prev):
+        den = cfg.delta_t * _mean_abs(conv(reg, g))
+        if not np.isfinite(den) or den <= 0.0:
+            return np.nan
+        grow = _mean_abs(conv(s - s_prev, h)) / den
+        decay = _mean_abs(conv(np.abs(reg) - np.abs(reg_prev), g)) / den
+        with np.errstate(over="ignore"):
+            return float((lam_prev + grow) * np.exp(-decay))
+
+    def fallback(s, s_prev, reg, reg_prev):
+        den = _mean_abs(conv(np.abs(reg) - np.abs(reg_prev), g))
+        num = _mean_abs(conv(s - s_prev, h))
+        if num <= 0.0:
+            return 0.0
+        if not np.isfinite(den) or den <= 0.0:
+            return np.nan
+        return num / den
+
+    x = np.asarray(image, dtype=float)
+    s_prev, s = x, conv(x, g)
+    reg_prev, reg = nd.curvature_operator(s_prev), nd.curvature_operator(s)
+    lam = seed(s, reg, reg_prev)
+    if not np.isfinite(lam):
+        lam = fallback(s, s_prev, reg, reg_prev)
+    residuals, lambdas, stop = [], [], STOP_CAP
+    for k in range(cfg.max_iters):
+        if k > 0:
+            lam = update(lam, s, s_prev, reg, reg_prev)
+            if not np.isfinite(lam):
+                lam = fallback(s, s_prev, reg, reg_prev)
+            if not np.isfinite(lam):
+                stop = STOP_GATE
+                break
+        lam = min(max(lam, 0.0), cfg.lambda0)
+        s_next = s + cfg.delta_t * (x - conv(s, h) + lam * conv(reg, g))
+        if not np.all(np.isfinite(s_next)):
+            stop = STOP_GATE
+            break
+        d = float(np.mean((s_next - s) ** 2))
+        residuals.append(d)
+        lambdas.append(lam)
+        if len(residuals) >= 2 and d > residuals[-2]:
+            stop = STOP_INCREASE
+            break
+        s_prev, s = s, s_next
+        reg_prev, reg = reg, nd.curvature_operator(s)
+        if d <= cfg.eps:
+            stop = STOP_EPS
+            break
+    return s, np.array(residuals), np.array(lambdas), stop
+
+
+@pytest.mark.parametrize("case_name", ["gaussian_case", "motion_case"])
+def test_bvdr_default_config_bit_equal_to_reference(case_name, request):
+    case = request.getfixturevalue(case_name)
+    cfg = OptimizerConfig()
+    out, rep = nd.bvdr_optimize(case.blurred, case.psf, case.ipsf_spectral)
+    ref, res, lams, stop = _reference_bvdr(case.blurred, case.psf,
+                                           case.ipsf_spectral, cfg)
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(rep.residual_trace, res)
+    np.testing.assert_array_equal(rep.lambda_trace, lams)
+    assert rep.stop_reason == stop
+
+
+@pytest.mark.parametrize("case_name", ["gaussian_case", "motion_case"])
+@pytest.mark.parametrize("alpha,delta_t", [(1.0, 0.1), (0.3, 0.05),
+                                           (3.0, 0.2)])
+def test_bvdr_unclamped_weight_matches_reference(case_name, alpha, delta_t,
+                                                 request):
+    """With lambda0 far above the dynamic weight, every iteration uses the
+    seed/recursion/fallback value itself."""
+    case = request.getfixturevalue(case_name)
+    cfg = OptimizerConfig(lambda0=1e6, alpha=alpha, delta_t=delta_t)
+    out, rep = nd.bvdr_optimize(case.blurred, case.psf, case.ipsf_spectral,
+                                cfg)
+    ref, res, lams, stop = _reference_bvdr(case.blurred, case.psf,
+                                           case.ipsf_spectral, cfg)
+    assert rep.stop_reason == stop
+    assert rep.iterations == len(lams)
+    assert np.all(lams < cfg.lambda0)
+    np.testing.assert_allclose(rep.lambda_trace, lams, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.residual_trace, res, rtol=1e-12, atol=0)
+    assert (np.max(np.abs(out - ref))
+            <= 1e-12 * np.max(np.abs(ref)))
+
+
+def test_bvdr_convolves_each_iterate_once(motion_case, monkeypatch):
+    """Three filtered fields per iterate, plus the input's three and the
+    single-pass estimate: at most 3 N + 4 convolutions for N iterations."""
+    import nsdeblur.deconv as deconv
+    calls = []
+    original = deconv.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deconv, "convolve", counting)
+    case = motion_case
+    _, rep = nd.bvdr_optimize(case.blurred, case.psf, case.ipsf_spectral)
+    assert rep.iterations == 20
+    assert len(calls) <= 3 * rep.iterations + 4

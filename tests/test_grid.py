@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nsdeblur.errors import DegenerateKernelError, DimensionError
-from nsdeblur.grid import (as_kernel, convolve, correlate, delta_kernel,
+import nsdeblur as nd
+from nsdeblur.grid import (as_image, as_kernel, convolve, correlate, delta_kernel,
                            gradient, normalize_kernel, to_luminance,
                            window_gram)
 
@@ -154,6 +155,36 @@ def test_window_gram_matches_stacked_windows(shape, p, q):
     ref = rows.T @ rows
     gram = window_gram(field, p, q)
     assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("convert", [
+    lambda a: a.tolist(),
+    lambda a: a.astype(np.uint8),
+    lambda a: a.astype(np.float32),
+], ids=["list", "uint8", "float32"])
+def test_inputs_needing_conversion(convert):
+    """Lists and other dtypes go through the same path as float64 arrays
+    (small integers, so every conversion is exact)."""
+    rng = np.random.default_rng(5)
+    img = rng.integers(0, 200, (12, 10)).astype(np.float64)
+    ref = rng.integers(0, 200, (12, 10)).astype(np.float64)
+    k = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
+    got = as_image(convert(img))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, img)
+    np.testing.assert_array_equal(as_kernel(convert(k)), k)
+    np.testing.assert_array_equal(nd.convolve(convert(img), convert(k)),
+                                  nd.convolve(img, k))
+    assert nd.psnr(convert(img), convert(ref), peak=255.0) == nd.psnr(
+        img, ref, peak=255.0)
+
+
+def test_as_image_copies_only_on_request():
+    img = np.zeros((4, 4))
+    assert as_image(img) is img
+    copied = as_image(img, copy=True)
+    assert copied is not img
+    np.testing.assert_array_equal(copied, img)
 
 
 def test_luminance_weights():

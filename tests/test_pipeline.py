@@ -37,6 +37,22 @@ def test_estimate_kernels_space_route(gaussian_case):
     assert np.all(np.isfinite(result.ipsf))
 
 
+def test_space_ridge_reaches_refinement(gaussian_case):
+    """The configured ridge is used by both the primary space-route solve
+    and its refinement."""
+    x = gaussian_case.blurred
+    cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
+                            ipsf_route="space", space_ridge=1.0,
+                            solver=OptimizerConfig(lambda0=1e-5))
+    result = nd.estimate_kernels(x, cfg)
+    h = result.psf
+    g0 = nd.ipsf_space(x, h, ridge=1.0)
+    g, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver, ridge=1.0)
+    np.testing.assert_array_equal(result.ipsf, g)
+    g_auto, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver)
+    assert not np.allclose(result.ipsf, g_auto)
+
+
 def test_restore_modes(gaussian_case):
     case = gaussian_case
     plain, rep = nd.restore(case.blurred, case.ipsf_spectral)
