@@ -15,12 +15,12 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .config import STOP_NOT_RUN, OptimizerConfig, format_report, make_report
-from .errors import DeblurError, InputError
+from .errors import DeblurError, DegenerateKernelError, InputError
 from .fileio import read_image, read_kernel, write_image, write_kernel
+from .grid import KERNEL_SUM_TOL, as_kernel, convolve
 from .pipeline import PipelineConfig, estimate_kernels, restore
 from .quality import AiConfig, anisotropy_index, psnr
 from .synth import add_impulse_noise, disk_kernel, gaussian_kernel, motion_kernel
-from .grid import convolve
 
 
 def _settings(cls) -> dict:
@@ -139,6 +139,8 @@ def cmd_estimate(args) -> int:
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write("# kernel estimation\n")
             fh.write(f"null_dim = {result.basis.null_dim}\n")
+            fh.write(f"ar_residual = {result.model.residual:.17g}\n")
+            fh.write(f"ar_ridge = {result.model.ridge:.17g}\n")
             fh.write("# kernel shape optimization\n")
             fh.write(format_report(result.psf_report))
             fh.write("# inverse shape optimization\n")
@@ -149,14 +151,24 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _read_usable_kernel(path) -> np.ndarray:
+    """Kernel file with odd dimensions, finite taps and a tap sum away
+    from zero; anything else would restore to garbage."""
+    kernel = as_kernel(read_kernel(path))
+    total = float(kernel.sum())
+    if abs(total) <= KERNEL_SUM_TOL:
+        raise DegenerateKernelError(f"{path}: taps sum to {total:.3e}")
+    return kernel
+
+
 def cmd_deblur(args) -> int:
     stage = "config"
     try:
         cfg = _build_config(args)
         stage = "load"
         image = read_image(args.input)
-        ipsf = read_kernel(args.ipsf_file)
-        psf = read_kernel(args.psf_file) if args.psf_file else None
+        ipsf = _read_usable_kernel(args.ipsf_file)
+        psf = _read_usable_kernel(args.psf_file) if args.psf_file else None
         if cfg.optimizer != "none" and psf is None:
             raise InputError(
                 "iterative optimizers need --psf in addition to --ipsf")

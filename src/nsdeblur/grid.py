@@ -21,9 +21,6 @@ BOUNDARY_MODES = {"replicate": "nearest", "zero": "constant"}
 #: Tap-sum tolerance for a normalized kernel.
 KERNEL_SUM_TOL = 1e-12
 
-#: Window rows per block in :func:`window_gram`.
-_CHUNK_ROWS = 48
-
 
 def _as_float64(data, copy: bool) -> np.ndarray:
     # np.array(copy=False) raises on NumPy 2 whenever a conversion is needed
@@ -125,13 +122,97 @@ def window_gram(field: np.ndarray, p: int, q: int) -> np.ndarray:
     """Sum of w w^T over every p x q window w of ``field``, each window
     flattened row-major: the covariance-method Gram of linear prediction.
 
-    Windows are taken in blocks of rows so the copy stays small."""
-    wins = sliding_window_view(field, (p, q))
-    gram = np.zeros((p * q, p * q))
-    for i0 in range(0, wins.shape[0], _CHUNK_ROWS):
-        block = wins[i0:i0 + _CHUNK_ROWS].reshape(-1, p * q)
-        gram += block.T @ block
+    With nR x nC window positions, entry ((a,b),(c,d)) is
+    G = sum_{i<nR, k<nC} F[i+a, k+b] F[i+c, k+d].  It is not formed window
+    by window (O(nR nC (pq)^2)) but from two exact shift recursions, the
+    Toeplitz-block-Toeplitz structure of the covariance method (Makhoul,
+    Proc. IEEE 1975):
+
+    - rows: block (a,c) = block (a-1,c-1) + W(a-1+nR, c-1+nR) - W(a-1, c-1),
+      with W(y, y') the q x q product of the q-wide windows of rows y, y';
+    - columns: in the first block row, entry (b,d) of block (0,u) equals
+      entry (b-1,d-1) plus the column-pair sum over the nR window rows at
+      columns (b-1+nC, d-1+nC) minus the one at (b-1, d-1);
+    - bases: entries (0,d) and (b,0) of each block (0,u) are lags of one
+      zero-padded FFT correlation of the top-left nR x nC block with the
+      field; a (b,0) entry adds the at most q-1 column pairs the
+      correlation cuts off at the right edge.
+
+    Lower blocks are copied from the upper ones, so the result is exactly
+    symmetric.  Each entry is an FFT lag (rounding error a small multiple
+    of log2(HW) eps ||F||^2 for an H x W field with Frobenius norm ||F||)
+    plus at most p+q-2 recursion steps, each rounded at the scale of one
+    row or column sum of products, so |error| is below a small multiple of
+    (log2(HW) + p + q) eps ||F||^2.  The work is O(HW log(HW) + (nR + nC)
+    (pq)^2) and the memory O((pq)^2 + (p + q) q (nR + nC)).
+    """
+    f = np.asarray(field, dtype=np.float64)
+    n_r, n_c = f.shape[0] - p + 1, f.shape[1] - q + 1
+    n = p * q
+    gram = np.empty((n, n))
+    gram[:q] = _first_block_row(f, p, q).transpose(1, 0, 2).reshape(q, n)
+    if p > 1:
+        # column block t: the q-wide windows of row t + nR stacked over
+        # those of row t; one product gives W(t+nR, .) - W(t, .)
+        left = np.vstack((_row_windows(f[n_r:], q),
+                          _row_windows(f[:p - 1], q)))
+        right = left.copy()
+        right[n_c:] *= -1.0
+        for a in range(1, p):
+            t = (a - 1) * q
+            gram[a * q:(a + 1) * q, a * q:] = (
+                gram[t:t + q, t:n - q] + left[:, t:t + q].T @ right[:, t:])
+    lower = np.tril_indices(q, -1)
+    for a in range(p):
+        rows = slice(a * q, (a + 1) * q)
+        gram[rows, :a * q] = gram[:a * q, rows].T
+        diag = gram[rows, rows]
+        diag[lower] = diag.T[lower]
     return gram
+
+
+def _row_windows(rows: np.ndarray, q: int) -> np.ndarray:
+    """(nC, r*q) matrix whose column block t holds the nC q-wide windows
+    of row t of ``rows``."""
+    wins = sliding_window_view(rows, q, axis=1)           # (r, nC, q)
+    return wins.transpose(1, 0, 2).reshape(wins.shape[1], -1)
+
+
+def _first_block_row(f: np.ndarray, p: int, q: int) -> np.ndarray:
+    """B[u, b, d] = sum_{i<nR, k<nC} f[i, k+b] f[i+u, k+d] for u < p."""
+    rows, cols = f.shape
+    n_r, n_c = rows - p + 1, cols - q + 1
+    # lags[u, v] = sum_{i<nR, k<nC} f[i, k] f[i+u, k+v]: with q-1 columns of
+    # zero padding no lag v in (-q, q) reaches a wrapped sample
+    shape = (rows, cols + q - 1)
+    spec = (np.conj(np.fft.rfft2(f[:n_r, :n_c], s=shape))
+            * np.fft.rfft2(f, s=shape))
+    lags = np.fft.irfft2(spec, s=shape)[:p]
+    block = np.empty((p, q, q))
+    block[:, 0, :] = lags[:, :q]
+    block[:, 1:, 0] = lags[:, -1:-q:-1]
+    if q == 1:
+        return block
+
+    def pair_sums(left_cols: np.ndarray, right_cols: np.ndarray) -> np.ndarray:
+        # [x, u, y] = sum_{i<nR} left_cols[i, x] right_cols[i + u, y]
+        shifted = sliding_window_view(right_cols, n_r, axis=0)
+        stacked = shifted.transpose(2, 0, 1).reshape(n_r, -1)
+        return (left_cols[:n_r].T @ stacked).reshape(
+            left_cols.shape[1], p, right_cols.shape[1])
+
+    lo, hi = f[:, :q - 1], f[:, n_c:]
+    # column recursion steps: pairs (nC+x, nC+y) minus pairs (x, y)
+    steps = pair_sums(hi, hi) - pair_sums(lo, lo)
+    # lag -b of the correlation misses the pairs (k+b, k) for k >= nC-b;
+    # edge column j is column nC-1-j
+    edge = f[:, n_c - 1::-1][:, :q - 1]
+    cut = pair_sums(hi, edge)
+    for b in range(1, q):
+        j = np.arange(min(b, edge.shape[1]))
+        block[:, b, 0] += cut[b - 1 - j, :, j].sum(axis=0)
+        block[:, b, 1:] = block[:, b - 1, :-1] + steps[b - 1]
+    return block
 
 
 def shifted_taps(taps: np.ndarray, l: int, m: int) -> np.ndarray:

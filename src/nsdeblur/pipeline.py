@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .armodel import estimate_ar, build_operator
+from .armodel import ArModel, estimate_ar, build_operator
 from .config import OptimizerConfig, RunReport
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
@@ -57,6 +57,7 @@ class PipelineConfig:
 class EstimateResult:
     psf: np.ndarray
     ipsf: np.ndarray
+    model: ArModel
     basis: CnsBasis
     psf_report: RunReport
     ipsf_report: RunReport
@@ -89,7 +90,7 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
         g0 = ipsf_space(x, h, ridge=cfg.space_ridge)
         g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,
                                              ridge=cfg.space_ridge)
-    return EstimateResult(psf=h, ipsf=g, basis=basis,
+    return EstimateResult(psf=h, ipsf=g, model=model, basis=basis,
                           psf_report=psf_report, ipsf_report=ipsf_report,
                           prefiltered=prefiltered,
                           prefilter_kernel=prefilter_kernel)

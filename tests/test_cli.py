@@ -5,7 +5,8 @@ import scipy.linalg
 import nsdeblur as nd
 from nsdeblur.cli import _build_config, build_parser, main, read_config_file
 from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
-from nsdeblur.fileio import read_image, read_kernel, write_image, write_pgm
+from nsdeblur.fileio import (read_image, read_kernel, write_image, write_kernel,
+                             write_pgm)
 from nsdeblur.pipeline import PipelineConfig
 
 
@@ -104,6 +105,44 @@ def test_estimate_then_deblur_round_trip(workdir):
             > nd.psnr(read_image(blurred), clean))
 
 
+def test_estimate_report_carries_ar_fit(tmp_path, corpus_texture):
+    blurred = nd.convolve(corpus_texture, nd.gaussian_kernel(1.0, 5))
+    image = tmp_path / "blurred.pgm"
+    write_pgm(image, blurred)
+    rep = tmp_path / "report.txt"
+    rc = main(["estimate", str(image), "--ar-order", "13", "13",
+               "--psf-size", "9", "9", "--out-psf", str(tmp_path / "h.kern"),
+               "--out-ipsf", str(tmp_path / "g.kern"), "--report", str(rep)])
+    assert rc == 0
+    values = dict(line.split(" = ", 1) for line in rep.read_text().splitlines()
+                  if " = " in line)
+    model = nd.estimate_ar(read_image(image), 13, 13)
+    assert float(values["ar_residual"]) == model.residual
+    assert float(values["ar_ridge"]) == model.ridge
+
+
+@pytest.mark.parametrize("taps, code", [
+    (np.zeros((3, 3)), 4),
+    (np.full((3, 3), np.nan), 3),
+    (np.full((4, 4), 1.0 / 16.0), 3),
+], ids=["zero", "nan", "even"])
+@pytest.mark.parametrize("which", ["--ipsf-file", "--psf-file"])
+def test_deblur_rejects_unusable_kernel_at_load(workdir, tmp_path, capsys,
+                                                taps, code, which):
+    bad = tmp_path / "bad.kern"
+    write_kernel(bad, taps)
+    good = tmp_path / "delta.kern"
+    write_kernel(good, nd.delta_kernel(3))
+    files = {"--ipsf-file": good, "--psf-file": good, which: bad}
+    out = tmp_path / "out.pgm"
+    rc = main(["deblur", str(workdir / "clean.pgm"), "--output", str(out),
+               "--optimizer", "bvdr",
+               *(arg for flag, path in files.items() for arg in (flag, str(path)))])
+    assert rc == code
+    assert "deblur failed at stage load" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_deblur_optimizer_needs_psf(workdir):
     blurred = workdir / "blurred.pgm"
     g_path = workdir / "g.kern"
@@ -114,7 +153,6 @@ def test_deblur_optimizer_needs_psf(workdir):
 
 def test_deblur_delta_inverse_is_byte_identical(workdir):
     delta = workdir / "delta.kern"
-    from nsdeblur.fileio import write_kernel
     write_kernel(delta, nd.delta_kernel(1))
     out = workdir / "same.pgm"
     rc = main(["deblur", str(workdir / "clean.pgm"), "--ipsf-file",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,16 +147,49 @@ def test_gradient_needs_3x3():
         gradient(np.ones((2, 5)))
 
 
-@pytest.mark.parametrize("shape, p, q", [((130, 70), 5, 7), ((48, 48), 9, 9),
-                                         ((20, 31), 1, 1)])
-def test_window_gram_matches_stacked_windows(shape, p, q):
-    field = np.random.default_rng(p * q).standard_normal(shape)
+def check_window_gram(field, p, q):
+    """The shift recursions against the plain product of stacked windows:
+    within 1e-12 of the largest entry, exactly symmetric, repeatable."""
     rows = np.array([field[i:i + p, k:k + q].ravel()
-                     for i in range(shape[0] - p + 1)
-                     for k in range(shape[1] - q + 1)])
+                     for i in range(field.shape[0] - p + 1)
+                     for k in range(field.shape[1] - q + 1)])
     ref = rows.T @ rows
     gram = window_gram(field, p, q)
+    assert gram.shape == ref.shape
     assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+    np.testing.assert_array_equal(gram, gram.T)
+    np.testing.assert_array_equal(window_gram(field, p, q), gram)
+
+
+@pytest.mark.parametrize("shape, p, q", [
+    ((130, 70), 5, 7), ((48, 48), 9, 9), ((20, 31), 1, 1),
+    ((5, 40), 5, 3),                     # one window row
+    ((30, 7), 3, 7),                     # one window column
+    ((5, 7), 5, 7),                      # a single window
+    ((30, 9), 3, 9), ((9, 30), 9, 3),    # p != q both ways
+    ((30, 9), 9, 3), ((9, 30), 3, 9),
+    ((12, 30), 1, 7), ((30, 12), 7, 1),
+])
+def test_window_gram_matches_stacked_windows(shape, p, q):
+    check_window_gram(np.random.default_rng(p * q).standard_normal(shape), p, q)
+
+
+def test_window_gram_prefilter_order_with_dc_offset():
+    field = 5.0 + np.random.default_rng(33).standard_normal((80, 80))
+    check_window_gram(field, 33, 33)
+
+
+def test_window_gram_memory_stays_near_its_output():
+    """No N x pq window matrix: the peak traced allocation of a 33x33 Gram
+    on a 256x256 field stays under three times the 9.5 MB result."""
+    field = np.random.default_rng(0).standard_normal((256, 256))
+    tracemalloc.start()
+    try:
+        gram = window_gram(field, 33, 33)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * gram.nbytes
 
 
 @pytest.mark.parametrize("convert", [
