@@ -19,7 +19,7 @@ from .armodel import estimate_ar, build_operator
 from .config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
                      OptimizerConfig, RunReport, make_report)
 from .errors import DeblurError
-from .grid import as_image, as_kernel, convolve
+from .grid import as_image, convolve, replicate_filter
 from .ipsf import ipsf_space
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
@@ -34,11 +34,12 @@ def deconvolve_once(image, kernel) -> np.ndarray:
     return convolve(as_image(image), kernel, "replicate")
 
 
-def _filtered(s, hk, gk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _filtered(s, h_filter, g_filter
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three filtered fields of one iterate s, with reg its
     regularization field: (conv(s, h), conv(reg, g), conv(|reg|, g))."""
     reg = curvature_operator(s)
-    return convolve(s, hk), convolve(reg, gk), convolve(np.abs(reg), gk)
+    return h_filter(s), g_filter(reg), g_filter(np.abs(reg))
 
 
 def _weight(cur, prev, lam_prev, cfg: OptimizerConfig) -> float:
@@ -83,14 +84,15 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
     steady-state ratio when the recursion degenerates.  Each iterate is
     filtered once (three convolutions) and its fields are carried into the
     next step and weight; the iterate before the first step is the input.
+    Every convolution goes through one :func:`replicate_filter` per kernel.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
-    hk = as_kernel(h)
-    gk = as_kernel(g)
-    prev = _filtered(x, hk, gk)
-    s = convolve(x, gk)
-    cur = _filtered(s, hk, gk)
+    h_filter = replicate_filter(h, x.shape)
+    g_filter = replicate_filter(g, x.shape)
+    prev = _filtered(x, h_filter, g_filter)
+    s = g_filter(x)
+    cur = _filtered(s, h_filter, g_filter)
     lam = _weight(cur, prev, None, cfg)
 
     residuals: list[float] = []
@@ -98,7 +100,7 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
     stop = STOP_CAP
     for k in range(cfg.max_iters):
         if k > 0:
-            prev, cur = cur, _filtered(s, hk, gk)
+            prev, cur = cur, _filtered(s, h_filter, g_filter)
             lam = _weight(cur, prev, lam, cfg)
             if not np.isfinite(lam):
                 stop = STOP_GATE
@@ -132,13 +134,14 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
     residual over twice the local metric determinant, then smoothed with
     the inverse kernel.  Keeps the pre-increase iterate when the step size
     turns back up (a local minimum was passed), as the balanced-variation
-    optimizer does.
+    optimizer does.  Every convolution goes through one
+    :func:`replicate_filter` per kernel.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
-    hk = as_kernel(h)
-    gk = as_kernel(g)
-    s = convolve(x, gk)
+    h_filter = replicate_filter(h, x.shape)
+    g_filter = replicate_filter(g, x.shape)
+    s = g_filter(x)
     residuals: list[float] = []
     lambdas: list[float] = []
     dt_bounds: list[float] = []
@@ -146,11 +149,11 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
     sigma_means: list[float] = []
     stop = STOP_CAP
     for _ in range(cfg.max_iters):
-        r = x - convolve(s, hk)
+        r = x - h_filter(s)
         sigma = metric_determinant(s)
         weight = r * r / (2.0 * sigma)
         curv = curvature_operator(s)
-        s_next = s + cfg.delta_t * (r + convolve(weight * curv, gk))
+        s_next = s + cfg.delta_t * (r + g_filter(weight * curv))
         if not np.all(np.isfinite(s_next)):
             raise DeblurError("curved-space step produced non-finite pixels")
         d = float(np.mean((s_next - s) ** 2))

@@ -10,6 +10,9 @@ therefore preserves constants.  Boundary handling is selected by name:
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
@@ -72,10 +75,11 @@ def delta_kernel(l: int = 1, m: int | None = None) -> np.ndarray:
     return as_kernel(k)
 
 
-def _check_fits(image: np.ndarray, kernel: np.ndarray) -> None:
-    if kernel.shape[0] > image.shape[0] or kernel.shape[1] > image.shape[1]:
+def _check_fits(image_shape: tuple, kernel_shape: tuple) -> None:
+    if (kernel_shape[0] > image_shape[0]
+            or kernel_shape[1] > image_shape[1]):
         raise DimensionError(
-            f"kernel {kernel.shape} larger than image {image.shape}")
+            f"kernel {kernel_shape} larger than image {image_shape}")
 
 
 def _mode(boundary: str) -> str:
@@ -93,8 +97,86 @@ def convolve(image, kernel, boundary: str = "replicate") -> np.ndarray:
     """
     img = as_image(image)
     k = as_kernel(kernel)
-    _check_fits(img, k)
+    _check_fits(img.shape, k.shape)
     return ndimage.correlate(img, k, mode=_mode(boundary), cval=0.0)
+
+
+#: Most non-zero taps for which :func:`replicate_filter` keeps the direct
+#: path.  ``ndimage.correlate`` skips zero taps, so its cost grows with the
+#: non-zero ones, while the FFT path costs the same for every kernel.  At
+#: 512 x 512 on one core of a 2-core x86-64 VM (9 x 9 kernels, medians of
+#: 60 interleaved calls): 3.3 ms for 1 tap, 8.9 ms for 25, 10.2 ms for 30
+#: and 24 ms for 81, against 9.2 ms for the FFT path.
+DIRECT_MAX_TAPS = 25
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the lengths ``numpy.fft`` is fastest at."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def replicate_filter(kernel, shape: tuple[int, int]
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """``convolve(image, kernel)`` for float64 images of one ``shape``, with
+    the work that depends on the kernel alone done here, once.
+
+    A kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps keeps the
+    direct ``ndimage.correlate`` path (so an embedded delta returns the
+    image bit for bit).  Any other is applied through ``numpy.fft``: the
+    image is edge-padded by the kernel radius into a zero buffer of
+    2·3·5-smooth size, transformed, multiplied by the cached spectrum of
+    the flipped kernel, transformed back and cropped.  The buffer is at
+    least as large as the padded image, so no wrapped sample reaches the
+    crop; the result differs from :func:`convolve` by rounding only, a
+    small multiple of log2(buffer size) eps sum|kernel| max|image|.
+
+    The returned function reuses its work buffers between calls (it is
+    not reentrant) and returns a new array each time.  Its argument is not
+    validated: validate once where the image enters.
+    """
+    k = as_kernel(kernel)
+    _check_fits(shape, k.shape)
+    rows, cols = shape
+    if np.count_nonzero(k) <= DIRECT_MAX_TAPS:
+        return functools.partial(ndimage.correlate, weights=k, mode="nearest")
+    rl, rm = k.shape[0] // 2, k.shape[1] // 2
+    pad_r, pad_c = rows + 2 * rl, cols + 2 * rm
+    size = (_fast_len(pad_r), _fast_len(pad_c))
+    spectrum = np.fft.rfft2(k[::-1, ::-1], s=size)
+    # the padded image and its result share one real buffer.  Past the
+    # padded image it holds zeros, restored after each inverse transform:
+    # the crop never reads there, but through rounding a previous result
+    # left there would change the next one's bits
+    padded = np.zeros(size)
+    work = np.empty(spectrum.shape, dtype=complex)
+
+    def apply(image: np.ndarray) -> np.ndarray:
+        padded[rl:rl + rows, rm:rm + cols] = image
+        padded[:rl, rm:rm + cols] = image[0]
+        padded[rl + rows:pad_r, rm:rm + cols] = image[-1]
+        body = padded[:pad_r]
+        body[:, :rm] = body[:, rm:rm + 1]
+        body[:, rm + cols:pad_c] = body[:, rm + cols - 1:rm + cols]
+        # rfft2 and irfft2 step by step, in place: allocating the
+        # intermediate arrays on every call made a call about twice as slow
+        np.fft.rfft(padded, axis=1, out=work)
+        np.fft.fft(work, axis=0, out=work)
+        np.multiply(work, spectrum, out=work)
+        np.fft.ifft(work, axis=0, out=work)
+        np.fft.irfft(work, n=size[1], axis=1, out=padded)
+        result = padded[2 * rl:2 * rl + rows, 2 * rm:2 * rm + cols].copy()
+        padded[pad_r:] = 0.0
+        body[:, pad_c:] = 0.0
+        return result
+
+    return apply
 
 
 def correlate(image, kernel, boundary: str = "replicate") -> np.ndarray:
@@ -103,7 +185,7 @@ def correlate(image, kernel, boundary: str = "replicate") -> np.ndarray:
     """
     img = as_image(image)
     k = as_kernel(kernel)
-    _check_fits(img, k)
+    _check_fits(img.shape, k.shape)
     return ndimage.correlate(img, k[::-1, ::-1], mode=_mode(boundary), cval=0.0)
 
 

@@ -98,14 +98,14 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
 
 def restore(image, ipsf, psf=None, cfg: PipelineConfig | None = None
             ) -> tuple[np.ndarray, RunReport | None]:
-    """Single-pass restoration, then the configured optimizer (if any)."""
+    """Single-pass restoration, or the configured optimizer, which starts
+    from the same single pass."""
     cfg = cfg or PipelineConfig()
     if cfg.optimizer not in OPTIMIZERS:
         raise InputError(f"optimizer must be one of {OPTIMIZERS}")
     x = as_image(image)
-    first = deconvolve_once(x, ipsf)
     if cfg.optimizer == "none":
-        return first, None
+        return deconvolve_once(x, ipsf), None
     if psf is None:
         raise InputError("iterative optimization needs the forward kernel")
     if cfg.optimizer == "bvdr":

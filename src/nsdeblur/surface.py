@@ -19,8 +19,21 @@ from .errors import DimensionError
 from .grid import as_image
 
 
+def _diff(f: np.ndarray, axis: int) -> np.ndarray:
+    """``np.gradient(f, axis=axis)`` from slices, bit for bit: half the
+    central difference inside, the one-sided difference on the two
+    outermost lines."""
+    out = np.empty_like(f)
+    g, o = (f, out) if axis == 0 else (f.T, out.T)
+    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    o[1:-1] *= 0.5
+    np.subtract(g[1], g[0], out=o[0])
+    np.subtract(g[-1], g[-2], out=o[-1])
+    return out
+
+
 def _first_derivatives(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.gradient(grid, axis=0), np.gradient(grid, axis=1)
+    return _diff(grid, 0), _diff(grid, 1)
 
 
 def surface_area(grid) -> float:
@@ -49,16 +62,30 @@ def curvature_operator(grid) -> np.ndarray:
                                 - 2 Sx Sy Sxy)
 
     Zero at every interior point of an affine grid.  The base of the
-    power is >= 1, so no division guard is needed.
+    power is >= 1, so no division guard is needed.  Evaluated in place on
+    the derivative fields, so it agrees with the same expression written
+    out to rounding.
     """
     g = as_image(grid)
     if g.shape[0] < 3 or g.shape[1] < 3:
         raise DimensionError(
             f"curvature_operator needs a >=3x3 grid, got {g.shape}")
     sx, sy = _first_derivatives(g)
-    sxx = np.gradient(sx, axis=0)
-    syy = np.gradient(sy, axis=1)
-    sxy = np.gradient(sy, axis=0)
-    sigma = 1.0 + sx * sx + sy * sy
-    return sigma ** -1.5 * ((1.0 + sy * sy) * sxx + (1.0 + sx * sx) * syy
-                            - 2.0 * sx * sy * sxy)
+    sxx, syy, sxy = _diff(sx, 0), _diff(sy, 1), _diff(sy, 0)
+    sxy *= sx
+    sxy *= sy
+    sxy *= 2.0                          # 2 Sx Sy Sxy
+    sx *= sx
+    sx += 1.0                           # 1 + Sx^2
+    sy *= sy
+    sy += 1.0                           # 1 + Sy^2
+    sxx *= sy
+    syy *= sx
+    sxx += syy
+    sxx -= sxy
+    sigma = np.add(sx, sy, out=syy)
+    sigma -= 1.0
+    root = np.sqrt(sigma, out=sxy)
+    root *= sigma                       # sigma^(3/2)
+    sxx /= root
+    return sxx

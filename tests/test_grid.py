@@ -5,9 +5,10 @@ import pytest
 
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 import nsdeblur as nd
-from nsdeblur.grid import (as_image, as_kernel, convolve, correlate, delta_kernel,
-                           gradient, normalize_kernel, to_luminance,
-                           window_gram)
+from nsdeblur import grid
+from nsdeblur.grid import (DIRECT_MAX_TAPS, as_image, as_kernel, convolve,
+                           correlate, delta_kernel, gradient, normalize_kernel,
+                           replicate_filter, to_luminance, window_gram)
 
 
 def loop_convolve(img, kernel, boundary="replicate"):
@@ -117,6 +118,71 @@ def test_normalize_zero_sum_kernel_rejected():
     kernel = np.array([[1.0, -1.0, 0.0]])
     with pytest.raises(DegenerateKernelError):
         normalize_kernel(kernel)
+
+
+def check_filter(image, kernel):
+    """The cached-spectrum filter against the direct convolution: within
+    1e-12 of the output peak."""
+    got = replicate_filter(kernel, image.shape)(image)
+    ref = convolve(image, kernel)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    return got, ref
+
+
+@pytest.mark.parametrize("kshape", [(n, n) for n in range(1, 35, 2)]
+                         + [(3, 9), (9, 3), (1, 7), (7, 1)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_replicate_filter_matches_convolve(kshape, monkeypatch):
+    """Every shape through the FFT path, the crossover set to zero taps."""
+    monkeypatch.setattr(grid, "DIRECT_MAX_TAPS", 0)
+    rng = np.random.default_rng(kshape[0] * 100 + kshape[1])
+    check_filter(rng.random((41, 37)), rng.standard_normal(kshape))
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (10, 11)])
+def test_replicate_filter_image_barely_larger_than_kernel(shape):
+    rng = np.random.default_rng(shape[1])
+    check_filter(rng.random(shape), rng.standard_normal((9, 9)))
+
+
+@pytest.mark.parametrize("taps", [DIRECT_MAX_TAPS, DIRECT_MAX_TAPS + 1])
+def test_replicate_filter_either_side_of_crossover(taps):
+    """Up to the crossover the direct path runs and the result is the
+    direct convolution bit for bit; one tap more goes through the FFT."""
+    rng = np.random.default_rng(taps)
+    kernel = np.zeros(81)
+    kernel[rng.choice(81, taps, replace=False)] = rng.standard_normal(taps)
+    got, ref = check_filter(rng.random((64, 48)), kernel.reshape(9, 9))
+    assert np.array_equal(got, ref) == (taps <= DIRECT_MAX_TAPS)
+
+
+def test_replicate_filter_embedded_delta_is_identity():
+    img = np.random.default_rng(6).random((30, 20))
+    np.testing.assert_array_equal(
+        replicate_filter(delta_kernel(9), img.shape)(img), img)
+
+
+def test_replicate_filter_repeated_calls_are_independent():
+    """The work buffers carry nothing from one call into the next: the same
+    image gives the same bits after a call on another, and a returned
+    array is not one of the buffers."""
+    rng = np.random.default_rng(8)
+    a, b = rng.random((20, 20)), 1e3 * rng.random((20, 20))
+    kernel = rng.standard_normal((7, 7))
+    apply = replicate_filter(kernel, a.shape)
+    first = apply(a)
+    kept = first.copy()
+    second = apply(b)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(apply(a), kept)
+    ref = convolve(b, kernel)
+    assert np.abs(second - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_replicate_filter_kernel_larger_than_image_rejected():
+    with pytest.raises(DimensionError):
+        replicate_filter(np.ones((5, 5)), (3, 7))
 
 
 def test_gradient_of_constant_is_zero():

@@ -101,6 +101,29 @@ def test_gradient_consistency_on_smooth_fields(seed):
     assert worst <= 1e-3 * scale
 
 
+def gradient_curvature(g):
+    """The curvature expression written out on ``np.gradient`` fields."""
+    sx = np.gradient(g, axis=0)
+    sy = np.gradient(g, axis=1)
+    sxx = np.gradient(sx, axis=0)
+    syy = np.gradient(sy, axis=1)
+    sxy = np.gradient(sy, axis=0)
+    sigma = 1.0 + sx * sx + sy * sy
+    return sigma ** -1.5 * ((1.0 + sy * sy) * sxx + (1.0 + sx * sx) * syy
+                            - 2.0 * sx * sy * sxy)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 8), (7, 3), (17, 5),
+                                   (32, 32), (64, 48)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_curvature_matches_gradient_formulation(shape, scale):
+    g = scale * np.random.default_rng(shape[0] * shape[1]).standard_normal(
+        shape)
+    ref = gradient_curvature(g)
+    assert np.abs(curvature_operator(g) - ref).max() <= 1e-14 * np.abs(
+        ref).max()
+
+
 def test_size_validation():
     with pytest.raises(DimensionError):
         surface_area(np.ones((1, 5)))
