@@ -93,12 +93,18 @@ def convolve(image, kernel, boundary: str = "replicate") -> np.ndarray:
     """Same-size filtering: out[i,k] = sum_{l,m} kernel[l,m] * image[i+dl, k+dm]
     with (dl, dm) the tap offset from the kernel center.
 
-    Linear in both arguments; a normalized kernel preserves constants.
+    Linear in both arguments; a normalized kernel preserves constants.  The
+    replicate boundary is ``replicate_filter(kernel, image.shape)(image)``:
+    ``ndimage.correlate`` for a kernel with at most :data:`DIRECT_MAX_TAPS`
+    non-zero taps, the cached-spectrum FFT for a denser one.  The zero
+    boundary is always ``ndimage.correlate``.
     """
     img = as_image(image)
+    if _mode(boundary) == "nearest":
+        return replicate_filter(kernel, img.shape)(img)
     k = as_kernel(kernel)
     _check_fits(img.shape, k.shape)
-    return ndimage.correlate(img, k, mode=_mode(boundary), cval=0.0)
+    return ndimage.correlate(img, k, mode="constant", cval=0.0)
 
 
 #: Most non-zero taps for which :func:`replicate_filter` keeps the direct
@@ -124,18 +130,20 @@ def _fast_len(n: int) -> int:
 
 def replicate_filter(kernel, shape: tuple[int, int]
                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """``convolve(image, kernel)`` for float64 images of one ``shape``, with
-    the work that depends on the kernel alone done here, once.
+    """The replicate-boundary :func:`convolve` for float64 images of one
+    ``shape``, with the work that depends on the kernel alone done here,
+    once: a caller filtering many images with one kernel builds it once.
 
     A kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps keeps the
-    direct ``ndimage.correlate`` path (so an embedded delta returns the
-    image bit for bit).  Any other is applied through ``numpy.fft``: the
-    image is edge-padded by the kernel radius into a zero buffer of
-    2·3·5-smooth size, transformed, multiplied by the cached spectrum of
-    the flipped kernel, transformed back and cropped.  The buffer is at
-    least as large as the padded image, so no wrapped sample reaches the
-    crop; the result differs from :func:`convolve` by rounding only, a
-    small multiple of log2(buffer size) eps sum|kernel| max|image|.
+    direct ``ndimage.correlate(mode="nearest")`` path (so an embedded delta
+    returns the image bit for bit).  Any other is applied through
+    ``numpy.fft``: the image is edge-padded by the kernel radius into a
+    zero buffer of 2·3·5-smooth size, transformed, multiplied by the cached
+    spectrum of the flipped kernel, transformed back and cropped.  The
+    buffer is at least as large as the padded image, so no wrapped sample
+    reaches the crop; the result differs from the direct correlation by
+    rounding only, a small multiple of log2(buffer size) eps sum|kernel|
+    max|image|.
 
     The returned function reuses its work buffers between calls (it is
     not reentrant) and returns a new array each time.  Its argument is not
@@ -216,9 +224,9 @@ def window_gram(field: np.ndarray, p: int, q: int) -> np.ndarray:
       entry (b-1,d-1) plus the column-pair sum over the nR window rows at
       columns (b-1+nC, d-1+nC) minus the one at (b-1, d-1);
     - bases: entries (0,d) and (b,0) of each block (0,u) are lags of one
-      zero-padded FFT correlation of the top-left nR x nC block with the
-      field; a (b,0) entry adds the at most q-1 column pairs the
-      correlation cuts off at the right edge.
+      FFT correlation (:func:`correlation_lags`) of the top-left nR x nC
+      block with the field; a (b,0) entry adds the at most q-1 column pairs
+      the correlation cuts off at the right edge.
 
     Lower blocks are copied from the upper ones, so the result is exactly
     symmetric.  Each entry is an FFT lag (rounding error a small multiple
@@ -260,16 +268,28 @@ def _row_windows(rows: np.ndarray, q: int) -> np.ndarray:
     return wins.transpose(1, 0, 2).reshape(wins.shape[1], -1)
 
 
+def correlation_lags(template: np.ndarray, field: np.ndarray,
+                     margin: int = 0) -> np.ndarray:
+    """lags[u, v] = sum_{i,k} template[i, k] field[i+u, k+v] from one FFT
+    product, valid for 0 <= u <= H - h and -margin <= v <= W - w with
+    (h, w) the template's and (H, W) the field's shape; a negative lag v
+    is read at column index v, from the end.
+
+    Both operands are zero-padded to 2·3·5-smooth lengths of at least
+    H x (W + margin).  Zero padding past that wraps no lag in range, so the
+    lengths change the result by rounding only.
+    """
+    shape = (_fast_len(field.shape[0]), _fast_len(field.shape[1] + margin))
+    spec = (np.conj(np.fft.rfft2(template, s=shape))
+            * np.fft.rfft2(field, s=shape))
+    return np.fft.irfft2(spec, s=shape)
+
+
 def _first_block_row(f: np.ndarray, p: int, q: int) -> np.ndarray:
     """B[u, b, d] = sum_{i<nR, k<nC} f[i, k+b] f[i+u, k+d] for u < p."""
     rows, cols = f.shape
     n_r, n_c = rows - p + 1, cols - q + 1
-    # lags[u, v] = sum_{i<nR, k<nC} f[i, k] f[i+u, k+v]: with q-1 columns of
-    # zero padding no lag v in (-q, q) reaches a wrapped sample
-    shape = (rows, cols + q - 1)
-    spec = (np.conj(np.fft.rfft2(f[:n_r, :n_c], s=shape))
-            * np.fft.rfft2(f, s=shape))
-    lags = np.fft.irfft2(spec, s=shape)[:p]
+    lags = correlation_lags(f[:n_r, :n_c], f, q - 1)[:p]
     block = np.empty((p, q, q))
     block[:, 0, :] = lags[:, :q]
     block[:, 1:, 0] = lags[:, -1:-q:-1]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import (as_image, as_kernel, convolve, normalize_kernel,
-                   shifted_taps, window_gram)
+from .grid import (as_image, as_kernel, convolve, correlation_lags,
+                   normalize_kernel, shifted_taps, window_gram)
 from .linalg import lstsq
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum
@@ -86,11 +86,8 @@ def _space_system(image: np.ndarray, h: np.ndarray
     y = convolve(x, hk)
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
-    # cross-correlation of y with the centers through the FFT: the product
-    # of transforms at y's size is circular, and no offset below (wl, wm)
-    # reaches a wrapped sample
-    spec = np.fft.rfft2(y) * np.conj(np.fft.rfft2(centers, s=y.shape))
-    ryx = np.fft.irfft2(spec, s=y.shape)[:wl, :wm].ravel()
+    # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]
+    ryx = correlation_lags(centers, y)[:wl, :wm].ravel()
     return window_gram(y, wl, wm), ryx, wl, wm
 
 

@@ -38,19 +38,17 @@ def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
     (rows-2l) x (cols-2m) position grid."""
     rows, cols = field.shape
     kx, ky = rows - 2 * l, cols - 2 * m
-    # box means via an integral image (exact, O(1) per offset)
-    csum = np.zeros((rows + 1, cols + 1))
-    csum[1:, 1:] = field.cumsum(0).cumsum(1)
-
-    def box_mean(u, v):
-        s = (csum[u + kx, v + ky] - csum[u, v + ky]
-             - csum[u + kx, v] + csum[u, v])
-        return s / (kx * ky)
-
-    t2 = np.empty((2 * l - 1, 2 * m - 1))
-    for a in range(2 * l - 1):
-        for b in range(2 * m - 1):
-            t2[a, b] = box_mean(a + 1, b + 1)
+    # box sums over rows a+1 .. a+kx for every a < 2l-1: one band sum, then
+    # the band slid one row at a time; then the same along the columns
+    band = np.empty((2 * l - 1, cols))
+    band[0] = field[1:1 + kx].sum(axis=0)
+    for a in range(1, 2 * l - 1):
+        band[a] = band[a - 1] + (field[a + kx] - field[a])
+    box = np.empty((2 * l - 1, 2 * m - 1))
+    box[:, 0] = band[:, 1:1 + ky].sum(axis=1)
+    for b in range(1, 2 * m - 1):
+        box[:, b] = box[:, b - 1] + (band[:, b + ky] - band[:, b])
+    t2 = box / (kx * ky)
     ii = np.repeat(np.arange(l), m)
     ll = np.tile(np.arange(m), l)
     return t2[ii[:, None] + ii[None, :], ll[:, None] + ll[None, :]]
@@ -96,24 +94,18 @@ def estimate_psf(stats: GradientStats, basis: CnsBasis) -> np.ndarray:
     return (flat / s).reshape(basis.l, basis.m)
 
 
-def _replicate_central_diff(grid: np.ndarray, axis: int) -> np.ndarray:
-    p = np.pad(grid, 1, mode="edge")
-    if axis == 0:
-        return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
-    return 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
-
-
 def basis_derivative_products(basis: CnsBasis) -> tuple[np.ndarray, np.ndarray]:
     """(l*m, K) matrices of Vx*V and Vy*V for each null vector: the
     half-derivatives of the squared grids (replicate central differences)."""
     n, k = basis.l * basis.m, basis.null_dim
-    dx = np.empty((n, k))
-    dy = np.empty((n, k))
-    for j in range(k):
-        v = basis.null_vectors[:, j].reshape(basis.l, basis.m)
-        dx[:, j] = (_replicate_central_diff(v, 0) * v).ravel()
-        dy[:, j] = (_replicate_central_diff(v, 1) * v).ravel()
-    return dx, dy
+    grids = basis.null_vectors.T.reshape(k, basis.l, basis.m)
+    p = np.pad(grids, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    dx = 0.5 * (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) * grids
+    dy = 0.5 * (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) * grids
+    # row-major like the per-vector columns were: BLAS rounds a product
+    # with a transposed operand differently
+    return (np.ascontiguousarray(dx.reshape(k, n).T),
+            np.ascontiguousarray(dy.reshape(k, n).T))
 
 
 def surface_penalty_matrix(v: np.ndarray, dx: np.ndarray, dy: np.ndarray

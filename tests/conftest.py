@@ -34,6 +34,14 @@ def center_share(h, g):
     return float(abs(full[ci, ck]) / np.abs(full).sum())
 
 
+def is_smooth(n):
+    """True when n has no prime factor above 5."""
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
 def mass_center(kernel):
     w = np.abs(kernel)
     w = w / w.sum()

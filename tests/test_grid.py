@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 import nsdeblur as nd
+from conftest import is_smooth
 from nsdeblur import grid
 from nsdeblur.grid import (DIRECT_MAX_TAPS, as_image, as_kernel, convolve,
                            correlate, delta_kernel, gradient, normalize_kernel,
@@ -120,11 +123,17 @@ def test_normalize_zero_sum_kernel_rejected():
         normalize_kernel(kernel)
 
 
+def direct(image, kernel):
+    """The direct replicate-boundary correlation, the reference of every
+    filter test."""
+    return ndimage.correlate(image, kernel, mode="nearest")
+
+
 def check_filter(image, kernel):
-    """The cached-spectrum filter against the direct convolution: within
+    """The cached-spectrum filter against the direct correlation: within
     1e-12 of the output peak."""
     got = replicate_filter(kernel, image.shape)(image)
-    ref = convolve(image, kernel)
+    ref = direct(image, kernel)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     return got, ref
@@ -176,13 +185,59 @@ def test_replicate_filter_repeated_calls_are_independent():
     second = apply(b)
     np.testing.assert_array_equal(first, kept)
     np.testing.assert_array_equal(apply(a), kept)
-    ref = convolve(b, kernel)
+    ref = direct(b, kernel)
     assert np.abs(second - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_replicate_filter_kernel_larger_than_image_rejected():
     with pytest.raises(DimensionError):
         replicate_filter(np.ones((5, 5)), (3, 7))
+
+
+@pytest.mark.parametrize("image_shape, kshape", [
+    ((256, 256), (33, 33)),              # the prefilter's response
+    ((512, 511), (17, 17)),
+    ((512, 512), (9, 9)),                # a dense inverse kernel
+    ((41, 37), (3, 9)),
+])
+def test_convolve_dense_kernel_matches_direct(image_shape, kshape):
+    rng = np.random.default_rng(kshape[0] * image_shape[1])
+    image, kernel = rng.random(image_shape), rng.standard_normal(kshape)
+    got, ref = convolve(image, kernel), direct(image, kernel)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("taps", [1, 5, DIRECT_MAX_TAPS, DIRECT_MAX_TAPS + 1,
+                                  81])
+def test_convolve_is_the_replicate_filter(taps):
+    rng = np.random.default_rng(taps + 100)
+    kernel = np.zeros(81)
+    kernel[rng.choice(81, taps, replace=False)] = rng.standard_normal(taps)
+    kernel = kernel.reshape(9, 9)
+    image = rng.random((40, 33))
+    np.testing.assert_array_equal(
+        convolve(image, kernel), replicate_filter(kernel, image.shape)(image))
+
+
+@pytest.mark.parametrize("kernel", [
+    nd.gaussian_kernel(1.0, 5),          # 25 taps
+    nd.motion_kernel(7, 30.0),
+    delta_kernel(9),
+], ids=["gaussian5", "motion7", "delta9"])
+def test_convolve_sparse_kernel_is_direct(kernel):
+    """The corpus blurs keep the direct path, bit for bit."""
+    assert np.count_nonzero(kernel) <= DIRECT_MAX_TAPS
+    image = np.random.default_rng(12).random((64, 50))
+    np.testing.assert_array_equal(convolve(image, kernel),
+                                  direct(image, kernel))
+
+
+def test_convolve_zero_boundary_is_direct():
+    rng = np.random.default_rng(13)
+    image, kernel = rng.random((64, 50)), rng.standard_normal((9, 9))
+    np.testing.assert_array_equal(
+        convolve(image, kernel, "zero"),
+        ndimage.correlate(image, kernel, mode="constant", cval=0.0))
 
 
 def test_gradient_of_constant_is_zero():
@@ -213,16 +268,18 @@ def test_gradient_needs_3x3():
         gradient(np.ones((2, 5)))
 
 
-def check_window_gram(field, p, q):
-    """The shift recursions against the plain product of stacked windows:
-    within 1e-12 of the largest entry, exactly symmetric, repeatable."""
-    rows = np.array([field[i:i + p, k:k + q].ravel()
-                     for i in range(field.shape[0] - p + 1)
-                     for k in range(field.shape[1] - q + 1)])
-    ref = rows.T @ rows
+def check_window_gram(field, p, q, tol=1e-12):
+    """The shift recursions against the product of stacked windows, one
+    window row at a time: within ``tol`` of the largest entry, exactly
+    symmetric, repeatable."""
+    ref = np.zeros((p * q, p * q))
+    for i in range(field.shape[0] - p + 1):
+        rows = sliding_window_view(field[i:i + p], (p, q))[0]
+        rows = rows.reshape(-1, p * q)
+        ref += rows.T @ rows
     gram = window_gram(field, p, q)
     assert gram.shape == ref.shape
-    assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(gram - ref).max() <= tol * np.abs(ref).max()
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_array_equal(window_gram(field, p, q), gram)
 
@@ -243,6 +300,24 @@ def test_window_gram_matches_stacked_windows(shape, p, q):
 def test_window_gram_prefilter_order_with_dc_offset():
     field = 5.0 + np.random.default_rng(33).standard_normal((80, 80))
     check_window_gram(field, 33, 33)
+
+
+@pytest.mark.parametrize("shape, p", [((511, 511), 9), ((255, 257), 17)])
+def test_window_gram_at_fast_fft_lengths(shape, p):
+    """Fields whose correlation runs at a 2·3·5-smooth length larger than
+    the field's own (511 x 519 -> 512 x 540 for gradient_stats' 9 x 9 on
+    a 512 x 512 image; 255 x 273 -> 256 x 288): the GEMM result to within
+    2e-15 of its largest entry."""
+    field = np.random.default_rng(shape[1]).standard_normal(shape)
+    cols = shape[1] + p - 1
+    assert (grid._fast_len(shape[0]), grid._fast_len(cols)) != (shape[0], cols)
+    check_window_gram(field, p, p, tol=2e-15)
+
+
+def test_fast_len_is_the_next_smooth_length():
+    smooth = [n for n in range(1, 2200) if is_smooth(n)]
+    for n in range(1, 2001):
+        assert grid._fast_len(n) == min(s for s in smooth if s >= n)
 
 
 def test_window_gram_memory_stays_near_its_output():

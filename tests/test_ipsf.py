@@ -91,19 +91,30 @@ def test_space_inverse_matches_dense_oracle():
     np.testing.assert_allclose(g.ravel(), ref, atol=1e-8)
 
 
-def test_space_cross_correlation_matches_window_products(corpus_texture):
+def check_space_cross_correlation(image, h):
     """The FFT cross-correlation against the window centers equals the
     accumulated window-times-center products."""
-    h = nd.gaussian_kernel(1.0, 5)
-    ryy, ryx, wl, wm = _space_system(corpus_texture, h)
-    y = nd.convolve(corpus_texture, h)
+    ryy, ryx, wl, wm = _space_system(image, h)
+    y = nd.convolve(image, h)
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
-    centers = corpus_texture[4:4 + ni, 4:4 + nk]
+    centers = image[h.shape[0] - 1:h.shape[0] - 1 + ni,
+                    h.shape[1] - 1:h.shape[1] - 1 + nk]
     ref = np.zeros(wl * wm)
     for i in range(ni):
         for k in range(nk):
             ref += y[i:i + wl, k:k + wm].ravel() * centers[i, k]
     assert np.abs(ryx - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_space_cross_correlation_matches_window_products(corpus_texture):
+    check_space_cross_correlation(corpus_texture, nd.gaussian_kernel(1.0, 5))
+
+
+def test_space_cross_correlation_at_odd_image_size():
+    """129 x 131 is transformed at 135 x 135, past the image's own size,
+    and the re-degrading 7 x 7 kernel goes through the FFT filter."""
+    image = nd.texture((129, 131), seed=9)
+    check_space_cross_correlation(image, nd.gaussian_kernel(1.5, 7))
 
 
 def test_space_crop_returns_kernel_size(corpus_texture):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
+from conftest import is_smooth
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DimensionError, InputError
 
@@ -81,3 +82,33 @@ def test_denoise_pipeline_path(corpus_texture):
     assert (nd.psnr(result.prefiltered, corpus_texture)
             > nd.psnr(noisy, corpus_texture))
     assert abs(result.psf.sum() - 1.0) <= 1e-12
+
+
+def test_every_fft_runs_at_a_smooth_length(monkeypatch):
+    """Every forward transform of a denoised space-route estimate and its
+    single-pass restoration on an odd-sized image runs at a 2·3·5-smooth
+    length: numpy.fft is several times slower at lengths such as 519."""
+    import numpy.fft._pocketfft as pocketfft
+    image = nd.texture((131, 127), seed=31)
+    lengths = []
+
+    def recording(transform):
+        def wrapped(a, n=None, axis=-1, *args, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return transform(a, n, axis, *args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "rfft"):
+        # the public names, and the module globals rfft2/rfftn call through
+        transform = recording(getattr(np.fft, name))
+        monkeypatch.setattr(np.fft, name, transform)
+        monkeypatch.setattr(pocketfft, name, transform)
+    np.fft.rfft2(np.ones((7, 9)))
+    assert lengths == [9, 7]
+
+    lengths.clear()
+    result = nd.estimate_kernels(
+        image, nd.PipelineConfig(denoise=True, ipsf_route="space"))
+    nd.deconvolve_once(result.prefiltered, result.ipsf)
+    assert len(lengths) > 10
+    assert [n for n in lengths if not is_smooth(n)] == []

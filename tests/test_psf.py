@@ -5,7 +5,8 @@ import nsdeblur as nd
 from conftest import embed, ncc
 from nsdeblur.config import STOP_GATE, OptimizerConfig
 from nsdeblur.errors import DimensionError
-from nsdeblur.psf import spectrum_coefficients
+from nsdeblur.psf import (_shift_average_matrix, basis_derivative_products,
+                          spectrum_coefficients)
 from nsdeblur.surface import surface_area
 
 
@@ -131,3 +132,45 @@ def test_optimizer_gate_failure_returns_input(small_basis, monkeypatch):
 def test_kernel_basis_mismatch_rejected(small_basis):
     with pytest.raises(DimensionError):
         nd.optimize_psf(nd.delta_kernel(7), small_basis)
+
+
+def loop_derivative_products(basis):
+    """One null vector at a time, each grid edge-padded on its own."""
+    n, k = basis.l * basis.m, basis.null_dim
+    dx, dy = np.empty((n, k)), np.empty((n, k))
+    for j in range(k):
+        v = basis.null_vectors[:, j].reshape(basis.l, basis.m)
+        p = np.pad(v, 1, mode="edge")
+        dx[:, j] = (0.5 * (p[2:, 1:-1] - p[:-2, 1:-1]) * v).ravel()
+        dy[:, j] = (0.5 * (p[1:-1, 2:] - p[1:-1, :-2]) * v).ravel()
+    return dx, dy
+
+
+@pytest.mark.parametrize("l, m", [(5, 5), (5, 7), (9, 9)])
+def test_derivative_products_bit_equal_to_loop(l, m):
+    img = nd.texture((96, 96), seed=24)
+    basis = nd.compute_cns(nd.build_operator(nd.estimate_ar(img, 11, 11), l, m))
+    assert basis.null_dim > 1
+    for got, ref in zip(basis_derivative_products(basis),
+                        loop_derivative_products(basis)):
+        np.testing.assert_array_equal(got, ref)
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape, l, m", [((511, 511), 9, 9),
+                                         ((200, 157), 7, 5)])
+def test_shift_average_matrix_matches_box_means(shape, l, m):
+    """Against explicit box means of a gradient field: within 1e-12 of the
+    largest one (a mean near zero has no relative accuracy to speak of)."""
+    field = nd.gradient(nd.texture(shape, seed=25))
+    kx, ky = field.shape[0] - 2 * l, field.shape[1] - 2 * m
+    means = np.array([[field[u:u + kx, v:v + ky].mean()
+                       for v in range(1, 2 * m)] for u in range(1, 2 * l)])
+    got = _shift_average_matrix(field, l, m)
+    scale = np.abs(means).max()
+    for i in range(l):
+        for lc in range(m):
+            for j in range(l):
+                for mc in range(m):
+                    assert abs(got[i * m + lc, j * m + mc]
+                               - means[i + j, lc + mc]) <= 1e-12 * scale
