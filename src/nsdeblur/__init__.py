@@ -9,17 +9,16 @@ harness round out the toolkit.
 """
 
 from .armodel import ArModel, OperatorMatrix, build_operator, estimate_ar
-from .config import OptimizerConfig, RunReport, format_report, parse_report
-from .deconv import (bvdr_optimize, convergence_check, cs_optimize,
-                     deconvolve_once, denoise_prefilter)
+from .config import OptimizerConfig, RunReport, format_report
+from .deconv import (bvdr_optimize, cs_optimize, deconvolve_once,
+                     denoise_prefilter)
 from .errors import (DeblurError, DegenerateKernelError,
                      DegenerateOperatorError, DimensionError,
                      InputError, InsufficientDataError)
-from .grid import (convolve, correlate, delta_kernel, gradient,
-                   normalize_kernel, to_luminance)
+from .grid import (convolve, delta_kernel, gradient, normalize_kernel,
+                   to_luminance)
 from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
                    optimize_ipsf_spectral)
-from .linalg import EigenDecomposition, sym_eigen
 from .nullspace import CnsBasis, compute_cns
 from .pipeline import EstimateResult, PipelineConfig, estimate_kernels, restore
 from .psf import GradientStats, estimate_psf, gradient_stats, optimize_psf

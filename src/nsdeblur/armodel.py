@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InsufficientDataError
 from .grid import as_image, shifted_taps, window_gram
@@ -31,10 +30,6 @@ class ArModel:
     coeffs: np.ndarray      # (p, q), center element exactly 1
     residual: float         # mean squared stencil sum over the fit region
     ridge: float            # ridge actually added to the normal equations
-
-    @property
-    def center(self) -> tuple[int, int]:
-        return self.p // 2, self.q // 2
 
 
 @dataclass(frozen=True)
@@ -117,13 +112,6 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
     residual = float(coeffs @ gram @ coeffs) / n_eq
     return ArModel(p=p, q=q, coeffs=coeffs.reshape(p, q),
                    residual=residual, ridge=ridge)
-
-
-def apply_stencil(image, model: ArModel) -> np.ndarray:
-    """Stencil sums at every valid window position (the fit residual field)."""
-    img = as_image(image)
-    windows = sliding_window_view(img, (model.p, model.q))
-    return np.tensordot(windows, model.coeffs, axes=([2, 3], [0, 1]))
 
 
 def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import STOP_NOT_RUN, OptimizerConfig, format_report, make_report
 from .errors import DeblurError, DegenerateKernelError, InputError
-from .fileio import read_image, read_kernel, write_image, write_kernel
+from .fileio import (read_image, read_kernel, write_image, write_kernel,
+                     write_text)
 from .grid import KERNEL_SUM_TOL, as_kernel, convolve
 from .pipeline import PipelineConfig, estimate_kernels, restore
 from .quality import AiConfig, anisotropy_index, psnr
@@ -31,6 +32,8 @@ def _settings(cls) -> dict:
 
 _SOLVER_KEYS = _settings(OptimizerConfig)
 _CONFIG_KEYS = {**_settings(PipelineConfig), **_SOLVER_KEYS}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def read_config_file(path) -> dict:
@@ -50,13 +53,24 @@ def read_config_file(path) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 conv = _CONFIG_KEYS[key]
-                if conv is bool:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
-                else:
-                    values[key] = conv(val)
+                try:
+                    values[key] = (_BOOLS[val.lower()] if conv is bool
+                                   else conv(val))
+                except (KeyError, ValueError):
+                    raise InputError(
+                        f"{path}:{lineno}: bad {conv.__name__} value "
+                        f"{val!r} for {key}") from None
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     return values
+
+
+def _checked(cls, **values):
+    """``cls(**values)`` with a rejected value raised as an input error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _build_config(args) -> PipelineConfig:
@@ -80,7 +94,8 @@ def _build_config(args) -> PipelineConfig:
         if val is not None:
             values[key] = val
     solver_keys = {k: values.pop(k) for k in _SOLVER_KEYS if k in values}
-    cfg = PipelineConfig(**values, solver=OptimizerConfig(**solver_keys))
+    cfg = PipelineConfig(**values,
+                         solver=_checked(OptimizerConfig, **solver_keys))
     cfg.validate()
     return cfg
 
@@ -136,15 +151,15 @@ def cmd_estimate(args) -> int:
         stage = "write"
         write_kernel(args.out_psf, result.psf)
         write_kernel(args.out_ipsf, result.ipsf)
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write("# kernel estimation\n")
-            fh.write(f"null_dim = {result.basis.null_dim}\n")
-            fh.write(f"ar_residual = {result.model.residual:.17g}\n")
-            fh.write(f"ar_ridge = {result.model.ridge:.17g}\n")
-            fh.write("# kernel shape optimization\n")
-            fh.write(format_report(result.psf_report))
-            fh.write("# inverse shape optimization\n")
-            fh.write(format_report(result.ipsf_report))
+        write_text(args.report,
+                   "# kernel estimation\n"
+                   f"null_dim = {result.basis.null_dim}\n"
+                   f"ar_residual = {result.model.residual:.17g}\n"
+                   f"ar_ridge = {result.model.ridge:.17g}\n"
+                   "# kernel shape optimization\n"
+                   + format_report(result.psf_report)
+                   + "# inverse shape optimization\n"
+                   + format_report(result.ipsf_report))
     except DeblurError as exc:
         print(f"estimate failed at stage {stage}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -177,10 +192,9 @@ def cmd_deblur(args) -> int:
         stage = "write"
         write_image(args.output, restored)
         if args.report:
-            with open(args.report, "w", encoding="ascii") as fh:
-                fh.write(format_report(
-                    report if report is not None
-                    else make_report([], [], STOP_NOT_RUN)))
+            write_text(args.report, format_report(
+                report if report is not None
+                else make_report([], [], STOP_NOT_RUN)))
     except DeblurError as exc:
         print(f"deblur failed at stage {stage}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -188,32 +202,36 @@ def cmd_deblur(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    stage = "config"
     try:
-        image = read_image(args.input)
         kernel = _parse_blur(args.blur)
+        stage = "load"
+        image = read_image(args.input)
+        stage = "degrade"
         degraded = convolve(image, kernel)
         if args.noise > 0:
             degraded = add_impulse_noise(degraded, args.noise, args.seed)
+        stage = "write"
         write_image(args.output, degraded)
         if args.kernel_out:
             write_kernel(args.kernel_out, kernel)
         if args.manifest:
-            with open(args.manifest, "w", encoding="ascii") as fh:
-                fh.write(f"input = {args.input}\n")
-                fh.write(f"output = {args.output}\n")
-                fh.write(f"blur = {args.blur}\n")
-                fh.write(f"kernel = {args.kernel_out or ''}\n")
-                fh.write(f"noise = {args.noise:.17g}\n")
-                fh.write(f"seed = {args.seed}\n")
+            write_text(args.manifest,
+                       f"input = {args.input}\n"
+                       f"output = {args.output}\n"
+                       f"blur = {args.blur}\n"
+                       f"kernel = {args.kernel_out or ''}\n"
+                       f"noise = {args.noise:.17g}\n"
+                       f"seed = {args.seed}\n")
     except DeblurError as exc:
-        print(f"synth failed: {exc}", file=sys.stderr)
+        print(f"synth failed at stage {stage}: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 
 
 def cmd_quality(args) -> int:
     try:
-        cfg = AiConfig(window=args.window, fragment=args.fragment)
+        cfg = _checked(AiConfig, window=args.window, fragment=args.fragment)
         reference = read_image(args.reference) if args.reference else None
         for path in args.images:
             image = read_image(path)

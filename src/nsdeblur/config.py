@@ -39,15 +39,16 @@ class OptimizerConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.delta_t <= 0:
+        # written so that NaN fails every check
+        if not self.delta_t > 0:
             raise ValueError("delta_t must be positive")
-        if self.lambda0 <= 0:
+        if not self.lambda0 > 0:
             raise ValueError("lambda0 must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.theta < 1:
+        if not self.theta >= 1:
             raise ValueError("theta must be >= 1")
         if self.q < 1:
             raise ValueError("q must be >= 1")
@@ -71,10 +72,6 @@ class RunReport:
     convergence_ratio_max: float
     transition_iter: int = 0
     extras: dict = field(default_factory=dict)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == STOP_EPS
 
 
 def make_report(residuals, lambdas, stop_reason: str,
@@ -153,18 +150,3 @@ def format_report(report: RunReport) -> str:
     lines.append(f"stop_reason: {report.stop_reason}")
     return "\n".join(lines) + "\n"
 
-
-def parse_report(text: str) -> RunReport:
-    """Inverse of :func:`format_report`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["k", "residual", "lambda"]:
-        raise ValueError("malformed report: missing header")
-    if not lines[-1].startswith("stop_reason:"):
-        raise ValueError("malformed report: missing stop_reason trailer")
-    stop = lines[-1].split(":", 1)[1].strip()
-    res, lam = [], []
-    for ln in lines[1:-1]:
-        _, r, l = ln.split()
-        res.append(float(r))
-        lam.append(float(l))
-    return make_report(res, lam, stop)

@@ -24,6 +24,10 @@ from .ipsf import ipsf_space
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
 
+#: Ridge of the prefilter's inverse fit, relative to trace/rows of its
+#: window statistics.
+PREFILTER_RIDGE = 1e-2
+
 
 def _mean_abs(a: np.ndarray) -> float:
     return float(np.mean(np.abs(a)))
@@ -31,7 +35,7 @@ def _mean_abs(a: np.ndarray) -> float:
 
 def deconvolve_once(image, kernel) -> np.ndarray:
     """Primary estimate: one convolution with the inverse kernel."""
-    return convolve(as_image(image), kernel, "replicate")
+    return convolve(image, kernel)
 
 
 def _filtered(s, h_filter, g_filter
@@ -145,8 +149,6 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
     residuals: list[float] = []
     lambdas: list[float] = []
     dt_bounds: list[float] = []
-    data_residuals: list[float] = []
-    sigma_means: list[float] = []
     stop = STOP_CAP
     for _ in range(cfg.max_iters):
         r = x - h_filter(s)
@@ -162,8 +164,6 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
                          if curv_scale > 0 else 0.0)
         residuals.append(d)
         lambdas.append(float(np.mean(weight)))
-        data_residuals.append(float(np.mean(r * r)))
-        sigma_means.append(float(np.mean(sigma)))
         if len(residuals) >= 2 and d > residuals[-2]:
             stop = STOP_INCREASE       # keep the pre-increase image
             break
@@ -171,28 +171,13 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
         if d <= cfg.eps:
             stop = STOP_EPS
             break
-    extras = {"dt_bound_trace": np.array(dt_bounds),
-              "data_residual_trace": np.array(data_residuals),
-              "sigma_mean_trace": np.array(sigma_means)}
-    report = make_report(residuals, lambdas, stop, extras=extras)
+    report = make_report(residuals, lambdas, stop,
+                         extras={"dt_bound_trace": np.array(dt_bounds)})
     return s, report
 
 
-def convergence_check(report: RunReport, theta: float = 1.0) -> bool:
-    """True when every consecutive residual pair after the recorded
-    transition contracts by at least ``theta``."""
-    res = report.residual_trace
-    if res.size < 2:
-        raise ValueError("report must contain at least two residuals")
-    for t in range(max(report.transition_iter, 0), res.size - 1):
-        if res[t + 1] * theta > res[t]:
-            return False
-    return True
-
-
 def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,
-                      m: int = 17, ridge_scale: float = 1e-2
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      m: int = 17) -> tuple[np.ndarray, np.ndarray]:
     """High-order single-vector prefilter: a linear two-sided filter that
     removes impulsive noise without extra smoothing.
 
@@ -208,5 +193,5 @@ def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,
     basis = compute_cns(build_operator(model, l, m), force_single=True)
     kernel = basis.squared_basis[0]
     kernel = kernel / kernel.sum()      # squares are nonnegative
-    response = ipsf_space(x, kernel, ridge_relative=ridge_scale)
+    response = ipsf_space(x, kernel, ridge_relative=PREFILTER_RIDGE)
     return convolve(x, response), response

@@ -1,9 +1,10 @@
-"""File formats: PGM images (P2/P5, 8-bit), optional PNG via Pillow,
-kernel tap files, and the plain-text kernel/report round trips.
+"""File formats: PGM images (P2/P5 read, P5 written, 8-bit), optional PNG
+via Pillow, kernel tap files and plain-text reports.
 
 Loading maps [0, 255] to [0, 1]; saving clamps to [0, 1] and rounds
 half-to-even.  Kernel files store taps at 17 significant digits so a
-write/read round trip is lossless for doubles.
+write/read round trip is lossless for doubles.  A file that cannot be read
+or written raises :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -80,22 +81,27 @@ def quantize(image: np.ndarray) -> np.ndarray:
     return np.rint(clipped * 255.0).astype(np.uint8)
 
 
-def write_pgm(path, image, ascii_format: bool = False) -> None:
-    """Write a float image in [0, 1] as an 8-bit PGM (binary by default)."""
+def _write(path, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a plain-text file (reports, manifests) as UTF-8."""
+    _write(path, text.encode("utf-8"))
+
+
+def write_pgm(path, image) -> None:
+    """Write a float image in [0, 1] as an 8-bit binary (P5) PGM."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionError(f"image must be 2D, got {img.shape}")
     q = quantize(img)
     height, width = q.shape
-    with open(path, "wb") as fh:
-        if ascii_format:
-            fh.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
-            for row in q:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n")
-                         .encode("ascii"))
-        else:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(q.tobytes())
+    _write(path, f"P5\n{width} {height}\n255\n".encode("ascii") + q.tobytes())
 
 
 def _png_module():
@@ -108,12 +114,9 @@ def _png_module():
     return Image
 
 
-def read_image(path, channel: str = "luminance") -> np.ndarray:
-    """Load PGM or PNG into a single-channel float image in [0, 1].
-
-    Multi-channel files collapse to luminance by default; ``channel`` may
-    instead pick one of "r", "g", "b".
-    """
+def read_image(path) -> np.ndarray:
+    """Load PGM or PNG into a single-channel float image in [0, 1];
+    multi-channel files collapse to luminance."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext == ".pgm":
         return read_pgm(path)
@@ -125,12 +128,7 @@ def read_image(path, channel: str = "luminance") -> np.ndarray:
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         if arr.ndim == 3:
-            if channel == "luminance":
-                arr = to_luminance(arr)
-            elif channel in ("r", "g", "b"):
-                arr = arr[:, :, "rgb".index(channel)].astype(np.float64)
-            else:
-                raise InputError(f"unknown channel {channel!r}")
+            arr = to_luminance(arr)
         return arr / 255.0
     raise InputError(f"unsupported image format {ext!r} (use .pgm or .png)")
 
@@ -143,7 +141,10 @@ def write_image(path, image) -> None:
         return
     if ext == ".png":
         image_mod = _png_module()
-        image_mod.fromarray(quantize(image), mode="L").save(path)
+        try:
+            image_mod.fromarray(quantize(image), mode="L").save(path)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
         return
     raise InputError(f"unsupported image format {ext!r} (use .pgm or .png)")
 
@@ -154,10 +155,9 @@ def write_kernel(path, kernel) -> None:
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise DimensionError(f"kernel must be 2D, got {k.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{k.shape[0]} {k.shape[1]}\n")
-        for row in k:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    lines = [f"{k.shape[0]} {k.shape[1]}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in k]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_kernel(path) -> np.ndarray:

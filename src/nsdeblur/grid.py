@@ -3,9 +3,8 @@ builds on.
 
 Images and kernels are plain 2D float64 arrays.  Kernels have odd dimensions
 so the center tap is well defined; a normalized kernel has unit tap sum and
-therefore preserves constants.  Boundary handling is selected by name:
-``"replicate"`` (default everywhere an image is filtered) or ``"zero"``
-(used by adjoint identities and matrix builds).
+therefore preserves constants.  Every filter replicates the image's edge
+pixels past its border.
 """
 
 from __future__ import annotations
@@ -19,21 +18,15 @@ from scipy import ndimage
 
 from .errors import DegenerateKernelError, DimensionError
 
-BOUNDARY_MODES = {"replicate": "nearest", "zero": "constant"}
-
 #: Tap-sum tolerance for a normalized kernel.
 KERNEL_SUM_TOL = 1e-12
 
 
-def _as_float64(data, copy: bool) -> np.ndarray:
-    # np.array(copy=False) raises on NumPy 2 whenever a conversion is needed
-    return (np.array(data, dtype=np.float64) if copy
-            else np.asarray(data, dtype=np.float64))
-
-
 def as_image(data, copy: bool = False) -> np.ndarray:
     """Coerce to a finite 2D float64 array."""
-    img = _as_float64(data, copy)
+    # np.array(copy=False) raises on NumPy 2 whenever a conversion is needed
+    img = (np.array(data, dtype=np.float64) if copy
+           else np.asarray(data, dtype=np.float64))
     if img.ndim != 2:
         raise DimensionError(f"image must be 2D, got shape {img.shape}")
     if img.size == 0:
@@ -43,9 +36,9 @@ def as_image(data, copy: bool = False) -> np.ndarray:
     return img
 
 
-def as_kernel(data, copy: bool = False) -> np.ndarray:
+def as_kernel(data) -> np.ndarray:
     """Coerce to a finite 2D float64 kernel with odd dimensions."""
-    k = _as_float64(data, copy)
+    k = np.asarray(data, dtype=np.float64)
     if k.ndim != 2:
         raise DimensionError(f"kernel must be 2D, got shape {k.shape}")
     l, m = k.shape
@@ -66,45 +59,25 @@ def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
     return k / s
 
 
-def delta_kernel(l: int = 1, m: int | None = None) -> np.ndarray:
-    """Identity kernel: center tap 1, all others 0."""
-    if m is None:
-        m = l
-    k = np.zeros((l, m))
-    k[l // 2, m // 2] = 1.0
+def delta_kernel(l: int = 1) -> np.ndarray:
+    """l x l identity kernel: center tap 1, all others 0."""
+    k = np.zeros((l, l))
+    k[l // 2, l // 2] = 1.0
     return as_kernel(k)
 
 
-def _check_fits(image_shape: tuple, kernel_shape: tuple) -> None:
-    if (kernel_shape[0] > image_shape[0]
-            or kernel_shape[1] > image_shape[1]):
-        raise DimensionError(
-            f"kernel {kernel_shape} larger than image {image_shape}")
-
-
-def _mode(boundary: str) -> str:
-    try:
-        return BOUNDARY_MODES[boundary]
-    except KeyError:
-        raise DimensionError(f"unknown boundary policy {boundary!r}") from None
-
-
-def convolve(image, kernel, boundary: str = "replicate") -> np.ndarray:
+def convolve(image, kernel) -> np.ndarray:
     """Same-size filtering: out[i,k] = sum_{l,m} kernel[l,m] * image[i+dl, k+dm]
-    with (dl, dm) the tap offset from the kernel center.
+    with (dl, dm) the tap offset from the kernel center and the image's
+    edge pixels replicated past its border.
 
-    Linear in both arguments; a normalized kernel preserves constants.  The
-    replicate boundary is ``replicate_filter(kernel, image.shape)(image)``:
-    ``ndimage.correlate`` for a kernel with at most :data:`DIRECT_MAX_TAPS`
-    non-zero taps, the cached-spectrum FFT for a denser one.  The zero
-    boundary is always ``ndimage.correlate``.
+    Linear in both arguments; a normalized kernel preserves constants.  It
+    is ``replicate_filter(kernel, image.shape)(image)``: ``ndimage.correlate``
+    for a kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps, the
+    cached-spectrum FFT for a denser one.
     """
     img = as_image(image)
-    if _mode(boundary) == "nearest":
-        return replicate_filter(kernel, img.shape)(img)
-    k = as_kernel(kernel)
-    _check_fits(img.shape, k.shape)
-    return ndimage.correlate(img, k, mode="constant", cval=0.0)
+    return replicate_filter(kernel, img.shape)(img)
 
 
 #: Most non-zero taps for which :func:`replicate_filter` keeps the direct
@@ -130,9 +103,9 @@ def _fast_len(n: int) -> int:
 
 def replicate_filter(kernel, shape: tuple[int, int]
                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """The replicate-boundary :func:`convolve` for float64 images of one
-    ``shape``, with the work that depends on the kernel alone done here,
-    once: a caller filtering many images with one kernel builds it once.
+    """The :func:`convolve` for float64 images of one ``shape``, with the
+    work that depends on the kernel alone done here, once: a caller
+    filtering many images with one kernel builds it once.
 
     A kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps keeps the
     direct ``ndimage.correlate(mode="nearest")`` path (so an embedded delta
@@ -150,8 +123,9 @@ def replicate_filter(kernel, shape: tuple[int, int]
     validated: validate once where the image enters.
     """
     k = as_kernel(kernel)
-    _check_fits(shape, k.shape)
     rows, cols = shape
+    if k.shape[0] > rows or k.shape[1] > cols:
+        raise DimensionError(f"kernel {k.shape} larger than image {shape}")
     if np.count_nonzero(k) <= DIRECT_MAX_TAPS:
         return functools.partial(ndimage.correlate, weights=k, mode="nearest")
     rl, rm = k.shape[0] // 2, k.shape[1] // 2
@@ -185,16 +159,6 @@ def replicate_filter(kernel, shape: tuple[int, int]
         return result
 
     return apply
-
-
-def correlate(image, kernel, boundary: str = "replicate") -> np.ndarray:
-    """Adjoint of :func:`convolve`: equals convolve with the kernel rotated
-    180 degrees.  With zero boundary, <convolve(a, K), b> == <a, correlate(b, K)>.
-    """
-    img = as_image(image)
-    k = as_kernel(kernel)
-    _check_fits(img.shape, k.shape)
-    return ndimage.correlate(img, k[::-1, ::-1], mode=_mode(boundary), cval=0.0)
 
 
 def gradient(image) -> np.ndarray:

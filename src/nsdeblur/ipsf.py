@@ -109,7 +109,7 @@ def _effective_ridge(ryy: np.ndarray, ridge: float, quiet: bool = False
     return ridge
 
 
-def ipsf_space(image, h, ridge: float = 0.0, crop: bool = False,
+def ipsf_space(image, h, ridge: float = 0.0,
                ridge_relative: float = 0.0) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
@@ -117,11 +117,9 @@ def ipsf_space(image, h, ridge: float = 0.0, crop: bool = False,
     the taps that map re-degraded windows back to the observed centers.
     With ridge 0 a near-singular system is flagged and a default
     trace-scaled ridge applied; ``ridge_relative`` instead scales the
-    ridge by trace/rows of the window statistics.  ``crop`` trims the
-    result to l x m.
+    ridge by trace/rows of the window statistics.
     """
-    hk = as_kernel(h)
-    ryy, ryx, wl, wm = _space_system(image, hk)
+    ryy, ryx, wl, wm = _space_system(image, h)
     if ridge_relative > 0.0:
         ridge = ridge_relative * float(np.trace(ryy)) / ryy.shape[0]
     ridge = _effective_ridge(ryy, ridge)
@@ -129,15 +127,7 @@ def ipsf_space(image, h, ridge: float = 0.0, crop: bool = False,
         g = np.linalg.solve(ryy + ridge * np.eye(ryy.shape[0]), ryx)
     else:
         g = np.linalg.pinv(ryy, rcond=1e-10) @ ryx
-    g = g.reshape(wl, wm)
-    if crop:
-        l, m = hk.shape
-        ci, ck = wl // 2, wm // 2
-        g = g[ci - l // 2:ci + l // 2 + 1, ck - m // 2:ck + m // 2 + 1].copy()
-        s = float(g.sum())
-        if abs(s) > 1e-12:
-            g = g / s    # cropping sheds tap mass; restore unit gain
-    return g
+    return g.reshape(wl, wm)
 
 
 def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:

@@ -1,29 +1,13 @@
-"""Dense least squares and symmetric eigendecomposition.
-
-Thin contracts over numpy.linalg: eigenvalues are always returned in
-descending order, and least squares returns the minimum-norm solution
-or raises a typed error.
+"""Dense least squares: a thin contract over numpy.linalg that returns
+the minimum-norm solution or raises a typed error.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateKernelError
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectrum of a symmetric matrix, sorted by decreasing eigenvalue.
-
-    ``vectors[:, j]`` is the unit eigenvector for ``values[j]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,15 +30,3 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DegenerateKernelError(
             f"least-squares solve failed: {exc}") from exc
 
-
-def sym_eigen(matrix, rtol: float = 1e-10) -> EigenDecomposition:
-    """Full spectrum of a symmetric matrix, descending order."""
-    b = np.asarray(matrix, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"matrix must be square, got {b.shape}")
-    scale = np.abs(b).max()
-    if scale > 0 and np.abs(b - b.T).max() > rtol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (b + b.T))
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(values=values[order], vectors=vectors[:, order])

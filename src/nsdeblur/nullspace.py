@@ -16,7 +16,6 @@ import numpy as np
 
 from .armodel import OperatorMatrix
 from .errors import DegenerateOperatorError
-from .linalg import sym_eigen
 
 #: Cap on the null-side dimension (bounds downstream K x K solves).
 MAX_NULL_DIM = 128
@@ -93,8 +92,7 @@ def _pick_split(lam: np.ndarray) -> int:
     return first + int(np.argmax(zone))
 
 
-def compute_cns(op: OperatorMatrix, force_single: bool = False,
-                max_null: int = MAX_NULL_DIM) -> CnsBasis:
+def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     """Eigendecompose A A^T and locate the eigen/null split.
 
     ``force_single`` keeps only the single smallest-eigenvalue vector on
@@ -102,9 +100,12 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False,
     """
     a = op.matrix
     n = a.shape[0]
-    gram = a @ a.T
-    eig = sym_eigen(gram)
-    lam = eig.values
+    # a @ a.T is exactly symmetric (numpy computes it with one triangle)
+    values, vectors = np.linalg.eigh(a @ a.T)
+    lam = values[::-1]
+    # column-major: on another layout the kernel estimate's BLAS products
+    # round differently
+    vectors = np.asfortranarray(vectors[:, ::-1])
     if lam[0] <= 1e-12:
         raise DegenerateOperatorError(
             f"operator Gram matrix is numerically zero (lambda_1={lam[0]:.3e})")
@@ -112,11 +113,11 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False,
         split = n - 1
     else:
         split = _pick_split(lam)
-        if n - split > max_null:
-            split = n - max_null
+        if n - split > MAX_NULL_DIM:
+            split = n - MAX_NULL_DIM
     squared = np.empty((n - split, op.l, op.m))
     for j in range(split, n):
-        v = eig.vectors[:, j].reshape(op.l, op.m)
+        v = vectors[:, j].reshape(op.l, op.m)
         squared[j - split] = v * v
-    return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, vectors=eig.vectors,
+    return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, vectors=vectors,
                     split=split, squared_basis=squared)

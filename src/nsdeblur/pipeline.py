@@ -51,6 +51,9 @@ class PipelineConfig:
             raise InputError(f"optimizer must be one of {OPTIMIZERS}")
         if self.ipsf_route not in IPSF_ROUTES:
             raise InputError(f"ipsf_route must be one of {IPSF_ROUTES}")
+        if not self.space_ridge >= 0:     # NaN fails too
+            raise InputError(
+                f"space_ridge must be nonnegative, got {self.space_ridge}")
 
 
 @dataclass

@@ -25,15 +25,11 @@ _DIRECTION_STEPS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 @dataclass
 class AiConfig:
     window: int = 8
-    directions: tuple[int, ...] = (0, 45, 90, 135)
     fragment: int = 100
 
     def __post_init__(self) -> None:
         if self.window % 2 != 0 or self.window < 4:
             raise ValueError("window must be even and >= 4")
-        for d in self.directions:
-            if d not in _DIRECTION_STEPS:
-                raise ValueError(f"unsupported direction {d}")
 
 
 def psnr(image, reference, peak: float = 1.0) -> float:
@@ -96,7 +92,7 @@ def anisotropy_index(image, cfg: AiConfig | None = None) -> float:
     cols = cols.ravel()
     half = cfg.window // 2
     means = []
-    for d in cfg.directions:
-        lines = _line_samples(img, rows, cols, _DIRECTION_STEPS[d], half)
+    for step in _DIRECTION_STEPS.values():
+        lines = _line_samples(img, rows, cols, step, half)
         means.append(float(np.mean(_directional_entropy(lines, cfg.window))))
     return float(np.std(np.asarray(means)))

@@ -14,6 +14,15 @@ from .grid import as_image, as_kernel, delta_kernel
 
 _LUMA_EPS = 1e-12
 
+#: Hard-edged blocks laid over each :func:`texture`.
+_EDGE_OBJECTS = 4
+
+#: Samples per pixel side when :func:`disk_kernel` area-samples the disk.
+_DISK_SUPERSAMPLE = 8
+
+#: Pole of the 1D notch filters :func:`smooth_stencil` is built from.
+_NOTCH_POLE = 0.996
+
 
 def gaussian_kernel(sigma: float, size: int | None = None) -> np.ndarray:
     """Sampled isotropic Gaussian, unit sum.  sigma 0 gives the identity
@@ -63,7 +72,7 @@ def motion_kernel(length: int, angle_deg: float = 0.0) -> np.ndarray:
     return as_kernel(k / k.sum())
 
 
-def disk_kernel(radius: float, supersample: int = 8) -> np.ndarray:
+def disk_kernel(radius: float) -> np.ndarray:
     """Defocus disk: area-sampled circular top hat, unit sum."""
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
@@ -71,7 +80,7 @@ def disk_kernel(radius: float, supersample: int = 8) -> np.ndarray:
         return delta_kernel(1)
     half = int(np.ceil(radius))
     size = 2 * half + 1
-    ss = supersample
+    ss = _DISK_SUPERSAMPLE
     coords = (np.arange(size * ss) + 0.5) / ss - half - 0.5
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     fine = (xx * xx + yy * yy <= radius * radius).astype(np.float64)
@@ -95,7 +104,7 @@ def add_impulse_noise(image, density: float, seed: int = 0) -> np.ndarray:
 
 
 def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
-            edge_objects: int = 4, noise_floor: float = 0.02) -> np.ndarray:
+            noise_floor: float = 0.02) -> np.ndarray:
     """Natural-looking test texture in [0, 1]: power-law shaped noise with
     a few hard-edged blocks for contour content and a small white floor so
     the spectrum is full-band (as camera images are)."""
@@ -112,7 +121,7 @@ def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
     shaped += noise_floor * rng.standard_normal(shape)
     img = shaped - shaped.min()
     img /= max(img.max(), _LUMA_EPS)
-    for _ in range(edge_objects):
+    for _ in range(_EDGE_OBJECTS):
         top, left = rng.integers(0, h - h // 4), rng.integers(0, w - w // 4)
         hh, ww = rng.integers(h // 8, h // 4), rng.integers(w // 8, w // 4)
         img[top:top + hh, left:left + ww] *= 0.55
@@ -122,15 +131,14 @@ def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
 
 
 def ar_texture(stencil, shape: tuple[int, int], noise_amp: float = 1e-3,
-               seed: int = 0, normalize: bool = True) -> np.ndarray:
+               seed: int = 0) -> np.ndarray:
     """Texture whose stencil-weighted sums are white noise of amplitude
     ``noise_amp``: synthesized in the frequency domain by inverting the
     stencil's symbol (the stencil acts as a correlation).
 
-    With ``normalize`` the field is shifted/scaled into [0.05, 0.95],
-    which adds a constant offset; the stencil sums then pick up a small
-    DC leak proportional to the stencil's tap sum.  Pass ``False`` for
-    the raw zero-mean field when exact whitening matters.
+    The field is shifted and scaled into [0.05, 0.95]; through the constant
+    offset the stencil sums pick up a small DC leak proportional to the
+    stencil's tap sum.
     """
     st = as_kernel(stencil)
     rng = np.random.default_rng(seed)
@@ -142,20 +150,19 @@ def ar_texture(stencil, shape: tuple[int, int], noise_amp: float = 1e-3,
     mag = np.abs(sym)
     sym = np.where(mag < 1e-9, 1e-9, sym)
     img = np.real(np.fft.ifft2(np.fft.fft2(n) / sym))
-    if not normalize:
-        return img
     img -= img.min()
     img /= max(img.max(), _LUMA_EPS)
     return 0.05 + 0.9 * img
 
 
-def smooth_stencil(p: int, q: int, pole: float = 0.996) -> np.ndarray:
+def smooth_stencil(p: int, q: int) -> np.ndarray:
     """Symmetric separable stencil with a deep low-frequency notch: the
-    outer product of 1D filters [-pole/2, 1, -pole/2] stretched to the
-    requested odd orders.  Its unit center makes it a valid model stencil;
-    images synthesized from it are smooth, natural-like fields."""
+    outer product of 1D filters [-pole/2, 1, -pole/2] (pole
+    :data:`_NOTCH_POLE`) stretched to the requested odd orders.  Its unit
+    center makes it a valid model stencil; images synthesized from it are
+    smooth, natural-like fields."""
     def axis_filter(n: int) -> np.ndarray:
-        f = np.array([-pole / 2.0, 1.0, -pole / 2.0])
+        f = np.array([-_NOTCH_POLE / 2.0, 1.0, -_NOTCH_POLE / 2.0])
         while f.size < n:
             g = np.convolve(f, np.array([-0.25, 1.0, -0.25]))
             f = g / g[g.size // 2]

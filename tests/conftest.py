@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import convolve2d
 
 import nsdeblur as nd
@@ -40,6 +41,13 @@ def is_smooth(n):
         while n % prime == 0:
             n //= prime
     return n == 1
+
+
+def stencil_sums(image, stencil):
+    """Stencil-weighted sum at every valid window position: the residual
+    field of an AR fit."""
+    windows = sliding_window_view(image, stencil.shape)
+    return np.tensordot(windows, stencil, axes=([2, 3], [0, 1]))
 
 
 def mass_center(kernel):

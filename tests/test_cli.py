@@ -250,3 +250,71 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "estimate failed at stage estimate" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, settings, expected", [
+    (["estimate"], "max_iters = abc\n", "estimate failed at stage config"),
+    (["estimate"], "denoise = ture\n", "estimate failed at stage config"),
+    (["estimate", "--delta-t", "-1"], None, "estimate failed at stage config"),
+    (["estimate", "--max-iters", "0"], None, "estimate failed at stage config"),
+    (["estimate", "--theta", "0.5"], None, "estimate failed at stage config"),
+    (["estimate", "--ipsf", "space", "--space-ridge", "-1"], None,
+     "estimate failed at stage config"),
+    (["estimate", "--lambda", "nan"], None, "estimate failed at stage config"),
+    (["estimate", "--ipsf", "space", "--space-ridge", "nan"], None,
+     "estimate failed at stage config"),
+    (["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm",
+      "--max-iters", "0"], None, "deblur failed at stage config"),
+    (["quality", "--window", "7"], None, "quality failed"),
+], ids=["file-int", "file-bool", "delta-t", "max-iters", "theta",
+        "space-ridge", "lambda-nan", "space-ridge-nan", "deblur-max-iters",
+        "quality-window"])
+def test_bad_setting_exits_2(workdir, tmp_path, capsys, argv, settings,
+                             expected):
+    command, *flags = argv
+    if settings is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(settings)
+        flags += ["--config", str(cfg_file)]
+    outputs = {"estimate": ["--out-psf", str(tmp_path / "h.kern"),
+                            "--out-ipsf", str(tmp_path / "g.kern"),
+                            "--report", str(tmp_path / "r.txt")]}
+    rc = main([command, str(workdir / "clean.pgm"), *flags,
+               *outputs.get(command, [])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.glob("*.kern"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--out-psf", "{missing}/h.kern"],
+    ["estimate", "--report", "{missing}/r.txt"],
+    ["deblur", "--ipsf-file", "{delta}", "--output", "{missing}/o.pgm"],
+    ["deblur", "--ipsf-file", "{delta}", "--output", "{out}/o.pgm",
+     "--report", "{missing}/r.txt"],
+    ["synth", "--blur", "gaussian:1", "--output", "{missing}/o.pgm"],
+    ["synth", "--blur", "gaussian:1", "--output", "{out}/o.pgm",
+     "--kernel-out", "{missing}/k.kern"],
+    ["synth", "--blur", "gaussian:1", "--output", "{out}/o.pgm",
+     "--manifest", "{missing}/m.txt"],
+], ids=["estimate-kernel", "estimate-report", "deblur-image",
+        "deblur-report", "synth-image", "synth-kernel", "synth-manifest"])
+def test_unwritable_output_exits_2_at_stage_write(workdir, tmp_path, capsys,
+                                                  argv):
+    delta = tmp_path / "delta.kern"
+    write_kernel(delta, nd.delta_kernel(3))
+    paths = {"missing": tmp_path / "no-such-dir", "delta": delta,
+             "out": tmp_path}
+    command, *flags = (a.format(**paths) for a in argv)
+    defaults = {"estimate": ["--out-psf", str(tmp_path / "h.kern"),
+                             "--out-ipsf", str(tmp_path / "g.kern"),
+                             "--report", str(tmp_path / "r.txt"),
+                             "--ar-order", "9", "9", "--psf-size", "5", "5"]}
+    rc = main([command, str(workdir / "clean.pgm"),
+               *defaults.get(command, []), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{command} failed at stage write: cannot write" in err
+    assert "Traceback" not in err

@@ -5,7 +5,6 @@ from scipy.ndimage import correlate, gaussian_filter
 import nsdeblur as nd
 from nsdeblur.config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
                              OptimizerConfig, make_report)
-from nsdeblur.deconv import convergence_check
 
 
 def test_deconvolve_once_delta_identity():
@@ -104,8 +103,8 @@ def test_cs_data_residual_bound(gaussian_case):
         lam * nd.curvature_operator(s_prev), g))
     r = x - nd.convolve(s, h)
     lhs = float(np.mean(r * r))
-    hh_delta = float(np.mean(np.abs(
-        nd.correlate(nd.convolve(s - s_prev, h), h))))
+    hh_delta = float(np.mean(np.abs(correlate(
+        nd.convolve(s - s_prev, h), h[::-1, ::-1], mode="nearest"))))
     curv_delta = float(np.mean(np.abs(
         np.abs(nd.curvature_operator(s))
         - np.abs(nd.curvature_operator(s_prev)))))
@@ -115,18 +114,18 @@ def test_cs_data_residual_bound(gaussian_case):
 
 
 def test_convergence_check_geometric_and_uptick():
+    """The report's convergence check: the largest consecutive residual
+    ratio after the transition."""
     geo = make_report([1.0, 0.5, 0.25, 0.125], [0.0] * 4, STOP_CAP)
-    assert convergence_check(geo, theta=1.0)
+    assert geo.convergence_ratio_max == 0.5
     bad = make_report([1.0, 0.5, 0.6, 0.3], [0.0] * 4, STOP_CAP)
-    assert not convergence_check(bad, theta=1.0)
-    with pytest.raises(ValueError):
-        convergence_check(make_report([1.0], [0.0], STOP_CAP))
+    assert bad.convergence_ratio_max == pytest.approx(1.2)
 
 
 def test_convergence_check_after_transition():
     rep = make_report([1.0, 2.0, 1.0, 0.5], [0.1, 0.3, 0.2, 0.1], STOP_CAP,
                       transition_iter=1)
-    assert convergence_check(rep, theta=1.0)
+    assert rep.convergence_ratio_max == 0.5
 
 
 def test_denoise_prefilter_improves_impulse_noise(corpus_texture):

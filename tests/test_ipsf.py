@@ -117,13 +117,6 @@ def test_space_cross_correlation_at_odd_image_size():
     check_space_cross_correlation(image, nd.gaussian_kernel(1.5, 7))
 
 
-def test_space_crop_returns_kernel_size(corpus_texture):
-    h = nd.delta_kernel(5)
-    g = nd.ipsf_space(corpus_texture, h, crop=True)
-    assert g.shape == (5, 5)
-    assert abs(g.sum() - 1.0) <= 1e-12
-
-
 def test_space_sharper_than_spectral(motion_case):
     """The space-domain inverse concentrates more sharply than the
     spectral one on the same input."""

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from nsdeblur.errors import DegenerateKernelError
-from nsdeblur.linalg import lstsq, sym_eigen
+from nsdeblur.linalg import lstsq
 
 
 def fail_to_converge(*args, **kwargs):
@@ -63,34 +63,3 @@ def test_lstsq_raises_typed_error_when_both_solvers_fail(monkeypatch):
     with pytest.raises(DegenerateKernelError):
         lstsq(np.eye(3), np.ones(3))
 
-
-def test_eigen_diagonal():
-    eig = sym_eigen(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(eig.values, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(eig.vectors), np.eye(2), atol=1e-12)
-
-
-def test_eigen_textbook_pair():
-    eig = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(eig.values, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(eig.vectors[:, 0]),
-                               [1 / np.sqrt(2)] * 2)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_eigen_reconstruction_and_trace(seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((10, 10))
-    b = g.T @ g
-    eig = sym_eigen(b)
-    recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-    assert np.linalg.norm(recon - b) <= 1e-8 * np.linalg.norm(b)
-    assert np.sum(eig.values) == pytest.approx(np.trace(b), rel=1e-8)
-    assert eig.values.min() >= -1e-10 * np.abs(b).max()
-    ortho = eig.vectors.T @ eig.vectors
-    assert np.abs(ortho - np.eye(10)).max() < 1e-10
-
-
-def test_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))

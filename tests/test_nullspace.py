@@ -44,6 +44,23 @@ def test_eigenvalues_match_squared_singulars():
                                rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenbasis_rebuilds_operator_gram(seed):
+    """Eigenvalues descend, the vectors are orthonormal, and together they
+    rebuild A A^T and its trace."""
+    rng = np.random.default_rng(seed)
+    op = OperatorMatrix(matrix=rng.standard_normal((25, 121)), l=5, m=5,
+                        p=7, q=7)
+    basis = nd.compute_cns(op)
+    gram = op.matrix @ op.matrix.T
+    lam, vecs = basis.eigenvalues, basis.vectors
+    assert np.all(np.diff(lam) <= 0.0)
+    assert np.abs(vecs.T @ vecs - np.eye(25)).max() < 1e-10
+    recon = vecs @ np.diag(lam) @ vecs.T
+    assert np.linalg.norm(recon - gram) <= 1e-8 * np.linalg.norm(gram)
+    assert np.sum(lam) == pytest.approx(np.trace(gram), rel=1e-8)
+
+
 def test_basis_orthonormal_and_squares_nonnegative():
     img = nd.texture((96, 96), seed=17)
     basis = nd.compute_cns(
