@@ -74,11 +74,12 @@ def _checked(cls, **values):
 
 
 def _build_config(args) -> PipelineConfig:
+    """The settings file overridden by the flags; not validated beyond
+    the solver settings, since each command checks what it reads."""
     values = read_config_file(args.config) if args.config else {}
-    # command-line flags override the file
-    if args.ar_order is not None:
+    if getattr(args, "ar_order", None) is not None:
         values["ar_p"], values["ar_q"] = args.ar_order
-    if args.psf_size is not None:
+    if getattr(args, "psf_size", None) is not None:
         values["psf_l"], values["psf_m"] = args.psf_size
     if getattr(args, "optimizer", None) is not None:
         values["optimizer"] = args.optimizer
@@ -94,17 +95,11 @@ def _build_config(args) -> PipelineConfig:
         if val is not None:
             values[key] = val
     solver_keys = {k: values.pop(k) for k in _SOLVER_KEYS if k in values}
-    cfg = PipelineConfig(**values,
-                         solver=_checked(OptimizerConfig, **solver_keys))
-    cfg.validate()
-    return cfg
+    return PipelineConfig(**values,
+                          solver=_checked(OptimizerConfig, **solver_keys))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ar-order", nargs=2, type=int, metavar=("P", "Q"),
-                   help="model orders (odd)")
-    p.add_argument("--psf-size", nargs=2, type=int, metavar=("L", "M"),
-                   help="kernel size (odd, smaller than the model order)")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="initial regularization weight")
     p.add_argument("--delta-t", dest="delta_t", type=float,
@@ -114,8 +109,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="iteration cap")
     p.add_argument("--theta", type=float, help="contraction gate factor")
     p.add_argument("--alpha", type=float, help="dynamic-weight seed scale")
-    p.add_argument("--space-ridge", dest="space_ridge", type=float,
-                   help="ridge for the space-domain inverse fit")
     p.add_argument("--config", help="settings file (key = value lines)")
 
 
@@ -144,6 +137,7 @@ def cmd_estimate(args) -> int:
     stage = "config"
     try:
         cfg = _build_config(args)
+        cfg.validate()
         stage = "load"
         image = read_image(args.input)
         stage = "estimate"
@@ -180,6 +174,7 @@ def cmd_deblur(args) -> int:
     stage = "config"
     try:
         cfg = _build_config(args)
+        cfg.validate_restore()
         stage = "load"
         image = read_image(args.input)
         ipsf = _read_usable_kernel(args.ipsf_file)
@@ -262,6 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--ipsf", choices=("spectral", "space"))
     p_est.add_argument("--denoise", action="store_true",
                        help="apply the high-order prefilter first")
+    p_est.add_argument("--ar-order", nargs=2, type=int, metavar=("P", "Q"),
+                       help="model orders (odd)")
+    p_est.add_argument("--psf-size", nargs=2, type=int, metavar=("L", "M"),
+                       help="kernel size (odd, smaller than the model order)")
+    p_est.add_argument("--space-ridge", dest="space_ridge", type=float,
+                       help="ridge for the space-domain inverse fit")
     _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate, optimizer=None)
 

@@ -39,6 +39,9 @@ class PipelineConfig:
     solver: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def validate(self) -> None:
+        """Check every setting :func:`estimate_kernels` and
+        :func:`restore` read."""
+        self.validate_restore()
         for name, v in (("ar_p", self.ar_p), ("ar_q", self.ar_q),
                         ("psf_l", self.psf_l), ("psf_m", self.psf_m)):
             if v < 1 or v % 2 == 0:
@@ -47,13 +50,17 @@ class PipelineConfig:
             raise DimensionError(
                 f"kernel {self.psf_l}x{self.psf_m} must be smaller than "
                 f"model {self.ar_p}x{self.ar_q}")
-        if self.optimizer not in OPTIMIZERS:
-            raise InputError(f"optimizer must be one of {OPTIMIZERS}")
         if self.ipsf_route not in IPSF_ROUTES:
             raise InputError(f"ipsf_route must be one of {IPSF_ROUTES}")
         if not self.space_ridge >= 0:     # NaN fails too
             raise InputError(
                 f"space_ridge must be nonnegative, got {self.space_ridge}")
+
+    def validate_restore(self) -> None:
+        """Check the settings :func:`restore` reads: the optimizer (the
+        solver settings are checked when they are built)."""
+        if self.optimizer not in OPTIMIZERS:
+            raise InputError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass
@@ -104,8 +111,7 @@ def restore(image, ipsf, psf=None, cfg: PipelineConfig | None = None
     """Single-pass restoration, or the configured optimizer, which starts
     from the same single pass."""
     cfg = cfg or PipelineConfig()
-    if cfg.optimizer not in OPTIMIZERS:
-        raise InputError(f"optimizer must be one of {OPTIMIZERS}")
+    cfg.validate_restore()
     x = as_image(image)
     if cfg.optimizer == "none":
         return deconvolve_once(x, ipsf), None

@@ -9,6 +9,13 @@ operator (one-sided full differences on the outermost rows/columns), so
 affine grids have exact slopes everywhere, quadratics have exact second
 derivatives, and the pointwise curvature tracks the true gradient of the
 discrete functional on smooth grids ("x" is the row axis).
+
+The pointwise operators run over row slabs of about :data:`SLAB_BYTES`
+per array (64 rows at 512 columns), so that each slab's intermediate
+fields stay in cache.  Each slab is evaluated with a halo of the rows its
+differences reach (two for the curvature, one for the metric) and its
+own rows are kept, so the result is bit for bit that of the whole field
+at once.
 """
 
 from __future__ import annotations
@@ -36,21 +43,49 @@ def _first_derivatives(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _diff(grid, 0), _diff(grid, 1)
 
 
+#: Bytes of one float64 row slab.  The curvature keeps five slab fields
+#: live; at 256 KB each they fit a 2 MB L2 cache, where whole 512 x 512
+#: fields (2 MB each) do not.
+SLAB_BYTES = 1 << 18
+
+
+def _slab_rows(cols: int) -> int:
+    """Rows per slab at ``cols`` columns: 64 at 512, at least 1."""
+    return max(SLAB_BYTES // (8 * cols), 1)
+
+
+def _by_slabs(block, g: np.ndarray, halo: int) -> np.ndarray:
+    """``block(g)``, evaluated slab by slab: ``block`` applied to each slab
+    with ``halo`` rows on either side (fewer at the field's edges), and
+    the slab's own rows kept."""
+    rows = g.shape[0]
+    step = _slab_rows(g.shape[1])
+    out = np.empty(g.shape)
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        lo, hi = max(a - halo, 0), min(b + halo, rows)
+        out[a:b] = block(g[lo:hi])[a - lo:b - lo]
+    return out
+
+
 def surface_area(grid) -> float:
     """sum over grid points of sqrt(1 + Sx^2 + Sy^2); >= point count."""
     g = as_image(grid)
     if g.shape[0] < 2 or g.shape[1] < 2:
         raise DimensionError(f"surface_area needs a >=2x2 grid, got {g.shape}")
-    sx, sy = _first_derivatives(g)
-    return float(np.sqrt(1.0 + sx * sx + sy * sy).sum())
+    return float(np.sqrt(_metric_block(g)).sum())
 
 
 def metric_determinant(grid) -> np.ndarray:
-    """Pointwise 1 + Sx^2 + Sy^2 (always >= 1)."""
+    """Pointwise 1 + Sx^2 + Sy^2 (always >= 1), by row slabs."""
     g = as_image(grid)
     if g.shape[0] < 2 or g.shape[1] < 2:
         raise DimensionError(
             f"metric_determinant needs a >=2x2 grid, got {g.shape}")
+    return _by_slabs(_metric_block, g, 1)
+
+
+def _metric_block(g: np.ndarray) -> np.ndarray:
     sx, sy = _first_derivatives(g)
     return 1.0 + sx * sx + sy * sy
 
@@ -64,12 +99,16 @@ def curvature_operator(grid) -> np.ndarray:
     Zero at every interior point of an affine grid.  The base of the
     power is >= 1, so no division guard is needed.  Evaluated in place on
     the derivative fields, so it agrees with the same expression written
-    out to rounding.
+    out to rounding, and by row slabs, which changes no bit.
     """
     g = as_image(grid)
     if g.shape[0] < 3 or g.shape[1] < 3:
         raise DimensionError(
             f"curvature_operator needs a >=3x3 grid, got {g.shape}")
+    return _by_slabs(_curvature_block, g, 2)
+
+
+def _curvature_block(g: np.ndarray) -> np.ndarray:
     sx, sy = _first_derivatives(g)
     sxx, syy, sxy = _diff(sx, 0), _diff(sy, 1), _diff(sy, 0)
     sxy *= sx

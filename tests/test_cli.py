@@ -161,6 +161,42 @@ def test_deblur_delta_inverse_is_byte_identical(workdir):
     assert out.read_bytes() == (workdir / "clean.pgm").read_bytes()
 
 
+def test_deblur_rejects_estimate_only_flags(workdir, tmp_path, capsys):
+    """Restoration reads neither the model order, the kernel size nor the
+    space ridge, so deblur does not offer their flags."""
+    delta = tmp_path / "delta.kern"
+    write_kernel(delta, nd.delta_kernel(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["deblur", str(workdir / "clean.pgm"), "--ipsf-file",
+              str(delta), "--output", str(tmp_path / "r.pgm"),
+              "--ar-order", "9", "9", "--psf-size", "9", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ar-order" in capsys.readouterr().err
+    assert not (tmp_path / "r.pgm").exists()
+
+
+def test_deblur_ignores_estimate_settings(workdir, tmp_path, gaussian_case):
+    """A settings file shared with estimate may hold sizes estimate would
+    reject (a 9x9 kernel with a 9x9 model); deblur restores as without
+    them."""
+    case = gaussian_case
+    blurred, h_path, g_path = (tmp_path / name for name in (
+        "blurred.pgm", "h.kern", "g.kern"))
+    write_pgm(blurred, case.blurred)
+    write_kernel(h_path, case.psf)
+    write_kernel(g_path, case.ipsf_spectral)
+    outputs = []
+    for name, settings in (("plain", ""), ("shared", "ar_p = 9\npsf_l = 9\n")):
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(settings + "optimizer = bvdr\nmax_iters = 4\n")
+        out, report = tmp_path / f"{name}.pgm", tmp_path / f"{name}.txt"
+        assert main(["deblur", str(blurred), "--ipsf-file", str(g_path),
+                     "--psf-file", str(h_path), "--config", str(cfg_file),
+                     "--output", str(out), "--report", str(report)]) == 0
+        outputs.append((out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_quality_command(workdir, capsys):
     rc = main(["quality", str(workdir / "clean.pgm"),
                "--reference", str(workdir / "clean.pgm")])

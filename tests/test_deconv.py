@@ -1,8 +1,14 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate, gaussian_filter
 
 import nsdeblur as nd
+import nsdeblur.deconv as deconv
 from nsdeblur.config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
                              OptimizerConfig, make_report)
 
@@ -314,7 +320,6 @@ def test_bvdr_convolves_each_iterate_once(motion_case, monkeypatch):
     """Three filtered fields per iterate, plus the input's three and the
     single-pass estimate: at most 3 N + 4 filter applications for N
     iterations, and no convolution outside the filters."""
-    import nsdeblur.deconv as deconv
     calls = []
     build = deconv.replicate_filter
 
@@ -337,3 +342,181 @@ def test_bvdr_convolves_each_iterate_once(motion_case, monkeypatch):
     assert rep.iterations == 20
     assert "convolve" not in calls
     assert 3 * rep.iterations <= len(calls) <= 3 * rep.iterations + 4
+
+
+# --- the worker thread: serial bits, errors after both sides, shared safely
+
+#: Unclamped weight and a step past stability: every case stops on
+#: residual_increased after a few iterations.
+UNCLAMPED = OptimizerConfig(lambda0=1e6, delta_t=2.2, eps=1e-300)
+
+
+def _inline(task, here):
+    """``deconv._beside`` with both callables on the calling thread."""
+    mine = here()
+    return task(), mine
+
+
+def _bits(optimize, case, cfg=None):
+    out, rep = optimize(case.blurred, case.psf, case.ipsf_spectral, cfg)
+    dt_bounds = rep.extras.get("dt_bound_trace", np.empty(0))
+    return (out.tobytes(), rep.residual_trace.tobytes(),
+            rep.lambda_trace.tobytes(), dt_bounds.tobytes(), rep.iterations,
+            rep.stop_reason)
+
+
+@pytest.mark.parametrize("cfg", [OptimizerConfig(), UNCLAMPED],
+                         ids=["default", "unclamped"])
+@pytest.mark.parametrize("case_name", ["gaussian_case", "motion_case"])
+@pytest.mark.parametrize("optimize", [nd.bvdr_optimize, nd.cs_optimize],
+                         ids=["bvdr", "cs"])
+def test_worker_gives_serial_bits(optimize, case_name, cfg, request,
+                                  monkeypatch):
+    case = request.getfixturevalue(case_name)
+    concurrent = _bits(optimize, case, cfg)
+    monkeypatch.setattr(deconv, "_beside", _inline)
+    assert _bits(optimize, case, cfg) == concurrent
+    if cfg is UNCLAMPED:
+        assert concurrent[-1] == STOP_INCREASE
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_beside_raises_after_both_sides_finish(failing):
+    error, finished = Boom(failing), []
+
+    def fail():
+        raise error
+
+    def slow():
+        time.sleep(0.05)
+        finished.append(threading.get_ident())
+        return 1
+
+    task, here = (fail, slow) if failing == "worker" else (slow, fail)
+    with pytest.raises(Boom) as exc:
+        deconv._beside(task, here)
+    assert exc.value is error
+    assert len(finished) == 1
+    assert deconv._beside(lambda: 2, lambda: 3) == (2, 3)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+@pytest.mark.parametrize("optimize", [nd.bvdr_optimize, nd.cs_optimize],
+                         ids=["bvdr", "cs"])
+def test_optimizer_error_on_either_side(optimize, failing, gaussian_case,
+                                        monkeypatch):
+    """A filter failing on the worker or the curvature failing on the
+    caller ends the run with that error once the other side is done; the
+    next run gives the normal result."""
+    normal = _bits(optimize, gaussian_case)
+    caller = threading.get_ident()
+    error, running = Boom(failing), []
+    build = deconv.replicate_filter
+
+    def failing_build(kernel, shape):
+        apply = build(kernel, shape)
+
+        def tracked(image):
+            if failing == "worker" and threading.get_ident() != caller:
+                raise error
+            running.append(1)
+            out = apply(image)
+            running.pop()
+            return out
+        return tracked
+
+    def failing_curvature(grid):
+        raise error
+
+    monkeypatch.setattr(deconv, "replicate_filter", failing_build)
+    if failing == "caller":
+        monkeypatch.setattr(deconv, "curvature_operator", failing_curvature)
+    with pytest.raises(Boom) as exc:
+        _bits(optimize, gaussian_case)
+    assert exc.value is error
+    assert running == []
+    monkeypatch.undo()
+    assert _bits(optimize, gaussian_case) == normal
+
+
+def test_traced_bindings_run_on_the_calling_thread(motion_case, monkeypatch):
+    """The surface operators run on the caller, where a tracer wrapping
+    ``deconv.curvature_operator`` records them; filters also run on the
+    worker."""
+    seen = {"surface": set(), "filter": set()}
+
+    def recording(fn, kind):
+        def wrapper(*args):
+            seen[kind].add(threading.get_ident())
+            return fn(*args)
+        return wrapper
+
+    build = deconv.replicate_filter
+    monkeypatch.setattr(deconv, "replicate_filter", lambda kernel, shape:
+                        recording(build(kernel, shape), "filter"))
+    for name in ("curvature_operator", "metric_determinant"):
+        monkeypatch.setattr(deconv, name,
+                            recording(getattr(deconv, name), "surface"))
+    for optimize in (nd.bvdr_optimize, nd.cs_optimize):
+        optimize(motion_case.blurred, motion_case.psf,
+                 motion_case.ipsf_spectral)
+    assert seen["surface"] == {threading.get_ident()}
+    assert seen["filter"] - {threading.get_ident()}
+
+
+def test_two_callers_share_the_worker(gaussian_case, motion_case,
+                                      monkeypatch):
+    """Two user threads optimizing at once get the bits each gets alone,
+    and only they, never the worker, hand it tasks."""
+    cases = (gaussian_case, motion_case)
+    alone = [_bits(nd.bvdr_optimize, case) for case in cases]
+    callers, beside = set(), deconv._beside
+
+    def recording(task, here):
+        callers.add(threading.current_thread().name)
+        return beside(task, here)
+
+    monkeypatch.setattr(deconv, "_beside", recording)
+    together, start = [None, None], threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        together[i] = _bits(nd.bvdr_optimize, cases[i])
+
+    threads = [threading.Thread(target=run, args=(i,), name=f"user-{i}")
+               for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert together == alone
+    assert callers == {"user-0", "user-1"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_worker(motion_case):
+    """The parent's worker thread does not exist in a forked child; the
+    child's optimizer must not wait on it."""
+    alone = _bits(nd.bvdr_optimize, motion_case)      # starts the worker
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if _bits(nd.bvdr_optimize, motion_case) == alone
+                     else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on the parent's worker")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from nsdeblur import surface
 from nsdeblur.errors import DimensionError
 from nsdeblur.surface import (curvature_operator, metric_determinant,
                               surface_area)
@@ -129,3 +130,43 @@ def test_size_validation():
         surface_area(np.ones((1, 5)))
     with pytest.raises(DimensionError):
         curvature_operator(np.ones((2, 2)))
+
+
+# --- row slabs: the same bits as the whole field at once
+
+def whole_curvature(g):
+    """The curvature operator's arithmetic, in its order, on the whole
+    field at once."""
+    sx, sy = np.gradient(g, axis=0), np.gradient(g, axis=1)
+    sxx, syy = np.gradient(sx, axis=0), np.gradient(sy, axis=1)
+    cross = np.gradient(sy, axis=0) * sx * sy * 2.0
+    px, py = 1.0 + sx * sx, 1.0 + sy * sy
+    sigma = px + py - 1.0
+    return (sxx * py + syy * px - cross) / (np.sqrt(sigma) * sigma)
+
+
+def whole_metric(g):
+    sx, sy = np.gradient(g, axis=0), np.gradient(g, axis=1)
+    return 1.0 + sx * sx + sy * sy
+
+
+WIDTH = 1024
+SLAB = surface._slab_rows(WIDTH)
+
+
+def slab_cases():
+    rng = np.random.default_rng(31)
+    for rows in (3, 4, 5, SLAB - 1, SLAB, SLAB + 1, SLAB + 2, 2 * SLAB + 3):
+        yield f"{rows}x{WIDTH}", rng.standard_normal((rows, WIDTH))
+    for shape in ((40, 40), (64, 1024), (1024, 64)):
+        yield "x".join(map(str, shape)), rng.standard_normal(shape)
+    base = rng.standard_normal((2 * 70, 3 * 1100))
+    yield "strided-view", base[1::2, ::3]
+    yield "transposed-view", base[:, :1200].T
+
+
+@pytest.mark.parametrize("name, g", list(slab_cases()),
+                         ids=[name for name, _ in slab_cases()])
+def test_slabs_match_whole_field(name, g):
+    np.testing.assert_array_equal(curvature_operator(g), whole_curvature(g))
+    np.testing.assert_array_equal(metric_determinant(g), whole_metric(g))
