@@ -48,10 +48,6 @@ class OperatorMatrix:
     p: int
     q: int
 
-    @property
-    def patch_shape(self) -> tuple[int, int]:
-        return self.p + self.l - 1, self.q + self.m - 1
-
 
 def default_fit_region(image_shape: tuple[int, int], p: int, q: int
                        ) -> tuple[int, int, int, int]:

@@ -18,7 +18,7 @@ from .config import STOP_NOT_RUN, OptimizerConfig, format_report, make_report
 from .errors import DeblurError, DegenerateKernelError, InputError
 from .fileio import (read_image, read_kernel, write_image, write_kernel,
                      write_text)
-from .grid import KERNEL_SUM_TOL, as_kernel, convolve
+from .grid import KERNEL_GAIN_MAX, KERNEL_SUM_TOL, as_kernel, convolve
 from .pipeline import PipelineConfig, estimate_kernels, restore
 from .quality import AiConfig, anisotropy_index, psnr
 from .synth import add_impulse_noise, disk_kernel, gaussian_kernel, motion_kernel
@@ -161,12 +161,16 @@ def cmd_estimate(args) -> int:
 
 
 def _read_usable_kernel(path) -> np.ndarray:
-    """Kernel file with odd dimensions, finite taps and a tap sum away
-    from zero; anything else would restore to garbage."""
+    """Kernel file with odd dimensions, finite taps, a tap sum away from
+    zero and a gain of at most KERNEL_GAIN_MAX; else it restores garbage."""
     kernel = as_kernel(read_kernel(path))
     total = float(kernel.sum())
     if abs(total) <= KERNEL_SUM_TOL:
         raise DegenerateKernelError(f"{path}: taps sum to {total:.3e}")
+    gain = float(np.abs(kernel).sum())
+    if gain > KERNEL_GAIN_MAX:
+        raise DegenerateKernelError(
+            f"{path}: tap gain {gain:.3e} exceeds {KERNEL_GAIN_MAX:.0e}")
     return kernel
 
 

@@ -1,5 +1,5 @@
-"""Solver configuration and per-run reports shared by the kernel-shape
-and image optimizers."""
+"""Solver configuration, :func:`iterate`, the one loop of all five
+optimizers (each supplies its step and refusal rule), and run reports."""
 
 from __future__ import annotations
 
@@ -93,49 +93,54 @@ def make_report(residuals, lambdas, stop_reason: str,
                      extras=extras or {})
 
 
-def _gated_run(state, step, lam: float, cfg: OptimizerConfig):
-    """Iterate ``step`` at one weight; None when the weight is rejected."""
-    n_gate = cfg.q + 1
-    diffs: list[float] = []
-    stop = STOP_CAP
+def iterate(state, step, cfg: OptimizerConfig, refused
+            ) -> tuple[object, list[float], str]:
+    """Up to cfg.max_iters steps from ``state``; returns (last state
+    taken, squared step sizes, stop reason).  ``step(state)`` returns
+    (next state, squared step size), or None when the step failed, which
+    stops the run with STOP_GATE.  ``refused(sizes)`` judges the step just
+    recorded: a refused step is not taken and stops the run with
+    STOP_INCREASE.  Otherwise the run stops with STOP_EPS at a size of at
+    most cfg.eps, or with STOP_CAP.
+    """
+    sizes: list[float] = []
     for _ in range(cfg.max_iters):
-        result = step(state, lam)
+        result = step(state)
         if result is None:
-            return None
-        new_state, d = result
-        diffs.append(d)
-        if 2 <= len(diffs) <= n_gate and d > cfg.eps:
-            # the first pair measures the initialization jump, so it only
-            # needs to not grow; later pairs must contract by theta
-            factor = 1.0 if len(diffs) == 2 else cfg.theta
-            if diffs[-1] * factor > diffs[-2]:
-                return None
-        state = new_state
-        if d <= cfg.eps:
-            stop = STOP_EPS
-            break
-    return state, diffs, stop
+            return state, sizes, STOP_GATE
+        state_next, size = result
+        sizes.append(size)
+        if refused(sizes):
+            return state, sizes, STOP_INCREASE
+        state = state_next
+        if size <= cfg.eps:
+            return state, sizes, STOP_EPS
+    return state, sizes, STOP_CAP
 
 
 def gated_iterate(state0, step, cfg: OptimizerConfig
                   ) -> tuple[object, RunReport]:
     """Gate-and-iterate loop of the kernel-shape optimizers.
 
-    ``step(state, lam)`` takes one optimizer step at weight ``lam`` and
-    returns (next state, squared step size), or None when the step failed
-    numerically, which rejects the weight.  The weight starts at
-    cfg.lambda0 and is halved, restarting from ``state0``, until a run's
-    first cfg.q + 1 steps pass the contraction gate and no step fails;
-    that run continues until the squared step drops to cfg.eps or
-    cfg.max_iters steps are taken.  If no weight down to LAMBDA_FLOOR
-    passes, ``state0`` is returned with a gate-failed report.
+    ``step(state, lam)`` is :func:`iterate`'s step at weight ``lam``.  The
+    weight starts at cfg.lambda0 and is halved, restarting from
+    ``state0``, while a run ends in a failed step or in one of its first
+    cfg.q + 1 steps failing the contraction gate.  If no weight down to
+    LAMBDA_FLOOR passes, ``state0`` is returned with a gate-failed report.
     """
+    def refused(sizes):
+        # the first pair measures the initialization jump, so it only
+        # needs to not grow; later pairs must contract by theta
+        factor = 1.0 if len(sizes) == 2 else cfg.theta
+        return (2 <= len(sizes) <= cfg.q + 1 and sizes[-1] > cfg.eps
+                and sizes[-1] * factor > sizes[-2])
+
     lam = cfg.lambda0
     while lam >= LAMBDA_FLOOR:
-        result = _gated_run(state0, step, lam, cfg)
-        if result is not None:
-            state, diffs, stop = result
-            return state, make_report(diffs, [lam] * len(diffs), stop)
+        state, sizes, stop = iterate(state0, lambda s: step(s, lam), cfg,
+                                     refused)
+        if stop not in (STOP_GATE, STOP_INCREASE):
+            return state, make_report(sizes, [lam] * len(sizes), stop)
         lam *= 0.5
     return state0, make_report([], [], STOP_GATE)
 

@@ -8,7 +8,7 @@ then decays as it settles.  The curved-space optimizer (CS) weights the
 curvature correction pointwise by the squared data residual over the local
 metric determinant, giving each pixel its own effective weight.  Both stop
 on a small mean-squared step, on a step increase (local minimum passed),
-or at the iteration cap.
+or at the iteration cap; a diverging step raises DeblurError.
 
 Both optimizers run half of each iterate's independent work on one
 module-level worker thread, started on first use and shared by every
@@ -27,8 +27,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from .armodel import estimate_ar, build_operator
-from .config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
-                     OptimizerConfig, RunReport, make_report)
+from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
 from .grid import as_image, convolve, replicate_filter
 from .ipsf import ipsf_space
@@ -119,14 +118,30 @@ def _weight(cur, prev, lam_prev, cfg: OptimizerConfig) -> float:
     return excited / smoothed
 
 
+def _increased(sizes: list[float]) -> bool:
+    """Refuses a step larger than the last: a local minimum was passed."""
+    return len(sizes) >= 2 and sizes[-1] > sizes[-2]
+
+
+def _step_size(delta: np.ndarray, bound: float, name: str) -> float:
+    """Mean square of step ``delta`` of optimizer ``name``, unless it is
+    non-finite or above ``bound``, the input image's mean square."""
+    size = float(np.mean(delta ** 2))
+    if not size <= bound:
+        raise DeblurError(f"{name} diverged: mean-square step {size:.3e}"
+                          f" against the input image's {bound:.3e}")
+    return size
+
+
 def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
                   ) -> tuple[np.ndarray, RunReport]:
     """Balanced-variation restoration with a dynamically updated weight.
 
     Starts from the single-pass estimate; each step adds the data residual
     and the weighted, inverse-kernel-smoothed regularization field.  The
-    scalar weight is re-derived per iteration and falls back to the
-    steady-state ratio when the recursion degenerates.  Each iterate is
+    scalar weight is re-derived per iteration, falls back to the
+    steady-state ratio when the recursion degenerates, and stops the run
+    with STOP_GATE when it is non-finite even so.  Each iterate is
     filtered once (three convolutions) and its fields are carried into the
     next step and weight; the iterate before the first step is the input.
     Every convolution goes through a :func:`replicate_filter`.
@@ -139,43 +154,27 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
+    bound = float(np.mean(x ** 2))
     h_filter = replicate_filter(h, x.shape)
     g_filter = replicate_filter(g, x.shape)
     g_worker = replicate_filter(g, x.shape)
-    prev = _filtered(x, h_filter, g_filter, g_worker)
-    s = g_filter(x)
-    cur = _filtered(s, h_filter, g_filter, g_worker)
-    lam = _weight(cur, prev, None, cfg)
-
-    residuals: list[float] = []
+    prev = [_filtered(x, h_filter, g_filter, g_worker)]
     lambdas: list[float] = []
-    stop = STOP_CAP
-    for k in range(cfg.max_iters):
-        if k > 0:
-            prev, cur = cur, _filtered(s, h_filter, g_filter, g_worker)
-            lam = _weight(cur, prev, lam, cfg)
-            if not np.isfinite(lam):
-                stop = STOP_GATE
-                break
+
+    def step(s):
+        cur = _filtered(s, h_filter, g_filter, g_worker)
+        lam = _weight(cur, prev[0], lambdas[-1] if lambdas else None, cfg)
+        if not np.isfinite(lam):
+            return None
+        prev[0] = cur
         # lambda0 is the configured maximum of the dynamic weight
-        lam = min(max(lam, 0.0), cfg.lambda0)
-        s_next = s + cfg.delta_t * (x - cur[0] + lam * cur[1])
-        if not np.all(np.isfinite(s_next)):
-            stop = STOP_GATE
-            break
-        d = float(np.mean((s_next - s) ** 2))
-        residuals.append(d)
-        lambdas.append(lam)
-        if len(residuals) >= 2 and d > residuals[-2]:
-            stop = STOP_INCREASE       # keep the pre-increase image
-            break
-        s = s_next
-        if d <= cfg.eps:
-            stop = STOP_EPS
-            break
+        lambdas.append(min(max(lam, 0.0), cfg.lambda0))
+        s_next = s + cfg.delta_t * (x - cur[0] + lambdas[-1] * cur[1])
+        return s_next, _step_size(s_next - s, bound, "bvdr")
+
+    s, residuals, stop = iterate(g_filter(x), step, cfg, _increased)
     transition = int(np.argmax(lambdas)) if lambdas else 0
-    report = make_report(residuals, lambdas, stop, transition_iter=transition)
-    return s, report
+    return s, make_report(residuals, lambdas, stop, transition_iter=transition)
 
 
 def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
@@ -196,38 +195,30 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
+    bound = float(np.mean(x ** 2))
     h_filter = replicate_filter(h, x.shape)
     g_filter = replicate_filter(g, x.shape)
-    s = g_filter(x)
-    residuals: list[float] = []
     lambdas: list[float] = []
     dt_bounds: list[float] = []
-    stop = STOP_CAP
-    for _ in range(cfg.max_iters):
+
+    def step(s):
         hs, (sigma, curv) = _beside(
             lambda: h_filter(s),
             lambda: (metric_determinant(s), curvature_operator(s)))
         r = x - hs
         weight = r * r / (2.0 * sigma)
         s_next = s + cfg.delta_t * (r + g_filter(weight * curv))
-        if not np.all(np.isfinite(s_next)):
-            raise DeblurError("curved-space step produced non-finite pixels")
-        d = float(np.mean((s_next - s) ** 2))
+        delta = s_next - s
+        size = _step_size(delta, bound, "cs")
         curv_scale = _mean_abs(curv)
-        dt_bounds.append(_mean_abs(s_next - s) / curv_scale
+        dt_bounds.append(_mean_abs(delta) / curv_scale
                          if curv_scale > 0 else 0.0)
-        residuals.append(d)
         lambdas.append(float(np.mean(weight)))
-        if len(residuals) >= 2 and d > residuals[-2]:
-            stop = STOP_INCREASE       # keep the pre-increase image
-            break
-        s = s_next
-        if d <= cfg.eps:
-            stop = STOP_EPS
-            break
-    report = make_report(residuals, lambdas, stop,
-                         extras={"dt_bound_trace": np.array(dt_bounds)})
-    return s, report
+        return s_next, size
+
+    s, residuals, stop = iterate(g_filter(x), step, cfg, _increased)
+    return s, make_report(residuals, lambdas, stop,
+                          extras={"dt_bound_trace": np.array(dt_bounds)})
 
 
 def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,

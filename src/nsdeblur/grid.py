@@ -21,6 +21,9 @@ from .errors import DegenerateKernelError, DimensionError
 #: Tap-sum tolerance for a normalized kernel.
 KERNEL_SUM_TOL = 1e-12
 
+#: Largest gain (sum of |taps|) of a usable kernel file (README: exit codes).
+KERNEL_GAIN_MAX = 1e4
+
 
 def as_image(data, copy: bool = False) -> np.ndarray:
     """Coerce to a finite 2D float64 array."""

@@ -38,7 +38,7 @@ def test_criterion_01_null_space_membership():
     blurred = nd.convolve(source, h_true)
     model = nd.estimate_ar(blurred, 7, 7, region=(0, 0, 128, 128))
     op = nd.build_operator(model, 5, 5)
-    rows, cols = op.patch_shape
+    rows, cols = op.p + op.l - 1, op.q + op.m - 1
     patch = blurred[30:30 + rows, 30:30 + cols].ravel()
     res_patch = np.linalg.norm(op.matrix @ patch) / np.linalg.norm(patch)
     hvec = h_true.ravel()

@@ -118,7 +118,7 @@ def test_operator_annihilates_self_synthesized_patches():
            + 0.25 * np.cos(wa * i + 0.3) * np.cos(vb * k + 1.1))
     model = nd.estimate_ar(img, 5, 5)
     op = nd.build_operator(model, 3, 3)
-    rows, cols = op.patch_shape
+    rows, cols = op.p + op.l - 1, op.q + op.m - 1
     window = img[20:20 + rows, 20:20 + cols].ravel()
     assert (np.linalg.norm(op.matrix @ window)
             <= 1e-6 * np.linalg.norm(window))

@@ -125,7 +125,8 @@ def test_estimate_report_carries_ar_fit(tmp_path, corpus_texture):
     (np.zeros((3, 3)), 4),
     (np.full((3, 3), np.nan), 3),
     (np.full((4, 4), 1.0 / 16.0), 3),
-], ids=["zero", "nan", "even"])
+    (np.array([[-5e3, 1e4 + 1.0, -5e3]]), 4),
+], ids=["zero", "nan", "even", "gain"])
 @pytest.mark.parametrize("which", ["--ipsf-file", "--psf-file"])
 def test_deblur_rejects_unusable_kernel_at_load(workdir, tmp_path, capsys,
                                                 taps, code, which):
@@ -140,6 +141,26 @@ def test_deblur_rejects_unusable_kernel_at_load(workdir, tmp_path, capsys,
                *(arg for flag, path in files.items() for arg in (flag, str(path)))])
     assert rc == code
     assert "deblur failed at stage load" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, optimizer, stage", [
+    (1e6, "none", "load"),      # gain about 1.2e7, past KERNEL_GAIN_MAX
+    (10.0, "cs", "restore"),    # gain about 120: loads, then diverges
+])
+def test_deblur_absurd_inverse_exits_4(tmp_path, capsys, motion_case, scale,
+                                       optimizer, stage):
+    image = tmp_path / "blurred.pgm"
+    write_pgm(image, motion_case.blurred)
+    g_path, h_path = tmp_path / "g.kern", tmp_path / "h.kern"
+    write_kernel(g_path, motion_case.ipsf_spectral * scale)
+    write_kernel(h_path, motion_case.psf)
+    out = tmp_path / "out.pgm"
+    rc = main(["deblur", str(image), "--ipsf-file", str(g_path),
+               "--psf-file", str(h_path), "--optimizer", optimizer,
+               "--output", str(out)])
+    assert rc == 4
+    assert f"deblur failed at stage {stage}" in capsys.readouterr().err
     assert not out.exists()
 
 

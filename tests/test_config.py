@@ -1,7 +1,8 @@
 import pytest
 
 from nsdeblur.config import (LAMBDA_FLOOR, STOP_CAP, STOP_EPS, STOP_GATE,
-                             OptimizerConfig, gated_iterate)
+                             STOP_INCREASE, OptimizerConfig, gated_iterate,
+                             iterate)
 
 
 def shrinking_step(contraction_below: float):
@@ -38,3 +39,51 @@ def test_gate_failure_returns_initial_state(step):
     state, rep = gated_iterate(1.0, step, cfg)
     assert state == 1.0
     assert rep.stop_reason == STOP_GATE and rep.iterations == 0
+
+
+def scripted_step(sizes):
+    """Step that counts the states it takes and reports the scripted
+    squared sizes in turn; None in the script fails that step."""
+    script = iter(sizes)
+
+    def step(state):
+        size = next(script)
+        return None if size is None else (state + 1, size)
+    return step
+
+
+def never(sizes):
+    return False
+
+
+def grew(sizes):
+    return len(sizes) >= 2 and sizes[-1] > sizes[-2]
+
+
+@pytest.mark.parametrize("script, refused, state, sizes, stop", [
+    ([0.5, 0.25, 1e-9, 1.0], never, 3, [0.5, 0.25, 1e-9], STOP_EPS),
+    ([0.5, 0.25, 0.2, 0.1], never, 3, [0.5, 0.25, 0.2], STOP_CAP),
+    ([0.5, 0.25, None, 0.1], never, 2, [0.5, 0.25], STOP_GATE),
+    ([0.5, 0.25, 0.3, 0.1], grew, 2, [0.5, 0.25, 0.3], STOP_INCREASE),
+    ([None], never, 0, [], STOP_GATE),
+], ids=["eps", "cap", "gate", "increase", "gate-first"])
+def test_iterate_stops(script, refused, state, sizes, stop):
+    cfg = OptimizerConfig(eps=1e-8, max_iters=3)
+    assert iterate(0, scripted_step(script), cfg, refused) == (state, sizes,
+                                                               stop)
+
+
+def test_iterate_records_a_refused_step_but_keeps_its_state():
+    """The refused third step is in ``sizes``; the state is the one
+    before it, even when its size is below eps."""
+    judged = []
+
+    def refuse_third(sizes):
+        judged.append(list(sizes))
+        return len(sizes) == 3
+
+    cfg = OptimizerConfig(eps=1e-3, max_iters=10)
+    state, sizes, stop = iterate(0, scripted_step([0.5, 0.25, 1e-9]), cfg,
+                                 refuse_third)
+    assert (state, sizes, stop) == (2, [0.5, 0.25, 1e-9], STOP_INCREASE)
+    assert judged == [[0.5], [0.5, 0.25], [0.5, 0.25, 1e-9]]

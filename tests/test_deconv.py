@@ -316,6 +316,68 @@ def test_embedded_delta_pair_fixed_point(optimize):
     assert rep.lambda_trace[0] == pytest.approx(0.0, abs=1e-20)
 
 
+# --- the failure contract: a diverging or non-finite step raises, a
+# non-finite weight stops at the gate
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+@pytest.mark.parametrize("optimize, name", [(nd.bvdr_optimize, "bvdr"),
+                                            (nd.cs_optimize, "cs")],
+                         ids=["bvdr", "cs"])
+def test_diverging_step_raises(optimize, name, scale, motion_case):
+    """An inverse kernel with absurd gain makes the first step dwarf the
+    input; both optimizers used to return saturated images."""
+    case = motion_case
+    with pytest.raises(nd.DeblurError, match=f"^{name} diverged") as exc:
+        optimize(case.blurred, case.psf, case.ipsf_spectral * scale)
+    assert exc.value.exit_code == 4
+
+
+@pytest.mark.parametrize("optimize, name", [(nd.bvdr_optimize, "bvdr"),
+                                            (nd.cs_optimize, "cs")],
+                         ids=["bvdr", "cs"])
+def test_non_finite_step_raises(optimize, name, gaussian_case, monkeypatch):
+    """Filters returning NaN on every field but the input image leave the
+    first iterate finite and make its step non-finite.  With its weight
+    held finite, bvdr used to stop such a run with lambda_gate_failed."""
+    case = gaussian_case
+    build = deconv.replicate_filter
+
+    def nan_build(kernel, shape):
+        apply = build(kernel, shape)
+        return lambda image: (apply(image) if image is case.blurred
+                              else np.full(shape, np.nan))
+
+    monkeypatch.setattr(deconv, "replicate_filter", nan_build)
+    monkeypatch.setattr(deconv, "_weight", lambda *args: 0.005)
+    with pytest.raises(nd.DeblurError, match=f"^{name} diverged: .* nan"):
+        optimize(case.blurred, case.psf, case.ipsf_spectral)
+
+
+@pytest.mark.parametrize("good_calls", [0, 3])
+def test_nan_weight_stops_bvdr_at_the_gate(good_calls, motion_case,
+                                           monkeypatch):
+    """A weight still non-finite after the fallback ends the run with
+    lambda_gate_failed and the last iterate taken: from the first call
+    on, the single-pass estimate g(x) after 0 iterations."""
+    case = motion_case
+    args = (case.blurred, case.psf, case.ipsf_spectral)
+    if good_calls == 0:
+        expected = nd.convolve(case.blurred, case.ipsf_spectral)
+    else:
+        expected, _ = nd.bvdr_optimize(*args,
+                                       OptimizerConfig(max_iters=good_calls))
+    calls, weight = [], deconv._weight
+
+    def failing_weight(*weight_args):
+        calls.append(1)
+        return weight(*weight_args) if len(calls) <= good_calls else np.nan
+
+    monkeypatch.setattr(deconv, "_weight", failing_weight)
+    out, rep = nd.bvdr_optimize(*args)
+    assert rep.stop_reason == STOP_GATE and rep.iterations == good_calls
+    np.testing.assert_array_equal(out, expected)
+
+
 def test_bvdr_convolves_each_iterate_once(motion_case, monkeypatch):
     """Three filtered fields per iterate, plus the input's three and the
     single-pass estimate: at most 3 N + 4 filter applications for N
