@@ -14,7 +14,8 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .config import STOP_NOT_RUN, OptimizerConfig, format_report, make_report
+from .config import (STOP_NOT_RUN, OptimizerConfig, check_setting,
+                     format_report, make_report)
 from .errors import DeblurError, DegenerateKernelError, InputError
 from .fileio import (read_image, read_kernel, write_image, write_kernel,
                      write_text)
@@ -32,6 +33,13 @@ def _settings(cls) -> dict:
 
 _SOLVER_KEYS = _settings(OptimizerConfig)
 _CONFIG_KEYS = {**_settings(PipelineConfig), **_SOLVER_KEYS}
+#: The settings each command reads; it ignores a settings file's others.
+READS = {"estimate": {"ar_p", "ar_q", "psf_l", "psf_m", "ipsf_route",
+                      "denoise", "denoise_order", "denoise_size",
+                      "space_ridge", "lambda0", "q", "theta", "eps",
+                      "max_iters"},
+         "deblur": {"optimizer", "lambda0", "delta_t", "eps", "max_iters",
+                    "alpha"}}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -65,50 +73,26 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _checked(cls, **values):
-    """``cls(**values)`` with a rejected value raised as an input error."""
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _build_config(args) -> PipelineConfig:
-    """The settings file overridden by the flags; not validated beyond
-    the solver settings, since each command checks what it reads."""
-    values = read_config_file(args.config) if args.config else {}
-    if getattr(args, "ar_order", None) is not None:
-        values["ar_p"], values["ar_q"] = args.ar_order
-    if getattr(args, "psf_size", None) is not None:
-        values["psf_l"], values["psf_m"] = args.psf_size
-    if getattr(args, "optimizer", None) is not None:
-        values["optimizer"] = args.optimizer
-    if getattr(args, "ipsf", None) is not None:
-        values["ipsf_route"] = args.ipsf
-    if getattr(args, "denoise", False):
-        values["denoise"] = True
-    for flag, key in (("lam", "lambda0"), ("delta_t", "delta_t"),
-                      ("eps", "eps"), ("max_iters", "max_iters"),
-                      ("theta", "theta"), ("alpha", "alpha"),
-                      ("space_ridge", "space_ridge")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            values[key] = val
-    solver_keys = {k: values.pop(k) for k in _SOLVER_KEYS if k in values}
-    return PipelineConfig(**values,
-                          solver=_checked(OptimizerConfig, **solver_keys))
+    """The settings file overridden by the flags, kept to the settings
+    the command reads; the others keep their defaults."""
+    flags = vars(args)
+    values = read_config_file(flags["config"]) if "config" in flags else {}
+    for pair, keys in (("ar_order", ("ar_p", "ar_q")),
+                       ("psf_size", ("psf_l", "psf_m"))):
+        values.update(zip(keys, flags.get(pair, ())))
+    values.update(flags)
+    values = {k: v for k, v in values.items() if k in READS[args.command]}
+    solver = {k: values.pop(k) for k in _SOLVER_KEYS if k in values}
+    return PipelineConfig(**values, solver=OptimizerConfig(**solver))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float,
+    p.add_argument("--lambda", dest="lambda0", type=float, metavar="LAMBDA",
                    help="initial regularization weight")
-    p.add_argument("--delta-t", dest="delta_t", type=float,
-                   help="relaxation (step) parameter")
     p.add_argument("--eps", type=float, help="stop tolerance")
     p.add_argument("--max-iters", dest="max_iters", type=int,
                    help="iteration cap")
-    p.add_argument("--theta", type=float, help="contraction gate factor")
-    p.add_argument("--alpha", type=float, help="dynamic-weight seed scale")
     p.add_argument("--config", help="settings file (key = value lines)")
 
 
@@ -116,6 +100,8 @@ def _parse_blur(spec: str) -> np.ndarray:
     parts = spec.split(":")
     kind = parts[0].lower()
     try:
+        if not np.isfinite([float(v) for v in parts[1:]]).all():
+            raise ValueError("parameters must be finite")
         if kind == "gaussian":
             sigma = float(parts[1])
             size = int(parts[2]) if len(parts) > 2 else None
@@ -137,7 +123,6 @@ def cmd_estimate(args) -> int:
     stage = "config"
     try:
         cfg = _build_config(args)
-        cfg.validate()
         stage = "load"
         image = read_image(args.input)
         stage = "estimate"
@@ -178,7 +163,6 @@ def cmd_deblur(args) -> int:
     stage = "config"
     try:
         cfg = _build_config(args)
-        cfg.validate_restore()
         stage = "load"
         image = read_image(args.input)
         ipsf = _read_usable_kernel(args.ipsf_file)
@@ -204,6 +188,8 @@ def cmd_synth(args) -> int:
     stage = "config"
     try:
         kernel = _parse_blur(args.blur)
+        check_setting("noise", args.noise, 0)
+        check_setting("seed", args.seed, 0)
         stage = "load"
         image = read_image(args.input)
         stage = "degrade"
@@ -230,7 +216,7 @@ def cmd_synth(args) -> int:
 
 def cmd_quality(args) -> int:
     try:
-        cfg = _checked(AiConfig, window=args.window, fragment=args.fragment)
+        cfg = AiConfig(window=args.window, fragment=args.fragment)
         reference = read_image(args.reference) if args.reference else None
         for path in args.images:
             image = read_image(path)
@@ -253,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate",
-                           help="estimate kernel and inverse from an image")
+                           help="estimate kernel and inverse from an image",
+                           argument_default=argparse.SUPPRESS)
     p_est.add_argument("input", help="degraded image (.pgm/.png)")
     p_est.add_argument("--out-psf", default="h.kern")
     p_est.add_argument("--out-ipsf", default="g.kern")
     p_est.add_argument("--report", default="report.txt")
-    p_est.add_argument("--ipsf", choices=("spectral", "space"))
+    p_est.add_argument("--ipsf", dest="ipsf_route",
+                       choices=("spectral", "space"))
     p_est.add_argument("--denoise", action="store_true",
                        help="apply the high-order prefilter first")
     p_est.add_argument("--ar-order", nargs=2, type=int, metavar=("P", "Q"),
@@ -267,19 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel size (odd, smaller than the model order)")
     p_est.add_argument("--space-ridge", dest="space_ridge", type=float,
                        help="ridge for the space-domain inverse fit")
+    p_est.add_argument("--theta", type=float, help="contraction gate factor")
     _add_common(p_est)
-    p_est.set_defaults(func=cmd_estimate, optimizer=None)
+    p_est.set_defaults(func=cmd_estimate)
 
     p_deb = sub.add_parser("deblur", help="restore an image with a stored "
-                                          "inverse kernel")
+                                          "inverse kernel",
+                           argument_default=argparse.SUPPRESS)
     p_deb.add_argument("input")
     p_deb.add_argument("--ipsf-file", required=True, metavar="G_KERN")
-    p_deb.add_argument("--psf-file", metavar="H_KERN")
+    p_deb.add_argument("--psf-file", metavar="H_KERN", default=None)
     p_deb.add_argument("--output", required=True)
-    p_deb.add_argument("--report")
+    p_deb.add_argument("--report", default=None)
     p_deb.add_argument("--optimizer", choices=("none", "bvdr", "cs"))
+    p_deb.add_argument("--delta-t", dest="delta_t", type=float,
+                       help="relaxation (step) parameter")
+    p_deb.add_argument("--alpha", type=float, help="dynamic-weight seed scale")
     _add_common(p_deb)
-    p_deb.set_defaults(func=cmd_deblur, ipsf=None, denoise=False)
+    p_deb.set_defaults(func=cmd_deblur)
 
     p_syn = sub.add_parser("synth", help="degrade a clean image with a "
                                          "known kernel")

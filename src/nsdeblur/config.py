@@ -3,9 +3,12 @@ optimizers (each supplies its step and refusal rule), and run reports."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InputError
 
 STOP_EPS = "eps_reached"
 STOP_INCREASE = "residual_increased"
@@ -17,9 +20,17 @@ STOP_NOT_RUN = "not_run"
 LAMBDA_FLOOR = 1e-5
 
 
-@dataclass
+def check_setting(name: str, value, low: float, above: bool = False) -> None:
+    """Raise InputError unless ``value`` is finite and at least ``low``
+    (above it when ``above``); NaN and +-inf are out of every range."""
+    if not (math.isfinite(value) and (value > low if above else value >= low)):
+        raise InputError(f"{name} must be finite and {'>' if above else '>='}"
+                         f" {low}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the iterative optimizers.
+    """Knobs for the iterative optimizers, checked when built.
 
     delta_t   relaxation (step) parameter of the image schemas
     lambda0   initial / maximum regularization weight
@@ -39,19 +50,10 @@ class OptimizerConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not self.delta_t > 0:
-            raise ValueError("delta_t must be positive")
-        if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.theta >= 1:
-            raise ValueError("theta must be >= 1")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        for name in ("delta_t", "lambda0", "eps", "alpha"):
+            check_setting(name, getattr(self, name), 0, above=True)
+        for name in ("q", "theta", "max_iters"):
+            check_setting(name, getattr(self, name), 1)
 
 
 @dataclass

@@ -11,8 +11,9 @@ class DeblurError(Exception):
     exit_code = 4
 
 
-class InputError(DeblurError):
-    """Unreadable file, unsupported format or malformed configuration."""
+class InputError(DeblurError, ValueError):
+    """Unreadable file, unsupported format or malformed configuration
+    (also a ValueError, as a rejected argument value)."""
 
     exit_code = 2
 

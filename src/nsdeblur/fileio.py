@@ -174,6 +174,8 @@ def read_kernel(path) -> np.ndarray:
                 if len(vals) != m:
                     raise InputError(f"{path}: malformed kernel row")
                 rows.append(vals)
+    except InputError:          # a ValueError too: keep its message
+        raise
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

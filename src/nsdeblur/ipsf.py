@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .config import OptimizerConfig, RunReport, gated_iterate
+from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import (as_image, as_kernel, convolve, correlation_lags,
                    normalize_kernel, shifted_taps, window_gram)
@@ -95,8 +95,6 @@ def _effective_ridge(ryy: np.ndarray, ridge: float, quiet: bool = False
                      ) -> float:
     """User ridge, or the default trace-scaled ridge when the system is
     numerically near-singular (relative eigenvalue below 1e-8)."""
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     if ridge > 0.0:
         return ridge
     eigvals = np.linalg.eigvalsh(ryy)
@@ -117,8 +115,11 @@ def ipsf_space(image, h, ridge: float = 0.0,
     the taps that map re-degraded windows back to the observed centers.
     With ridge 0 a near-singular system is flagged and a default
     trace-scaled ridge applied; ``ridge_relative`` instead scales the
-    ridge by trace/rows of the window statistics.
+    ridge by trace/rows of the window statistics.  Both must be finite
+    and >= 0.
     """
+    check_setting("ridge", ridge, 0)
+    check_setting("ridge_relative", ridge_relative, 0)
     ryy, ryx, wl, wm = _space_system(image, h)
     if ridge_relative > 0.0:
         ridge = ridge_relative * float(np.trace(ryy)) / ryy.shape[0]
@@ -164,6 +165,7 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
     the spectral optimizers and halved down to the floor; if no weight
     passes, g0 is returned with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
+    check_setting("ridge", ridge, 0)
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
     ryy, ryx, wl, wm = _space_system(image, as_kernel(h))
     if g_init.shape != (wl, wm):

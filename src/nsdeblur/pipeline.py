@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armodel import ArModel, estimate_ar, build_operator
-from .config import OptimizerConfig, RunReport
+from .config import OptimizerConfig, RunReport, check_setting
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
 from .grid import as_image
@@ -20,11 +20,11 @@ OPTIMIZERS = ("none", "bvdr", "cs")
 IPSF_ROUTES = ("spectral", "space")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Estimation and restoration settings (defaults follow the reported
-    working regime: 17x17 model, 9x9 kernel, weight 0.01, step 0.1,
-    tolerance 1e-8, 20 iterations)."""
+    """Estimation and restoration settings, checked when built (defaults
+    follow the reported working regime: 17x17 model, 9x9 kernel, weight
+    0.01, step 0.1, tolerance 1e-8, 20 iterations)."""
 
     ar_p: int = 17
     ar_q: int = 17
@@ -38,29 +38,24 @@ class PipelineConfig:
     space_ridge: float = 0.0
     solver: OptimizerConfig = field(default_factory=OptimizerConfig)
 
-    def validate(self) -> None:
-        """Check every setting :func:`estimate_kernels` and
-        :func:`restore` read."""
-        self.validate_restore()
-        for name, v in (("ar_p", self.ar_p), ("ar_q", self.ar_q),
-                        ("psf_l", self.psf_l), ("psf_m", self.psf_m)):
+    def __post_init__(self) -> None:
+        for name in ("ar_p", "ar_q", "psf_l", "psf_m", "denoise_order",
+                     "denoise_size"):
+            v = getattr(self, name)
             if v < 1 or v % 2 == 0:
                 raise DimensionError(f"{name} must be odd and >= 1, got {v}")
-        if self.psf_l >= self.ar_p or self.psf_m >= self.ar_q:
-            raise DimensionError(
-                f"kernel {self.psf_l}x{self.psf_m} must be smaller than "
-                f"model {self.ar_p}x{self.ar_q}")
-        if self.ipsf_route not in IPSF_ROUTES:
-            raise InputError(f"ipsf_route must be one of {IPSF_ROUTES}")
-        if not self.space_ridge >= 0:     # NaN fails too
-            raise InputError(
-                f"space_ridge must be nonnegative, got {self.space_ridge}")
-
-    def validate_restore(self) -> None:
-        """Check the settings :func:`restore` reads: the optimizer (the
-        solver settings are checked when they are built)."""
-        if self.optimizer not in OPTIMIZERS:
-            raise InputError(f"optimizer must be one of {OPTIMIZERS}")
+        for kernel, model in (("psf_l", "ar_p"), ("psf_m", "ar_q"),
+                              ("denoise_size", "denoise_order")):
+            if getattr(self, kernel) >= getattr(self, model):
+                raise DimensionError(
+                    f"{kernel} = {getattr(self, kernel)} must be smaller "
+                    f"than {model} = {getattr(self, model)}")
+        for name, choices in (("optimizer", OPTIMIZERS),
+                              ("ipsf_route", IPSF_ROUTES),
+                              ("denoise", (False, True))):
+            if getattr(self, name) not in choices:
+                raise InputError(f"{name} must be one of {choices}")
+        check_setting("space_ridge", self.space_ridge, 0)
 
 
 @dataclass
@@ -80,7 +75,6 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
     """Full estimation chain: (optional prefilter) -> model fit -> basis ->
     kernel estimate and optimization -> inverse kernel and optimization."""
     cfg = cfg or PipelineConfig()
-    cfg.validate()
     x = as_image(image)
     prefiltered = prefilter_kernel = None
     if cfg.denoise:
@@ -111,7 +105,6 @@ def restore(image, ipsf, psf=None, cfg: PipelineConfig | None = None
     """Single-pass restoration, or the configured optimizer, which starts
     from the same single pass."""
     cfg = cfg or PipelineConfig()
-    cfg.validate_restore()
     x = as_image(image)
     if cfg.optimizer == "none":
         return deconvolve_once(x, ipsf), None

@@ -15,21 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .config import check_setting
+from .errors import DimensionError, InputError
 from .grid import as_image
 
 #: Offsets (row, col) for the four sampling directions 0/45/90/135 degrees.
 _DIRECTION_STEPS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AiConfig:
+    """Sample-line window and central fragment side, checked when built."""
+
     window: int = 8
     fragment: int = 100
 
     def __post_init__(self) -> None:
         if self.window % 2 != 0 or self.window < 4:
-            raise ValueError("window must be even and >= 4")
+            raise InputError(
+                f"window must be even and >= 4, got {self.window}")
+        check_setting("fragment", self.fragment, 1)
 
 
 def psnr(image, reference, peak: float = 1.0) -> float:

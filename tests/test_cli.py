@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import nsdeblur as nd
-from nsdeblur.cli import _build_config, build_parser, main, read_config_file
+from nsdeblur.cli import (READS, _build_config, build_parser, main,
+                          read_config_file)
 from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
 from nsdeblur.fileio import (read_image, read_kernel, write_image, write_kernel,
                              write_pgm)
@@ -207,7 +210,8 @@ def test_deblur_ignores_estimate_settings(workdir, tmp_path, gaussian_case):
     write_kernel(h_path, case.psf)
     write_kernel(g_path, case.ipsf_spectral)
     outputs = []
-    for name, settings in (("plain", ""), ("shared", "ar_p = 9\npsf_l = 9\n")):
+    for name, settings in (("plain", ""), ("shared", "ar_p = 9\npsf_l = 9\n"
+                                                   "q = 0\ntheta = 0.5\n")):
         cfg_file = tmp_path / f"{name}.cfg"
         cfg_file.write_text(settings + "optimizer = bvdr\nmax_iters = 4\n")
         out, report = tmp_path / f"{name}.pgm", tmp_path / f"{name}.txt"
@@ -216,6 +220,49 @@ def test_deblur_ignores_estimate_settings(workdir, tmp_path, gaussian_case):
                      "--output", str(out), "--report", str(report)]) == 0
         outputs.append((out.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_estimate_ignores_restore_settings(workdir, tmp_path):
+    """Estimation reads neither the optimizer nor the image-schema
+    settings, so a shared file's values for them change nothing."""
+    outputs = []
+    for name, settings in (("plain", ""),
+                           ("shared", "optimizer = magic\nalpha = nan\n")):
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(settings + "max_iters = 4\n")
+        h, g, rep = (tmp_path / f"{name}.{ext}" for ext in ("h", "g", "txt"))
+        assert main(["estimate", str(workdir / "clean.pgm"),
+                     "--ar-order", "9", "9", "--psf-size", "5", "5",
+                     "--config", str(cfg_file), "--out-psf", str(h),
+                     "--out-ipsf", str(g), "--report", str(rep)]) == 0
+        outputs.append([path.read_bytes() for path in (h, g, rep)])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--alpha", "7"],
+    ["estimate", "--delta-t", "3"],
+    ["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm", "--theta", "0.5"],
+], ids=["estimate-alpha", "estimate-delta-t", "deblur-theta"])
+def test_unread_setting_flags_are_unrecognized(argv, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "in.pgm", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flags[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", ["denoise_order = 8\n",
+                                      "denoise_size = 33\n"])
+def test_bad_denoise_size_exits_3_at_stage_config(workdir, tmp_path, capsys,
+                                                  settings):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(settings)
+    rc = main(["estimate", str(workdir / "clean.pgm"), "--config",
+               str(cfg_file), "--report", str(tmp_path / "r.txt")])
+    assert rc == 3
+    assert "estimate failed at stage config" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_quality_command(workdir, capsys):
@@ -250,8 +297,9 @@ def test_config_file_parsing_and_override(tmp_path):
 
 
 def test_every_setting_reaches_its_config(tmp_path):
-    """Each field of both config dataclasses is a config-file key, and
-    solver keys land in the solver config."""
+    """Each command's config holds the settings it reads, from the file or
+    its flags, and defaults for the rest; together the commands read every
+    config field, so no setting is read by nobody."""
     cfg_file = tmp_path / "all.cfg"
     cfg_file.write_text(
         "ar_p = 11\nar_q = 13\npsf_l = 5\npsf_m = 7\noptimizer = cs\n"
@@ -259,16 +307,29 @@ def test_every_setting_reaches_its_config(tmp_path):
         "denoise_size = 9\nspace_ridge = 0.5\nlambda0 = 0.02\n"
         "delta_t = 0.2\ntheta = 4\nq = 2\neps = 1e-6\nmax_iters = 7\n"
         "alpha = 2.5\n")
-    args = build_parser().parse_args(
-        ["deblur", "in.pgm", "--ipsf-file", "g.kern", "--output", "o.pgm",
-         "--config", str(cfg_file), "--max-iters", "9"])
-    cfg = _build_config(args)
-    assert cfg == PipelineConfig(
-        ar_p=11, ar_q=13, psf_l=5, psf_m=7, optimizer="cs",
-        ipsf_route="space", denoise=True, denoise_order=21, denoise_size=9,
-        space_ridge=0.5,
-        solver=OptimizerConfig(lambda0=0.02, delta_t=0.2, theta=4.0, q=2,
-                               eps=1e-6, max_iters=9, alpha=2.5))
+    commands = {
+        "estimate": (["estimate", "in.pgm", "--psf-size", "3", "5"],
+                     PipelineConfig(
+                         ar_p=11, ar_q=13, psf_l=3, psf_m=5,
+                         ipsf_route="space", denoise=True, denoise_order=21,
+                         denoise_size=9, space_ridge=0.5,
+                         solver=OptimizerConfig(lambda0=0.02, theta=4.0, q=2,
+                                                eps=1e-6, max_iters=9))),
+        "deblur": (["deblur", "in.pgm", "--ipsf-file", "g.kern",
+                    "--output", "o.pgm"],
+                   PipelineConfig(
+                       optimizer="cs",
+                       solver=OptimizerConfig(lambda0=0.02, delta_t=0.2,
+                                              eps=1e-6, max_iters=9,
+                                              alpha=2.5)))}
+    for argv, expected in commands.values():
+        args = build_parser().parse_args(
+            [*argv, "--config", str(cfg_file), "--max-iters", "9"])
+        assert _build_config(args) == expected
+    fields = {f.name for cls in (PipelineConfig, OptimizerConfig)
+              for f in dataclasses.fields(cls)} - {"solver"}
+    assert set().union(*READS.values()) == fields
+    assert set(READS) == set(commands)
 
 
 def test_inconsistent_sizes_exit_3(workdir):
@@ -312,7 +373,8 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("argv, settings, expected", [
     (["estimate"], "max_iters = abc\n", "estimate failed at stage config"),
     (["estimate"], "denoise = ture\n", "estimate failed at stage config"),
-    (["estimate", "--delta-t", "-1"], None, "estimate failed at stage config"),
+    (["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm",
+      "--delta-t", "-1"], None, "deblur failed at stage config"),
     (["estimate", "--max-iters", "0"], None, "estimate failed at stage config"),
     (["estimate", "--theta", "0.5"], None, "estimate failed at stage config"),
     (["estimate", "--ipsf", "space", "--space-ridge", "-1"], None,
@@ -323,9 +385,25 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
     (["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm",
       "--max-iters", "0"], None, "deblur failed at stage config"),
     (["quality", "--window", "7"], None, "quality failed"),
+    (["estimate", "--lambda", "inf"], None, "estimate failed at stage config"),
+    (["estimate"], "space_ridge = inf\n", "estimate failed at stage config"),
+    (["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm",
+      "--alpha", "nan"], None, "deblur failed at stage config"),
+    (["quality", "--fragment", "0"], None, "quality failed"),
+    (["quality", "--fragment", "-5"], None, "quality failed"),
+    (["synth", "--blur", "gaussian:inf", "--output", "o.pgm"], None,
+     "synth failed at stage config: bad blur spec"),
+    (["synth", "--blur", "disk:inf", "--output", "o.pgm"], None,
+     "synth failed at stage config: bad blur spec"),
+    (["synth", "--blur", "gaussian:1", "--noise", "nan", "--output", "o.pgm"],
+     None, "synth failed at stage config: noise"),
+    (["synth", "--blur", "gaussian:1", "--noise", "0.1", "--seed", "-1",
+      "--output", "o.pgm"], None, "synth failed at stage config: seed"),
 ], ids=["file-int", "file-bool", "delta-t", "max-iters", "theta",
         "space-ridge", "lambda-nan", "space-ridge-nan", "deblur-max-iters",
-        "quality-window"])
+        "quality-window", "lambda-inf", "space-ridge-inf", "deblur-alpha-nan",
+        "quality-fragment-0", "quality-fragment-negative", "synth-gaussian-inf",
+        "synth-disk-inf", "synth-noise-nan", "synth-seed-negative"])
 def test_bad_setting_exits_2(workdir, tmp_path, capsys, argv, settings,
                              expected):
     command, *flags = argv

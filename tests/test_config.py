@@ -1,8 +1,28 @@
+import math
+
 import pytest
 
 from nsdeblur.config import (LAMBDA_FLOOR, STOP_CAP, STOP_EPS, STOP_GATE,
                              STOP_INCREASE, OptimizerConfig, gated_iterate,
                              iterate)
+from nsdeblur.errors import InputError
+
+
+@pytest.mark.parametrize("name", ["delta_t", "lambda0", "theta", "eps",
+                                  "alpha"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_optimizer_config_rejects_non_finite(name, value):
+    """lambda0 = inf, say, would otherwise halve forever in the gate."""
+    with pytest.raises(InputError, match=name):
+        OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("settings", [
+    {"lambda0": -1.0}, {"eps": 0.0}, {"alpha": 0.0}, {"q": 0},
+], ids=lambda settings: next(iter(settings)))
+def test_optimizer_config_rejects_out_of_range(settings):
+    with pytest.raises(ValueError):       # InputError is a ValueError
+        OptimizerConfig(**settings)
 
 
 def shrinking_step(contraction_below: float):

@@ -4,6 +4,7 @@ import pytest
 import nsdeblur as nd
 from conftest import SPACE_CFG, center_share
 from nsdeblur.config import OptimizerConfig
+from nsdeblur.errors import InputError
 from nsdeblur.grid import shifted_taps
 from nsdeblur.ipsf import (_space_system, curvature_system_matrix,
                            difference_operators)
@@ -89,6 +90,22 @@ def test_space_inverse_matches_dense_oracle():
     b = np.array(target)
     ref = np.linalg.solve(a.T @ a + 1e-6 * np.eye(25), a.T @ b)
     np.testing.assert_allclose(g.ravel(), ref, atol=1e-8)
+
+
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6])
+@pytest.mark.parametrize("call", [
+    lambda img, h, r: nd.ipsf_space(img, h, ridge=r),
+    lambda img, h, r: nd.ipsf_space(img, h, ridge_relative=r),
+    lambda img, h, r: nd.optimize_ipsf_space(np.zeros((5, 5)), img, h,
+                                             ridge=r),
+], ids=["ipsf_space-ridge", "ipsf_space-ridge_relative",
+        "optimize_ipsf_space-ridge"])
+def test_space_ridge_must_be_finite_and_nonnegative(call, ridge):
+    """The space_ridge rule: a NaN ridge is not quietly 0, nor an infinite
+    one an all-NaN kernel."""
+    img = np.random.default_rng(1).random((16, 16))
+    with pytest.raises(InputError, match="ridge"):
+        call(img, nd.delta_kernel(3), ridge)
 
 
 def check_space_cross_correlation(image, h):

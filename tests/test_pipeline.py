@@ -1,22 +1,82 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import nsdeblur as nd
 from conftest import is_smooth
 from nsdeblur.config import OptimizerConfig
-from nsdeblur.errors import DimensionError, InputError
+from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
+                             InputError)
 
 
 def test_config_validation():
     with pytest.raises(DimensionError):
-        nd.PipelineConfig(ar_p=9, ar_q=9, psf_l=9, psf_m=9).validate()
+        nd.PipelineConfig(ar_p=9, ar_q=9, psf_l=9, psf_m=9)
     with pytest.raises(DimensionError):
-        nd.PipelineConfig(ar_p=8, ar_q=9).validate()
+        nd.PipelineConfig(ar_p=8, ar_q=9)
     with pytest.raises(InputError):
-        nd.PipelineConfig(optimizer="magic").validate()
+        nd.PipelineConfig(optimizer="magic")
     with pytest.raises(InputError):
-        nd.PipelineConfig(ipsf_route="other").validate()
-    nd.PipelineConfig().validate()
+        nd.PipelineConfig(ipsf_route="other")
+    nd.PipelineConfig()
+
+
+@pytest.mark.parametrize("settings, error", [
+    ({"denoise_order": 8}, DimensionError),
+    ({"denoise_size": 33}, DimensionError),
+    ({"denoise_size": 0}, DimensionError),
+    ({"denoise": "yes"}, InputError),
+    ({"space_ridge": np.inf}, InputError),
+    ({"space_ridge": -1.0}, InputError),
+], ids=["denoise-order-even", "denoise-size-not-smaller", "denoise-size-0",
+        "denoise-not-bool", "space-ridge-inf", "space-ridge-negative"])
+def test_pipeline_config_checks_every_field(settings, error):
+    with pytest.raises(error):
+        nd.PipelineConfig(**settings)
+
+
+def test_configs_are_frozen():
+    cfg = nd.PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.ar_p = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.solver.lambda0 = np.inf
+    assert dataclasses.replace(cfg, optimizer="cs").optimizer == "cs"
+    with pytest.raises(InputError):
+        dataclasses.replace(cfg, optimizer="magic")
+
+
+_I, _J = np.mgrid[0:256, 0:256]
+_FLAT = (DegenerateOperatorError, DegenerateOperatorError)
+#: probe image -> (image, error on the spectral route, on the space route)
+PROBES = {
+    "ramp": ((_I + _J) / 510.0, *_FLAT),
+    "checkerboard": (((_I + _J) % 2).astype(float), *_FLAT),
+    "uniform-noise": (np.random.default_rng(0).random((256, 256)), *_FLAT),
+    "texture-40x40": (nd.texture((40, 40), seed=0), None, None),
+    "texture-64x1024": (nd.texture((64, 1024), seed=0), None, None),
+    "texture-35x35": (nd.texture((35, 35), seed=0), None, DimensionError),
+}
+
+
+@pytest.mark.parametrize("route", ["spectral", "space"])
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_probe_inputs_end_typed(probe, route):
+    """Each probe image gives finite kernels or its typed error at default
+    settings; the space route needs an image 4x the kernel size."""
+    image, spectral_error, space_error = PROBES[probe]
+    error = space_error if route == "space" else spectral_error
+    cfg = nd.PipelineConfig(ipsf_route=route)
+    if error is not None:
+        with pytest.raises(error):
+            nd.estimate_kernels(image, cfg)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # default ridge
+        result = nd.estimate_kernels(image, cfg)
+    assert np.all(np.isfinite(result.psf)) and np.all(np.isfinite(result.ipsf))
 
 
 def test_estimate_kernels_spectral_route(gaussian_case):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
-from nsdeblur.errors import DimensionError
+from nsdeblur.errors import DimensionError, InputError
 from nsdeblur.quality import AiConfig
 
 
@@ -39,8 +39,9 @@ def test_restoration_raises_index(gaussian_case):
 def test_fragment_validation():
     with pytest.raises(DimensionError):
         nd.anisotropy_index(np.ones((64, 64)), AiConfig(fragment=100))
-    with pytest.raises(ValueError):
-        AiConfig(window=7)
+    for settings in ({"window": 7}, {"fragment": 0}, {"fragment": -5}):
+        with pytest.raises(InputError):
+            AiConfig(**settings)
 
 
 def test_psnr_basics():
