@@ -189,6 +189,8 @@ def cmd_synth(args) -> int:
     try:
         kernel = _parse_blur(args.blur)
         check_setting("noise", args.noise, 0)
+        if args.noise > 1:
+            raise InputError(f"noise must be in [0, 1], got {args.noise!r}")
         check_setting("seed", args.seed, 0)
         stage = "load"
         image = read_image(args.input)

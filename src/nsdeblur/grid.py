@@ -9,12 +9,10 @@ pixels past its border.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .errors import DegenerateKernelError, DimensionError
 
@@ -23,6 +21,17 @@ KERNEL_SUM_TOL = 1e-12
 
 #: Largest gain (sum of |taps|) of a usable kernel file (README: exit codes).
 KERNEL_GAIN_MAX = 1e4
+
+#: Bytes of one float64 row slab of the operations that run over row
+#: slabs (the direct filter here, the pointwise surface operators).  The
+#: curvature keeps five slab fields live; at 256 KB each they fit a 2 MB
+#: L2 cache, where whole 512 x 512 fields (2 MB each) do not.
+SLAB_BYTES = 1 << 18
+
+
+def _slab_rows(cols: int) -> int:
+    """Rows per slab at ``cols`` columns: 64 at 512, at least 1."""
+    return max(SLAB_BYTES // (8 * cols), 1)
 
 
 def as_image(data, copy: bool = False) -> np.ndarray:
@@ -75,20 +84,23 @@ def convolve(image, kernel) -> np.ndarray:
     edge pixels replicated past its border.
 
     Linear in both arguments; a normalized kernel preserves constants.  It
-    is ``replicate_filter(kernel, image.shape)(image)``: ``ndimage.correlate``
-    for a kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps, the
-    cached-spectrum FFT for a denser one.
+    is ``replicate_filter(kernel, image.shape)(image)``: a direct sum over
+    the non-zero taps for a kernel with at most :data:`DIRECT_MAX_TAPS` of
+    them, the cached-spectrum FFT for a denser one.
     """
     img = as_image(image)
     return replicate_filter(kernel, img.shape)(img)
 
 
 #: Most non-zero taps for which :func:`replicate_filter` keeps the direct
-#: path.  ``ndimage.correlate`` skips zero taps, so its cost grows with the
-#: non-zero ones, while the FFT path costs the same for every kernel.  At
+#: path.  That path skips zero taps, so its cost grows with the non-zero
+#: ones, while the FFT path costs the same for every kernel.  At
 #: 512 x 512 on one core of a 2-core x86-64 VM (9 x 9 kernels, medians of
-#: 60 interleaved calls): 3.3 ms for 1 tap, 8.9 ms for 25, 10.2 ms for 30
-#: and 24 ms for 81, against 9.2 ms for the FFT path.
+#: 41 interleaved calls): 1.3 ms for 1 tap, 5.8 ms for the 15-tap 7 px
+#: motion blur, 9.5 ms for 25, 10.4 ms for 30 and 27 ms for 81, against
+#: 9.1 ms for the FFT path: the crossover lies at 25 taps to within the
+#: noise.  Moving the bound moves kernels between the paths, whose results
+#: differ by rounding, so it would change outputs.
 DIRECT_MAX_TAPS = 25
 
 
@@ -111,11 +123,16 @@ def replicate_filter(kernel, shape: tuple[int, int]
     filtering many images with one kernel builds it once.
 
     A kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps keeps the
-    direct ``ndimage.correlate(mode="nearest")`` path (so an embedded delta
-    returns the image bit for bit).  Any other is applied through
-    ``numpy.fft``: the image is edge-padded by the kernel radius into a
-    zero buffer of 2·3·5-smooth size, transformed, multiplied by the cached
-    spectrum of the flipped kernel, transformed back and cropped.  The
+    direct path: the image is edge-padded by the kernel radius once, and
+    each row slab of the output (:data:`SLAB_BYTES`) starts at zero and
+    adds ``w * padded[a:a+R, b:b+C]`` for each non-zero tap w at (a, b), in
+    row-major order, R x C being the slab.  Those are the products and the
+    order of ``scipy.ndimage.correlate(mode="nearest")``, so the result is
+    its bits (the tests check that), and an embedded delta returns the
+    image unchanged.  Any other kernel is applied through ``numpy.fft``:
+    the image is edge-padded by the kernel radius into a zero buffer of
+    2·3·5-smooth size, transformed, multiplied by the cached spectrum of
+    the flipped kernel, transformed back and cropped.  The
     buffer is at least as large as the padded image, so no wrapped sample
     reaches the crop; the result differs from the direct correlation by
     rounding only, a small multiple of log2(buffer size) eps sum|kernel|
@@ -130,7 +147,7 @@ def replicate_filter(kernel, shape: tuple[int, int]
     if k.shape[0] > rows or k.shape[1] > cols:
         raise DimensionError(f"kernel {k.shape} larger than image {shape}")
     if np.count_nonzero(k) <= DIRECT_MAX_TAPS:
-        return functools.partial(ndimage.correlate, weights=k, mode="nearest")
+        return _direct_filter(k, shape)
     rl, rm = k.shape[0] // 2, k.shape[1] // 2
     pad_r, pad_c = rows + 2 * rl, cols + 2 * rm
     size = (_fast_len(pad_r), _fast_len(pad_c))
@@ -143,12 +160,7 @@ def replicate_filter(kernel, shape: tuple[int, int]
     work = np.empty(spectrum.shape, dtype=complex)
 
     def apply(image: np.ndarray) -> np.ndarray:
-        padded[rl:rl + rows, rm:rm + cols] = image
-        padded[:rl, rm:rm + cols] = image[0]
-        padded[rl + rows:pad_r, rm:rm + cols] = image[-1]
-        body = padded[:pad_r]
-        body[:, :rm] = body[:, rm:rm + 1]
-        body[:, rm + cols:pad_c] = body[:, rm + cols - 1:rm + cols]
+        _pad_edges(padded[:pad_r, :pad_c], image, rl, rm)
         # rfft2 and irfft2 step by step, in place: allocating the
         # intermediate arrays on every call made a call about twice as slow
         np.fft.rfft(padded, axis=1, out=work)
@@ -158,8 +170,46 @@ def replicate_filter(kernel, shape: tuple[int, int]
         np.fft.irfft(work, n=size[1], axis=1, out=padded)
         result = padded[2 * rl:2 * rl + rows, 2 * rm:2 * rm + cols].copy()
         padded[pad_r:] = 0.0
-        body[:, pad_c:] = 0.0
+        padded[:pad_r, pad_c:] = 0.0
         return result
+
+    return apply
+
+
+def _pad_edges(body: np.ndarray, image: np.ndarray, rl: int, rm: int) -> None:
+    """Fill ``body`` with ``image`` edge-padded by ``rl`` rows and ``rm``
+    columns on each side."""
+    rows, cols = image.shape
+    body[rl:rl + rows, rm:rm + cols] = image
+    body[:rl, rm:rm + cols] = image[0]
+    body[rl + rows:, rm:rm + cols] = image[-1]
+    body[:, :rm] = body[:, rm:rm + 1]
+    body[:, rm + cols:] = body[:, rm + cols - 1:rm + cols]
+
+
+def _direct_filter(k: np.ndarray, shape: tuple[int, int]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The direct path of :func:`replicate_filter`."""
+    rows, cols = shape
+    rl, rm = k.shape[0] // 2, k.shape[1] // 2
+    taps = [(a, b, float(k[a, b])) for a, b in zip(*np.nonzero(k))]
+    step = _slab_rows(cols)
+    # reused between calls: a padded copy allocated on every call cost
+    # more than the sum itself for a sparse kernel
+    padded = np.empty((rows + 2 * rl, cols + 2 * rm))
+    term = np.empty((min(step, rows), cols))
+
+    def apply(image: np.ndarray) -> np.ndarray:
+        _pad_edges(padded, image, rl, rm)
+        out = np.zeros(shape)
+        for top in range(0, rows, step):
+            n = min(step, rows - top)
+            acc, tmp = out[top:top + n], term[:n]
+            for a, b, w in taps:
+                np.multiply(padded[top + a:top + a + n, b:b + cols], w,
+                            out=tmp)
+                acc += tmp
+        return out
 
     return apply
 

@@ -5,7 +5,6 @@ the minimum-norm solution or raises a typed error.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateKernelError
 
@@ -23,6 +22,9 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(a, b, rcond=None)[0]
     except np.linalg.LinAlgError:
         pass
+    # imported here, not at the top: importing scipy.linalg takes about
+    # 0.25 s, which every process would pay for a fallback it rarely takes
+    import scipy.linalg
     try:
         return scipy.linalg.lstsq(a, b, cond=np.finfo(np.float64).eps
                                   * max(a.shape), lapack_driver="gelss")[0]

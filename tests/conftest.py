@@ -2,7 +2,11 @@
 the heavier module tests.  Estimation chains are session-scoped because a
 full chain takes a couple of seconds."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,20 @@ from scipy.signal import convolve2d
 
 import nsdeblur as nd
 from nsdeblur.config import OptimizerConfig
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_probe(probe: str, cwd=None) -> str:
+    """Standard output of ``python -c probe`` in a fresh interpreter with
+    the package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def embed(kernel, l, m):

@@ -399,11 +399,14 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
      None, "synth failed at stage config: noise"),
     (["synth", "--blur", "gaussian:1", "--noise", "0.1", "--seed", "-1",
       "--output", "o.pgm"], None, "synth failed at stage config: seed"),
+    (["synth", "--blur", "gaussian:1", "--noise", "2", "--output", "o.pgm"],
+     None, "synth failed at stage config: noise"),
 ], ids=["file-int", "file-bool", "delta-t", "max-iters", "theta",
         "space-ridge", "lambda-nan", "space-ridge-nan", "deblur-max-iters",
         "quality-window", "lambda-inf", "space-ridge-inf", "deblur-alpha-nan",
         "quality-fragment-0", "quality-fragment-negative", "synth-gaussian-inf",
-        "synth-disk-inf", "synth-noise-nan", "synth-seed-negative"])
+        "synth-disk-inf", "synth-noise-nan", "synth-seed-negative",
+        "synth-noise-above-1"])
 def test_bad_setting_exits_2(workdir, tmp_path, capsys, argv, settings,
                              expected):
     command, *flags = argv

@@ -208,6 +208,74 @@ def test_convolve_sparse_kernel_is_direct(kernel):
                                   direct(image, kernel))
 
 
+# --- the direct path: the bits of scipy.ndimage.correlate, slab by slab
+
+DIRECT_KERNELS = {
+    "gaussian5": nd.gaussian_kernel(1.0, 5),
+    "motion7-30": nd.motion_kernel(7, 30.0),
+    "disk2": nd.disk_kernel(2.0),
+    "delta9": delta_kernel(9),
+    "negative5": np.random.default_rng(40).standard_normal((5, 5)),
+    "row1x25": np.random.default_rng(41).standard_normal((1, 25)),
+    "col25x1": np.random.default_rng(42).standard_normal((25, 1)),
+}
+
+#: rows per slab at 1024 columns; a 131-row image there ends in a part slab
+SLAB_1024 = grid._slab_rows(1024)
+
+DIRECT_SHAPES = [(131, 127), (131, 1024), (SLAB_1024 - 5, 1024), (512, 512),
+                 (40, 33)]
+
+
+@pytest.mark.parametrize("shape", DIRECT_SHAPES,
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("name", list(DIRECT_KERNELS))
+def test_direct_path_is_ndimage_correlate(name, shape):
+    kernel = DIRECT_KERNELS[name]
+    assert np.count_nonzero(kernel) <= DIRECT_MAX_TAPS
+    image = np.random.default_rng(shape[0] * shape[1]).random(shape)
+    np.testing.assert_array_equal(
+        replicate_filter(kernel, shape)(image), direct(image, kernel))
+
+
+def test_direct_shapes_cover_the_slab_edges():
+    assert 131 % SLAB_1024 != 0 and 131 > SLAB_1024
+    assert SLAB_1024 - 5 > 0
+    assert grid._slab_rows(127) > 131        # 131 x 127 is one part slab
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (7, 11), (1, 9), (9, 1), (5, 25)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_direct_path_kernel_as_large_as_image(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    taps = min(DIRECT_MAX_TAPS, shape[0] * shape[1])
+    kernel = np.zeros(shape[0] * shape[1])
+    kernel[rng.choice(kernel.size, taps, replace=False)] = (
+        rng.standard_normal(taps))
+    kernel = kernel.reshape(shape)
+    image = rng.random(shape)
+    np.testing.assert_array_equal(
+        replicate_filter(kernel, shape)(image), direct(image, kernel))
+
+
+def test_direct_path_returns_a_fresh_array():
+    """The padded copy is reused; no returned array is, and none changes
+    when the filter runs again."""
+    rng = np.random.default_rng(43)
+    a, b = rng.random((131, 127)), rng.random((131, 127))
+    kernel = nd.gaussian_kernel(1.0, 5)
+    apply = replicate_filter(kernel, a.shape)
+    first = apply(a)
+    kept = first.copy()
+    second = apply(b)
+    third = apply(a)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, third)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(third, kept)
+    np.testing.assert_array_equal(second, direct(b, kernel))
+
+
 def test_gradient_of_constant_is_zero():
     out = gradient(np.full((6, 6), 3.0))
     np.testing.assert_array_equal(out, np.zeros((6, 6)))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import run_probe
+
 from nsdeblur.errors import DegenerateKernelError
 from nsdeblur.linalg import lstsq
 
@@ -63,3 +65,10 @@ def test_lstsq_raises_typed_error_when_both_solvers_fail(monkeypatch):
     with pytest.raises(DegenerateKernelError):
         lstsq(np.eye(3), np.ones(3))
 
+
+
+def test_import_leaves_scipy_linalg_to_the_fallback():
+    """scipy.linalg is imported by the fallback alone, not with the module."""
+    probe = ("import sys, nsdeblur.linalg; "
+             "print('scipy.linalg' in sys.modules)")
+    assert run_probe(probe) == "False"
