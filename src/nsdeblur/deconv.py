@@ -10,26 +10,20 @@ metric determinant, giving each pixel its own effective weight.  Both stop
 on a small mean-squared step, on a step increase (local minimum passed),
 or at the iteration cap; a diverging step raises DeblurError.
 
-Both optimizers run half of each iterate's independent work on one
-module-level worker thread, started on first use and shared by every
-caller, while the calling thread runs the other half; numpy's FFTs and
-ufuncs release the GIL, so on two cores the halves overlap.  The surface
-operators always run on the calling thread.  Every result is bit for bit
-that of serial evaluation: each half is the same sequence of operations
-on its own buffers, wherever it runs.
+Both optimizers run half of each iterate's independent work on the
+package's worker thread (:func:`nsdeblur.grid._beside`) while the calling
+thread runs the other half.  The surface operators always run on the
+calling thread.  Every result is bit for bit that of serial evaluation.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from .armodel import estimate_ar, build_operator
 from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
-from .grid import as_image, convolve, replicate_filter
+from .grid import _beside, as_image, convolve, replicate_filter
 from .ipsf import ipsf_space
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
@@ -46,32 +40,6 @@ def _mean_abs(a: np.ndarray) -> float:
 def deconvolve_once(image, kernel) -> np.ndarray:
     """Primary estimate: one convolution with the inverse kernel."""
     return convolve(image, kernel)
-
-
-def _start_worker() -> None:
-    """Make ``_WORKER``, the one worker thread of the image optimizers.
-    Its thread starts with its first task, so importing the package
-    starts none.  A forked child makes its own: the parent's thread does
-    not exist there."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nsdeblur")
-
-
-_start_worker()
-os.register_at_fork(after_in_child=_start_worker)
-
-
-def _beside(task, here):
-    """(task(), here()), with ``task`` on the worker thread while ``here``
-    runs on the calling thread.  Returns or raises only once both have
-    finished; an exception of either side propagates as itself, the
-    caller's first.  A task must not submit to the worker itself."""
-    future = _WORKER.submit(task)
-    try:
-        mine = here()
-    finally:
-        wait((future,))
-    return future.result(), mine
 
 
 def _filtered(s, h_filter, g_filter, g_worker

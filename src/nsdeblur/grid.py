@@ -5,11 +5,25 @@ Images and kernels are plain 2D float64 arrays.  Kernels have odd dimensions
 so the center tap is well defined; a normalized kernel has unit tap sum and
 therefore preserves constants.  Every filter replicates the image's edge
 pixels past its border.
+
+The package's one worker thread lives here too.  :func:`_beside` runs one
+task on it while the calling thread runs another: the kernel estimate
+computes the gradient moments beside the AR fit and its null basis, and
+the image optimizers run half of each iterate's independent work beside
+the other half.  numpy's FFTs, ufuncs and BLAS calls release the GIL, so
+on two cores the halves overlap.  Every stage that ``pipeline`` and
+``deconv`` call through their own namespaces runs on the calling thread,
+so a tracer wrapping those names sees one call stack; the worker runs
+only plain array work, none of which submits to the worker.  Every result
+is bit for bit that of serial evaluation: each half is the same sequence
+of operations on its own buffers, wherever it runs.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +46,32 @@ SLAB_BYTES = 1 << 18
 def _slab_rows(cols: int) -> int:
     """Rows per slab at ``cols`` columns: 64 at 512, at least 1."""
     return max(SLAB_BYTES // (8 * cols), 1)
+
+
+def _start_worker() -> None:
+    """Make ``_WORKER``, the package's one worker thread.  Its thread
+    starts with its first task, so importing the package starts none.  A
+    forked child makes its own: the parent's thread does not exist
+    there."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nsdeblur")
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)
+
+
+def _beside(task, here):
+    """(task(), here()), with ``task`` on the worker thread while ``here``
+    runs on the calling thread.  Returns or raises only once both have
+    finished; an exception of either side propagates as itself, the
+    caller's first.  A task must not submit to the worker itself."""
+    future = _WORKER.submit(task)
+    try:
+        mine = here()
+    finally:
+        wait((future,))
+    return future.result(), mine
 
 
 def as_image(data, copy: bool = False) -> np.ndarray:
@@ -286,27 +326,41 @@ def _row_windows(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def correlation_lags(template: np.ndarray, field: np.ndarray,
-                     margin: int = 0) -> np.ndarray:
+                     margin: int = 0, rows: int | None = None) -> np.ndarray:
     """lags[u, v] = sum_{i,k} template[i, k] field[i+u, k+v] from one FFT
     product, valid for 0 <= u <= H - h and -margin <= v <= W - w with
     (h, w) the template's and (H, W) the field's shape; a negative lag v
-    is read at column index v, from the end.
+    is read at column index v, from the end.  With ``rows``, only the lags
+    u < rows are returned, and only those rows are transformed back.
 
     Both operands are zero-padded to 2·3·5-smooth lengths of at least
     H x (W + margin).  Zero padding past that wraps no lag in range, so the
-    lengths change the result by rounding only.
+    lengths change the result by rounding only.  The transforms are those
+    of ``numpy.fft.rfft2`` and ``irfft2``, step by step in two complex
+    buffers, so the lags are theirs bit for bit, ``rows`` or not.
     """
     shape = (_fast_len(field.shape[0]), _fast_len(field.shape[1] + margin))
-    spec = (np.conj(np.fft.rfft2(template, s=shape))
-            * np.fft.rfft2(field, s=shape))
-    return np.fft.irfft2(spec, s=shape)
+    spec = _padded_rfft2(field, shape)
+    conj = _padded_rfft2(template, shape)
+    np.conjugate(conj, out=conj)
+    np.multiply(conj, spec, out=spec)
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.fft.irfft(spec[:rows], n=shape[1], axis=1)
+
+
+def _padded_rfft2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``numpy.fft.rfft2(a, s=shape)`` in one buffer, for ``a`` no larger
+    than ``shape``."""
+    out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    np.fft.rfft(a, n=shape[1], axis=1, out=out[:a.shape[0]])
+    return np.fft.fft(out, axis=0, out=out)
 
 
 def _first_block_row(f: np.ndarray, p: int, q: int) -> np.ndarray:
     """B[u, b, d] = sum_{i<nR, k<nC} f[i, k+b] f[i+u, k+d] for u < p."""
     rows, cols = f.shape
     n_r, n_c = rows - p + 1, cols - q + 1
-    lags = correlation_lags(f[:n_r, :n_c], f, q - 1)[:p]
+    lags = correlation_lags(f[:n_r, :n_c], f, q - 1, rows=p)
     block = np.empty((p, q, q))
     block[:, 0, :] = lags[:, :q]
     block[:, 1:, 0] = lags[:, -1:-q:-1]

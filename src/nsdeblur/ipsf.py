@@ -87,7 +87,7 @@ def _space_system(image: np.ndarray, h: np.ndarray
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
     # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]
-    ryx = correlation_lags(centers, y)[:wl, :wm].ravel()
+    ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
     return window_gram(y, wl, wm), ryx, wl, wm
 
 

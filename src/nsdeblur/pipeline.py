@@ -1,5 +1,12 @@
 """End-to-end orchestration: kernel estimation and restoration with one
-configuration object, shared by the command-line front end and scripts."""
+configuration object, shared by the command-line front end and scripts.
+
+The kernel estimate computes the gradient moments, which read the image
+alone, on the package's worker thread (:func:`nsdeblur.grid._beside`)
+while the calling thread fits the model and splits its operator; every
+other stage runs on the calling thread.  The result is bit for bit that
+of serial evaluation.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +18,10 @@ from .armodel import ArModel, estimate_ar, build_operator
 from .config import OptimizerConfig, RunReport, check_setting
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
-from .grid import as_image
+from .grid import _beside, as_image
 from .ipsf import ipsf_space, ipsf_spectral, optimize_ipsf_space, optimize_ipsf_spectral
 from .nullspace import CnsBasis, compute_cns
-from .psf import estimate_psf, gradient_stats, optimize_psf
+from .psf import estimate_psf, gradient_moments, gradient_stats, optimize_psf
 
 OPTIMIZERS = ("none", "bvdr", "cs")
 IPSF_ROUTES = ("spectral", "space")
@@ -82,9 +89,15 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
             x, cfg.denoise_order, cfg.denoise_order,
             cfg.denoise_size, cfg.denoise_size)
         prefiltered = x
-    model = estimate_ar(x, cfg.ar_p, cfg.ar_q)
-    basis = compute_cns(build_operator(model, cfg.psf_l, cfg.psf_m))
-    stats = gradient_stats(x, basis)
+
+    def fit():
+        model = estimate_ar(x, cfg.ar_p, cfg.ar_q)
+        return model, compute_cns(build_operator(model, cfg.psf_l, cfg.psf_m))
+
+    # the fit chain runs on the caller, so its error wins over the moments'
+    moments, (model, basis) = _beside(
+        lambda: gradient_moments(x, cfg.psf_l, cfg.psf_m), fit)
+    stats = gradient_stats(x, basis, moments)
     h0 = estimate_psf(stats, basis)
     h, psf_report = optimize_psf(h0, basis, cfg.solver)
     if cfg.ipsf_route == "spectral":

@@ -54,9 +54,10 @@ def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
     return t2[ii[:, None] + ii[None, :], ll[:, None] + ll[None, :]]
 
 
-def gradient_stats(image, basis: CnsBasis) -> GradientStats:
-    """Project the gradient-field statistics onto the null-side basis."""
-    l, m = basis.l, basis.m
+def gradient_moments(image, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image-only half of :func:`gradient_stats` for an l x m kernel:
+    (window Gram, shift-average matrix) of the gradient field, both
+    (l*m) x (l*m).  It reads no basis, so it can run beside the model fit."""
     img = np.asarray(image, dtype=np.float64)
     if img.shape[0] < 2 * l + 1 or img.shape[1] < 2 * m + 1:
         raise DimensionError(
@@ -64,12 +65,23 @@ def gradient_stats(image, basis: CnsBasis) -> GradientStats:
     grad = gradient(img)
     # window positions limited to (rows-l) x (cols-m), as in the
     # extended-matrix layout
-    gram = window_gram(grad[:-1, :-1], l, m)
+    return window_gram(grad[:-1, :-1], l, m), _shift_average_matrix(grad, l, m)
+
+
+def gradient_stats(image, basis: CnsBasis,
+                   moments: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> GradientStats:
+    """Project the gradient-field statistics onto the null-side basis.
+    ``moments`` is ``gradient_moments(image, basis.l, basis.m)``, computed
+    here when not given."""
+    if moments is None:
+        moments = gradient_moments(image, basis.l, basis.m)
+    gram, shift_average = moments
     cross = gram[:, ::-1]                      # columns reversed: Gram . J
     v_ns = basis.null_vectors
     rho = v_ns.T @ cross @ v_ns
     rho = 0.5 * (rho + rho.T)                  # quadratic form: diag unchanged
-    omega = v_ns.T @ _shift_average_matrix(grad, l, m) @ v_ns
+    omega = v_ns.T @ shift_average @ v_ns
     return GradientStats(rho=rho, omega=omega)
 
 

@@ -5,6 +5,7 @@ full chain takes a couple of seconds."""
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import convolve2d
 
 import nsdeblur as nd
-from nsdeblur.config import OptimizerConfig
+from nsdeblur.config import OptimizerConfig, format_report
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,6 +30,20 @@ def run_probe(probe: str, cwd=None) -> str:
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def estimate_bits(image, cfg):
+    """Bytes of everything ``estimate_kernels`` returns and reports: both
+    kernels, the AR fit with its residual and ridge, the null vectors and
+    both optimizer reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # default ridge
+        r = nd.estimate_kernels(image, cfg)
+    arrays = (r.psf, r.ipsf, r.model.coeffs,
+              np.array([r.model.residual, r.model.ridge]),
+              r.basis.null_vectors)
+    return ([a.tobytes() for a in arrays], format_report(r.psf_report),
+            format_report(r.ipsf_report))
 
 
 def embed(kernel, l, m):

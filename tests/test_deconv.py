@@ -1,7 +1,12 @@
+import dataclasses
+import importlib.util
 import os
 import signal
+import sys
 import threading
 import time
+import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from scipy.ndimage import correlate, gaussian_filter
 
 import nsdeblur as nd
 import nsdeblur.deconv as deconv
+import nsdeblur.pipeline as pipeline
+from conftest import SRC, estimate_bits
 from nsdeblur.config import (STOP_CAP, STOP_EPS, STOP_GATE, STOP_INCREASE,
                              OptimizerConfig, make_report)
 
@@ -505,56 +512,99 @@ def test_optimizer_error_on_either_side(optimize, failing, gaussian_case,
     assert _bits(optimize, gaussian_case) == normal
 
 
-def test_traced_bindings_run_on_the_calling_thread(motion_case, monkeypatch):
-    """The surface operators run on the caller, where a tracer wrapping
-    ``deconv.curvature_operator`` records them; filters also run on the
-    worker."""
-    seen = {"surface": set(), "filter": set()}
+def _tracer_targets():
+    """``TARGETS`` of perfbench's tracer: (modules, attribute, layer,
+    figures) of every binding it wraps."""
+    path = SRC.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracer_targets", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.TARGETS
 
-    def recording(fn, kind):
-        def wrapper(*args):
-            seen[kind].add(threading.get_ident())
-            return fn(*args)
+
+#: Small models for the whole chain on the 128 x 128 corpus, on every
+#: estimate route.
+ROUTES = [nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
+                            ipsf_route=route, denoise=denoise,
+                            denoise_order=13, denoise_size=7)
+          for route, denoise in (("spectral", False), ("space", False),
+                                 ("space", True))]
+
+
+def test_traced_bindings_run_on_the_calling_thread(motion_case, monkeypatch):
+    """Every ``pipeline.*`` and ``deconv.*`` binding the tracer wraps runs
+    on the caller, where the tracer's single span stack records it, on
+    every estimate route and in every restoration; the gradient moments
+    and some filters run on the worker."""
+    caller, seen = threading.get_ident(), defaultdict(set)
+    modules = {"pipeline": pipeline, "deconv": deconv}
+
+    def recording(fn, key):
+        def wrapper(*args, **kwargs):
+            seen[key].add(threading.get_ident())
+            return fn(*args, **kwargs)
         return wrapper
 
+    traced = set()
+    for names, attr, _, _ in _tracer_targets():
+        for name in set(names) & set(modules):
+            traced.add(f"{name}.{attr}")
+            monkeypatch.setattr(modules[name], attr, recording(
+                getattr(modules[name], attr), f"{name}.{attr}"))
+    monkeypatch.setattr(pipeline, "gradient_moments", recording(
+        pipeline.gradient_moments, "moments"))
     build = deconv.replicate_filter
     monkeypatch.setattr(deconv, "replicate_filter", lambda kernel, shape:
                         recording(build(kernel, shape), "filter"))
-    for name in ("curvature_operator", "metric_determinant"):
-        monkeypatch.setattr(deconv, name,
-                            recording(getattr(deconv, name), "surface"))
-    for optimize in (nd.bvdr_optimize, nd.cs_optimize):
-        optimize(motion_case.blurred, motion_case.psf,
-                 motion_case.ipsf_spectral)
-    assert seen["surface"] == {threading.get_ident()}
-    assert seen["filter"] - {threading.get_ident()}
+    image = motion_case.blurred
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # default ridge
+        for cfg in ROUTES:
+            result = pipeline.estimate_kernels(image, cfg)
+    for optimizer in pipeline.OPTIMIZERS:
+        pipeline.restore(image, result.ipsf, result.psf,
+                         dataclasses.replace(cfg, optimizer=optimizer))
+    # deconvolve_once is called through the pipeline binding only
+    assert set(seen) - {"moments", "filter"} == traced - {
+        "deconv.deconvolve_once"}
+    for key in traced & set(seen):
+        assert seen[key] == {caller}, key
+    assert seen["moments"] and caller not in seen["moments"]
+    assert seen["filter"] - {caller}
 
 
 def test_two_callers_share_the_worker(gaussian_case, motion_case,
                                       monkeypatch):
-    """Two user threads optimizing at once get the bits each gets alone,
-    and only they, never the worker, hand it tasks."""
+    """Two user threads estimating and then optimizing at once get the
+    bits each gets alone, and only they, never the worker, hand it
+    tasks."""
     cases = (gaussian_case, motion_case)
-    alone = [_bits(nd.bvdr_optimize, case) for case in cases]
-    callers, beside = set(), deconv._beside
 
-    def recording(task, here):
-        callers.add(threading.current_thread().name)
-        return beside(task, here)
+    def work(case):
+        return ([estimate_bits(case.blurred, cfg) for cfg in ROUTES],
+                _bits(nd.bvdr_optimize, case))
 
-    monkeypatch.setattr(deconv, "_beside", recording)
+    alone = [work(case) for case in cases]
+    callers = set()
+    for module in (deconv, pipeline):
+        def recording(task, here, beside=module._beside):
+            callers.add(threading.current_thread().name)
+            return beside(task, here)
+        monkeypatch.setattr(module, "_beside", recording)
     together, start = [None, None], threading.Barrier(2)
 
     def run(i):
         start.wait()
-        together[i] = _bits(nd.bvdr_optimize, cases[i])
+        together[i] = work(cases[i])
 
     threads = [threading.Thread(target=run, args=(i,), name=f"user-{i}")
                for i in range(2)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive()
     assert together == alone
     assert callers == {"user-0", "user-1"}
 

@@ -10,8 +10,9 @@ import nsdeblur as nd
 from conftest import is_smooth
 from nsdeblur import grid
 from nsdeblur.grid import (DIRECT_MAX_TAPS, as_image, as_kernel, convolve,
-                           delta_kernel, gradient, normalize_kernel,
-                           replicate_filter, to_luminance, window_gram)
+                           correlation_lags, delta_kernel, gradient,
+                           normalize_kernel, replicate_filter, to_luminance,
+                           window_gram)
 
 
 def loop_convolve(img, kernel):
@@ -367,6 +368,60 @@ def test_window_gram_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 3 * gram.nbytes
+
+
+def test_window_gram_peak_memory_at_512():
+    """A 17 x 17 Gram on a 512 x 512 field (estimate_ar's at the default
+    model) peaks at most at 5 MiB of traced allocations: the correlation
+    keeps two complex buffers and transforms back only its 17 lag rows
+    (7.0 MiB when it made the full product and inverse)."""
+    field = np.random.default_rng(1).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        window_gram(field, 17, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
+
+
+def _space_operands(shape, l):
+    """The re-degraded field and the centers of ``ipsf._space_system``
+    for an l x l kernel: its ryx correlation."""
+    x = nd.texture(shape, seed=l)
+    y = convolve(x, nd.gaussian_kernel(1.0, l))
+    wl = 2 * l - 1
+    ni, nk = shape[0] - wl + 1, shape[1] - wl + 1
+    return x[l - 1:l - 1 + ni, l - 1:l - 1 + nk], y, 0, wl
+
+
+def _block_row_operands(shape, p):
+    """The top-left window block and the field of ``_first_block_row`` for
+    a p x p Gram."""
+    f = np.random.default_rng(p).standard_normal(shape)
+    return f[:shape[0] - p + 1, :shape[1] - p + 1], f, p - 1, p
+
+
+@pytest.mark.parametrize("operands", [
+    lambda: _block_row_operands((512, 512), 17),   # estimate_ar's
+    lambda: _block_row_operands((511, 511), 9),    # gradient moments' at 512
+    lambda: _block_row_operands((256, 256), 33),   # the prefilter's fit
+    lambda: _block_row_operands((131, 127), 9),
+    lambda: _space_operands((256, 256), 9),
+], ids=["512-17x17", "511-9x9", "256-33x33", "131x127-9x9", "space-256-9x9"])
+def test_correlation_lags_rows_are_its_first_rows(operands):
+    """Transforming back only the lag rows a caller reads gives those rows
+    of the full lag array bit for bit, which are numpy's rfft2/irfft2
+    product bit for bit."""
+    template, field, margin, rows = operands()
+    full = correlation_lags(template, field, margin)
+    shape = full.shape
+    product = np.conj(np.fft.rfft2(template, s=shape)) * np.fft.rfft2(
+        field, s=shape)
+    assert full.tobytes() == np.fft.irfft2(product, s=shape).tobytes()
+    part = correlation_lags(template, field, margin, rows=rows)
+    assert part.shape == (rows, shape[1])
+    assert part.tobytes() == full[:rows].tobytes()
 
 
 @pytest.mark.parametrize("convert", [

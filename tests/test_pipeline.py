@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
-from conftest import is_smooth
+from conftest import estimate_bits, is_smooth
+from nsdeblur import cli, pipeline
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InputError)
+from nsdeblur.fileio import write_pgm
 
 
 def test_config_validation():
@@ -172,3 +174,70 @@ def test_every_fft_runs_at_a_smooth_length(monkeypatch):
     nd.deconvolve_once(result.prefiltered, result.ipsf)
     assert len(lengths) > 10
     assert [n for n in lengths if not is_smooth(n)] == []
+
+
+# --- the estimate's gradient moments on the worker thread
+
+
+def _inline(task, here):
+    """``pipeline._beside`` with both callables on the calling thread, the
+    caller's first, as the estimate ran before the moments moved."""
+    mine = here()
+    return task(), mine
+
+
+@pytest.mark.parametrize("denoise", [False, True], ids=["plain", "denoise"])
+@pytest.mark.parametrize("route", ["spectral", "space"])
+@pytest.mark.parametrize("blur", ["gaussian", "motion"])
+def test_estimate_worker_gives_serial_bits(blur, route, denoise,
+                                           corpus_texture, monkeypatch):
+    kernel = (nd.gaussian_kernel(1.0, 5) if blur == "gaussian"
+              else nd.motion_kernel(7, 30.0))
+    image = nd.convolve(corpus_texture, kernel)
+    if denoise:
+        image = nd.add_impulse_noise(image, 0.02, seed=24)
+    cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
+                            ipsf_route=route, denoise=denoise,
+                            denoise_order=13, denoise_size=7)
+    concurrent = estimate_bits(image, cfg)
+    monkeypatch.setattr(pipeline, "_beside", _inline)
+    assert estimate_bits(image, cfg) == concurrent
+
+
+def test_gradient_moments_error_comes_after_the_fit_chain(tmp_path, capsys):
+    """An image the fit chain accepts but the 1 x 39 gradient statistics
+    do not fails as it did when they ran after the fit: the same error,
+    exit 3 at stage estimate."""
+    image = nd.texture((1000, 43), seed=1)
+    cfg = nd.PipelineConfig(ar_p=3, ar_q=41, psf_l=1, psf_m=39)
+    message = "image (1000, 43) too small for 1x39 gradient statistics"
+    with pytest.raises(DimensionError) as exc:
+        nd.estimate_kernels(image, cfg)
+    assert str(exc.value) == message
+    write_pgm(tmp_path / "t.pgm", image)
+    code = cli.main(["estimate", str(tmp_path / "t.pgm"),
+                     "--ar-order", "3", "41", "--psf-size", "1", "39",
+                     "--out-psf", str(tmp_path / "h.kern"),
+                     "--out-ipsf", str(tmp_path / "g.kern")])
+    assert code == 3
+    assert (capsys.readouterr().err.strip()
+            == f"estimate failed at stage estimate: {message}")
+
+
+def test_fit_chain_error_wins_over_the_moments(gaussian_case, monkeypatch):
+    """When the null basis and the moments both fail, the basis error
+    propagates, as when the moments ran after it."""
+    class BasisFailed(Exception):
+        pass
+
+    def fail_basis(*args, **kwargs):
+        raise BasisFailed
+
+    def fail_moments(*args, **kwargs):
+        raise DimensionError("moments")
+
+    monkeypatch.setattr(pipeline, "compute_cns", fail_basis)
+    monkeypatch.setattr(pipeline, "gradient_moments", fail_moments)
+    with pytest.raises(BasisFailed):
+        nd.estimate_kernels(gaussian_case.blurred,
+                            nd.PipelineConfig(ar_p=13, ar_q=13))
