@@ -90,21 +90,26 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
             f"{n_eq} equations for {n_unknown} unknowns; enlarge the region")
 
     # one pass over the windows: the free block and the center column of
-    # the full Gram give the normal equations, and c^T G c the residual
+    # the full Gram give the normal equations, and a^T G a the residual
     gram = window_gram(img[top:top + rows, left:left + cols], p, q)
-    center_col = (p // 2) * q + (q // 2)
-    keep = np.arange(p * q) != center_col
-    free = gram[np.ix_(keep, keep)]
+    c = (p // 2) * q + (q // 2)         # the center's column
+    keep = np.arange(p * q) != c
+    # the free block in four slice copies (np.ix_ gathers element-wise)
+    free = np.empty((n_unknown, n_unknown))
+    free[:c, :c] = gram[:c, :c]
+    free[:c, c:] = gram[:c, c + 1:]
+    free[c:, :c] = gram[c + 1:, :c]
+    free[c:, c:] = gram[c + 1:, c + 1:]
     ridge = RIDGE_SCALE * float(np.trace(free))
-    system = free + ridge * np.eye(n_unknown)
-    rhs = -gram[keep, center_col]
+    free.flat[::n_unknown + 1] += ridge     # free + ridge * I, bit for bit
+    rhs = -gram[keep, c]
     try:
-        a_free = np.linalg.solve(system, rhs)
+        a_free = np.linalg.solve(free, rhs)
     except np.linalg.LinAlgError:
-        a_free = lstsq(system, rhs)
+        a_free = lstsq(free, rhs)
     coeffs = np.empty(p * q)
     coeffs[keep] = a_free
-    coeffs[center_col] = 1.0
+    coeffs[c] = 1.0
     residual = float(coeffs @ gram @ coeffs) / n_eq
     return ArModel(p=p, q=q, coeffs=coeffs.reshape(p, q),
                    residual=residual, ridge=ridge)

@@ -12,6 +12,7 @@ spectrum space and the space one through the full tap-grid system.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,24 +92,62 @@ def _space_system(image: np.ndarray, h: np.ndarray
     return window_gram(y, wl, wm), ryx, wl, wm
 
 
-def _effective_ridge(ryy: np.ndarray, ridge: float, quiet: bool = False
-                     ) -> float:
+def _effective_ridge(ryy: np.ndarray, ridge: float,
+                     stacklevel: int | None) -> float:
     """User ridge, or the default trace-scaled ridge when the system is
-    numerically near-singular (relative eigenvalue below 1e-8)."""
+    numerically near-singular (relative eigenvalue below 1e-8).  The
+    default is flagged by a warning at ``stacklevel``, unless it is None."""
     if ridge > 0.0:
         return ridge
     eigvals = np.linalg.eigvalsh(ryy)
     if eigvals[0] <= 1e-8 * max(eigvals[-1], 1e-300):
         ridge = 1e-8 * float(np.trace(ryy)) / ryy.shape[0]
-        if not quiet:
+        if stacklevel is not None:
             warnings.warn(
                 "space-route system is near-singular; applying default "
-                f"ridge {ridge:.3e}", RuntimeWarning, stacklevel=3)
+                f"ridge {ridge:.3e}", RuntimeWarning, stacklevel=stacklevel)
     return ridge
 
 
-def ipsf_space(image, h, ridge: float = 0.0,
-               ridge_relative: float = 0.0) -> np.ndarray:
+@dataclass(frozen=True)
+class SpaceSystem:
+    """Space-route regression system on the wl x wm tap grid, with its
+    stabilizing ridge already on the diagonal of ``ryy``.  Both arrays are
+    read-only, so one system can serve several solves."""
+
+    ryy: np.ndarray     # (wl*wm, wl*wm) window statistics + ridge * I
+    ryx: np.ndarray     # (wl*wm,) products with the window centers
+    ridge: float        # 0 when the system is solved by pseudo-inverse
+    wl: int
+    wm: int
+
+
+def space_system(image, h, ridge: float = 0.0, ridge_relative: float = 0.0,
+                 stacklevel: int | None = 2) -> SpaceSystem:
+    """Build the space-route system once, for the primary solve and the
+    optimizer alike.
+
+    The ridge policy is that of :func:`ipsf_space`.  The ridge is added to
+    the diagonal in place, which is ``ryy + ridge * I`` bit for bit.  A
+    default ridge on a near-singular system is flagged by a
+    RuntimeWarning at ``stacklevel`` (counted as by ``warnings.warn``
+    from this function, so 2 names its caller); None keeps it quiet.
+    """
+    check_setting("ridge", ridge, 0)
+    check_setting("ridge_relative", ridge_relative, 0)
+    ryy, ryx, wl, wm = _space_system(image, h)
+    if ridge_relative > 0.0:
+        ridge = ridge_relative * float(np.trace(ryy)) / ryy.shape[0]
+    ridge = _effective_ridge(
+        ryy, ridge, None if stacklevel is None else stacklevel + 1)
+    if ridge > 0.0:
+        ryy.flat[::ryy.shape[0] + 1] += ridge
+    ryy.flags.writeable = ryx.flags.writeable = False
+    return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
+
+
+def ipsf_space(image, h, ridge: float = 0.0, ridge_relative: float = 0.0,
+               system: SpaceSystem | None = None) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
     Degrades the observed image once more with h, then least-squares fits
@@ -116,19 +155,17 @@ def ipsf_space(image, h, ridge: float = 0.0,
     With ridge 0 a near-singular system is flagged and a default
     trace-scaled ridge applied; ``ridge_relative`` instead scales the
     ridge by trace/rows of the window statistics.  Both must be finite
-    and >= 0.
+    and >= 0.  ``system``, the :func:`space_system` of (image, h), skips
+    the build; its own ridge then applies and the ridge arguments are
+    not read.
     """
-    check_setting("ridge", ridge, 0)
-    check_setting("ridge_relative", ridge_relative, 0)
-    ryy, ryx, wl, wm = _space_system(image, h)
-    if ridge_relative > 0.0:
-        ridge = ridge_relative * float(np.trace(ryy)) / ryy.shape[0]
-    ridge = _effective_ridge(ryy, ridge)
-    if ridge > 0.0:
-        g = np.linalg.solve(ryy + ridge * np.eye(ryy.shape[0]), ryx)
+    if system is None:
+        system = space_system(image, h, ridge, ridge_relative, stacklevel=3)
+    if system.ridge > 0.0:
+        g = np.linalg.solve(system.ryy, system.ryx)
     else:
-        g = np.linalg.pinv(ryy, rcond=1e-10) @ ryx
-    return g.reshape(wl, wm)
+        g = np.linalg.pinv(system.ryy, rcond=1e-10) @ system.ryx
+    return g.reshape(system.wl, system.wm)
 
 
 def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:
@@ -157,27 +194,30 @@ def curvature_system_matrix(g_flat: np.ndarray, ops: dict[str, np.ndarray]
 
 
 def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
-                        ridge: float = 0.0) -> tuple[np.ndarray, RunReport]:
+                        ridge: float = 0.0, system: SpaceSystem | None = None
+                        ) -> tuple[np.ndarray, RunReport]:
     """Surface-regularized refinement of the space-route inverse: per step
     solve (R_YY - lambda * curvature(g)) g_next = r_YX on the full tap
-    grid, with the same stabilizing ridge policy as the primary solve.
-    The weight is gated by the same leading-iteration contraction rule as
-    the spectral optimizers and halved down to the floor; if no weight
-    passes, g0 is returned with a gate-failed report."""
+    grid, with the same stabilizing ridge policy as the primary solve
+    (applied without a warning).  ``system`` skips the build as in
+    :func:`ipsf_space`.  The weight is gated by the same leading-iteration
+    contraction rule as the spectral optimizers and halved down to the
+    floor; if no weight passes, g0 is returned with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
     check_setting("ridge", ridge, 0)
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
-    ryy, ryx, wl, wm = _space_system(image, as_kernel(h))
+    if system is None:
+        system = space_system(image, h, ridge, stacklevel=None)
+    wl, wm = system.wl, system.wm
     if g_init.shape != (wl, wm):
         raise DimensionError(
             f"initial taps {g_init.shape} do not match system {(wl, wm)}")
     ops = difference_operators(wl, wm)
-    ryy = ryy + _effective_ridge(ryy, ridge, quiet=True) * np.eye(wl * wm)
 
     def step(flat, lam):
-        system = ryy - lam * curvature_system_matrix(flat, ops)
+        a = system.ryy - lam * curvature_system_matrix(flat, ops)
         try:
-            flat_new = np.linalg.solve(system, ryx)
+            flat_new = np.linalg.solve(a, system.ryx)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(flat_new)):

@@ -19,7 +19,8 @@ from .config import OptimizerConfig, RunReport, check_setting
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
 from .grid import _beside, as_image
-from .ipsf import ipsf_space, ipsf_spectral, optimize_ipsf_space, optimize_ipsf_spectral
+from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
+                   optimize_ipsf_spectral, space_system)
 from .nullspace import CnsBasis, compute_cns
 from .psf import estimate_psf, gradient_moments, gradient_stats, optimize_psf
 
@@ -104,9 +105,11 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
         g0 = ipsf_spectral(h, basis)
         g, ipsf_report = optimize_ipsf_spectral(g0, h, basis, cfg.solver)
     else:
-        g0 = ipsf_space(x, h, ridge=cfg.space_ridge)
+        # one system, with its ridge, serves both solves
+        system = space_system(x, h, ridge=cfg.space_ridge)
+        g0 = ipsf_space(x, h, system=system)
         g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,
-                                             ridge=cfg.space_ridge)
+                                             system=system)
     return EstimateResult(psf=h, ipsf=g, model=model, basis=basis,
                           psf_report=psf_report, ipsf_report=ipsf_report,
                           prefiltered=prefiltered,

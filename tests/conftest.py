@@ -46,6 +46,13 @@ def estimate_bits(image, cfg):
             format_report(r.ipsf_report))
 
 
+def noisy_case_image(case):
+    """The case's blurred image with white noise added: its space system
+    is well conditioned, so no ridge applies and pinv solves it."""
+    rng = np.random.default_rng(5)
+    return case.blurred + 0.1 * rng.standard_normal(case.blurred.shape)
+
+
 def embed(kernel, l, m):
     """Center a small kernel on an l x m grid."""
     out = np.zeros((l, m))

@@ -4,9 +4,12 @@ import pytest
 import nsdeblur as nd
 from numpy.lib.stride_tricks import sliding_window_view
 
+import nsdeblur.armodel as armodel
 from conftest import stencil_sums
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
 from nsdeblur.errors import DimensionError, InsufficientDataError
+from nsdeblur.grid import window_gram
+from nsdeblur.linalg import lstsq
 
 
 def test_white_noise_1x1_model():
@@ -47,6 +50,61 @@ def test_one_pass_fit_matches_two_pass_reference(seed, shape, p, q):
     assert (np.abs(model.coeffs - coeffs).max()
             <= 1e-8 * np.abs(coeffs).max())
     assert model.residual == pytest.approx(residual, rel=1e-8)
+
+
+def gathered_fit(image, p, q):
+    """The fit with its free block gathered by ``np.ix_`` and the ridge
+    added as a separate ``ridge * I``: (coeffs, residual, ridge)."""
+    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    gram = window_gram(image[top:top + rows, left:left + cols], p, q)
+    center = (p // 2) * q + q // 2
+    keep = np.arange(p * q) != center
+    free = gram[np.ix_(keep, keep)]
+    ridge = RIDGE_SCALE * float(np.trace(free))
+    system = free + ridge * np.eye(p * q - 1)
+    rhs = -gram[keep, center]
+    try:
+        a_free = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        a_free = lstsq(system, rhs)
+    coeffs = np.empty(p * q)
+    coeffs[keep] = a_free
+    coeffs[center] = 1.0
+    n_eq = (rows - p + 1) * (cols - q + 1)
+    return coeffs.reshape(p, q), float(coeffs @ gram @ coeffs) / n_eq, ridge
+
+
+def model_bytes(model):
+    return model.coeffs.tobytes(), model.residual, model.ridge
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 5), (5, 1), (3, 3), (13, 13),
+                                  (17, 17), (33, 33)])
+def test_free_block_slices_match_the_gathered_fit(p, q):
+    """Four slice copies and an in-place ridge give the gathered fit bit
+    for bit: off the diagonal x + ridge * 0.0 is x."""
+    img = nd.convolve(nd.texture((128, 128), seed=p * q),
+                      nd.gaussian_kernel(1.0, 5))
+    coeffs, residual, ridge = gathered_fit(img, p, q)
+    assert model_bytes(nd.estimate_ar(img, p, q)) == (coeffs.tobytes(),
+                                                      residual, ridge)
+
+
+def test_singular_fit_falls_back_to_lstsq_unchanged(monkeypatch):
+    """An all-zero image has ridge 0 and a singular system, so the solve
+    fails and the least-squares fallback runs, as it did before."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return lstsq(a, b)
+
+    monkeypatch.setattr(armodel, "lstsq", counting)
+    img = np.zeros((64, 64))
+    model = nd.estimate_ar(img, 5, 5)
+    assert calls == [(24, 24)] and model.ridge == 0.0
+    coeffs, residual, ridge = gathered_fit(img, 5, 5)
+    assert model_bytes(model) == (coeffs.tobytes(), residual, ridge)
 
 
 def test_center_pinned_to_one():

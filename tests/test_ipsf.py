@@ -1,13 +1,17 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import nsdeblur as nd
-from conftest import SPACE_CFG, center_share
+from conftest import SPACE_CFG, center_share, noisy_case_image
+from nsdeblur import pipeline
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import InputError
 from nsdeblur.grid import shifted_taps
 from nsdeblur.ipsf import (_space_system, curvature_system_matrix,
-                           difference_operators)
+                           difference_operators, space_system)
 from nsdeblur.surface import surface_area
 
 
@@ -106,6 +110,68 @@ def test_space_ridge_must_be_finite_and_nonnegative(call, ridge):
     img = np.random.default_rng(1).random((16, 16))
     with pytest.raises(InputError, match="ridge"):
         call(img, nd.delta_kernel(3), ridge)
+
+
+@pytest.mark.parametrize("path, kwargs", [
+    ("default-ridge", {}), ("ridge", {"ridge": 1.0}),
+    ("relative-ridge", {"ridge_relative": 1e-2}), ("pinv", {})])
+def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
+    """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
+    each solve used to build for itself, and ipsf_space solves it as it
+    did: np.linalg.solve with a ridge, pinv without."""
+    h = gaussian_case.psf
+    x = (noisy_case_image(gaussian_case) if path == "pinv"
+         else gaussian_case.blurred)
+    ryy, ryx, wl, wm = _space_system(x, h)
+    trace, n = float(np.trace(ryy)), ryy.shape[0]
+    ridge = {"default-ridge": 1e-8 * trace / n, "ridge": 1.0,
+             "relative-ridge": 1e-2 * trace / n, "pinv": 0.0}[path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # default ridge
+        system = space_system(x, h, **kwargs)
+        g = nd.ipsf_space(x, h, **kwargs)
+    summed = ryy + ridge * np.eye(n)
+    assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
+    assert system.ryy.tobytes() == summed.tobytes()
+    assert system.ryx.tobytes() == ryx.tobytes()
+    old = (np.linalg.solve(summed, ryx) if ridge > 0.0
+           else np.linalg.pinv(ryy, rcond=1e-10) @ ryx)
+    assert g.tobytes() == old.reshape(wl, wm).tobytes()
+
+
+def test_space_system_is_read_only(gaussian_case):
+    system = space_system(gaussian_case.blurred, gaussian_case.psf, ridge=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        system.ryy[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        system.ryx[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.ridge = 0.0
+
+
+def near_singular_warnings(call):
+    """The file each near-singular warning that ``call`` raises names."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [w.filename for w in caught if "near-singular" in str(w.message)]
+
+
+def test_default_ridge_warns_once_where_the_route_is_asked_for(gaussian_case):
+    """The default ridge is flagged once per request: a standalone
+    ipsf_space names its caller, a space-route estimate (plain or
+    denoised) names the pipeline, and optimize_ipsf_space stays quiet."""
+    x, h = gaussian_case.blurred, gaussian_case.psf
+    g0 = nd.ipsf_space(x, h, ridge=1.0)
+    assert near_singular_warnings(lambda: nd.ipsf_space(x, h)) == [__file__]
+    assert near_singular_warnings(
+        lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)) == []
+    for denoise in (False, True):
+        cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
+                                ipsf_route="space", denoise=denoise,
+                                denoise_order=13, denoise_size=7)
+        assert near_singular_warnings(
+            lambda: nd.estimate_kernels(x, cfg)) == [pipeline.__file__]
 
 
 def check_space_cross_correlation(image, h):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
-from conftest import estimate_bits, is_smooth
-from nsdeblur import cli, pipeline
-from nsdeblur.config import OptimizerConfig
+from conftest import estimate_bits, is_smooth, noisy_case_image
+from nsdeblur import cli, ipsf, pipeline
+from nsdeblur.config import OptimizerConfig, format_report
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InputError)
 from nsdeblur.fileio import write_pgm
@@ -114,6 +114,58 @@ def test_space_ridge_reaches_refinement(gaussian_case):
     np.testing.assert_array_equal(result.ipsf, g)
     g_auto, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver)
     assert not np.allclose(result.ipsf, g_auto)
+
+
+SPACE_ROUTE = dict(ar_p=13, ar_q=13, psf_l=7, psf_m=7, ipsf_route="space",
+                   solver=OptimizerConfig(lambda0=1e-5))
+
+
+@pytest.mark.parametrize("path, space_ridge", [
+    ("default-ridge", 0.0), ("ridge", 1.0), ("pinv", 0.0)])
+def test_shared_space_system_matches_standalone_calls(path, space_ridge,
+                                                      gaussian_case):
+    """The estimate's one space system gives the kernel and report of a
+    standalone ipsf_space then optimize_ipsf_space, which build one each,
+    bit for bit on every ridge path: the default ridge of a near-singular
+    system, a configured one, and none on a noisy, well-conditioned image
+    (pinv)."""
+    x = (noisy_case_image(gaussian_case) if path == "pinv"
+         else gaussian_case.blurred)
+    cfg = nd.PipelineConfig(space_ridge=space_ridge, **SPACE_ROUTE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # default ridge
+        result = nd.estimate_kernels(x, cfg)
+        h = result.psf
+        g0 = nd.ipsf_space(x, h, ridge=space_ridge)
+    g, report = nd.optimize_ipsf_space(g0, x, h, cfg.solver,
+                                       ridge=space_ridge)
+    assert result.ipsf.tobytes() == g.tobytes()
+    assert format_report(result.ipsf_report) == format_report(report)
+    ridge = ipsf.space_system(x, h, space_ridge, stacklevel=None).ridge
+    assert {"default-ridge": 0.0 < ridge < 1e-3, "ridge": ridge == 1.0,
+            "pinv": ridge == 0.0}[path]
+
+
+@pytest.mark.parametrize("route, denoise, builds", [
+    ("space", False, 1), ("space", True, 2), ("spectral", False, 0),
+    ("spectral", True, 1)])
+def test_space_system_built_once_per_route(route, denoise, builds,
+                                           gaussian_case, monkeypatch):
+    """One space-system build per space-route estimate, plus one for the
+    prefilter's inverse when denoising."""
+    calls = []
+    raw = ipsf._space_system
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(ipsf, "_space_system", counting)
+    cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
+                            ipsf_route=route, denoise=denoise,
+                            denoise_order=13, denoise_size=7)
+    estimate_bits(gaussian_case.blurred, cfg)
+    assert len(calls) == builds
 
 
 def test_restore_modes(gaussian_case):
