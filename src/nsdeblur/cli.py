@@ -138,6 +138,8 @@ def cmd_estimate(args) -> int:
                    "# kernel shape optimization\n"
                    + format_report(result.psf_report)
                    + "# inverse shape optimization\n"
+                   + ("" if result.space_ridge is None
+                      else f"space_ridge = {result.space_ridge:.17g}\n")
                    + format_report(result.ipsf_report))
     except DeblurError as exc:
         print(f"estimate failed at stage {stage}: {exc}", file=sys.stderr)
@@ -168,8 +170,8 @@ def cmd_deblur(args) -> int:
         ipsf = _read_usable_kernel(args.ipsf_file)
         psf = _read_usable_kernel(args.psf_file) if args.psf_file else None
         if cfg.optimizer != "none" and psf is None:
-            raise InputError(
-                "iterative optimizers need --psf in addition to --ipsf")
+            raise InputError("iterative optimizers need --psf-file in "
+                             "addition to --ipsf-file")
         stage = "restore"
         restored, report = restore(image, ipsf, psf, cfg)
         stage = "write"

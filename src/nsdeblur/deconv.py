@@ -24,7 +24,7 @@ from .armodel import estimate_ar, build_operator
 from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
 from .grid import _beside, as_image, convolve, replicate_filter
-from .ipsf import ipsf_space
+from .ipsf import ipsf_space, space_system
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
 
@@ -206,5 +206,6 @@ def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,
     basis = compute_cns(build_operator(model, l, m), force_single=True)
     kernel = basis.squared_basis[0]
     kernel = kernel / kernel.sum()      # squares are nonnegative
-    response = ipsf_space(x, kernel, ridge_relative=PREFILTER_RIDGE)
+    response = ipsf_space(x, kernel, system=space_system(
+        x, kernel, ridge_relative=PREFILTER_RIDGE))
     return convolve(x, response), response

@@ -54,31 +54,33 @@ def read_pgm(path) -> np.ndarray:
         raise InputError(f"{path}: only 8-bit PGM supported (maxval 255)")
     if width < 1 or height < 1:
         raise InputError(f"{path}: bad dimensions {width}x{height}")
+    n = width * height
     if magic == b"P5":
-        data = raw[end + 1:end + 1 + width * height]
-        if len(data) < width * height:
+        if len(raw) < end + 1 + n:
             raise InputError(f"{path}: truncated P5 payload")
-        arr = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
+        # 8-bit samples cannot leave [0, 255]
+        samples = np.frombuffer(raw, np.uint8, count=n, offset=end + 1)
     elif magic == b"P2":
         vals = []
         for tok, _ in toks:
             vals.append(int(tok))
-            if len(vals) == width * height:
+            if len(vals) == n:
                 break
-        if len(vals) < width * height:
+        if len(vals) < n:
             raise InputError(f"{path}: truncated P2 payload")
-        arr = np.array(vals, dtype=np.float64)
+        samples = np.array(vals, dtype=np.float64)
+        if samples.min() < 0 or samples.max() > 255:
+            raise InputError(f"{path}: sample out of 8-bit range")
     else:
         raise InputError(f"{path}: not a P2/P5 PGM file")
-    if arr.min() < 0 or arr.max() > 255:
-        raise InputError(f"{path}: sample out of 8-bit range")
-    return (arr / 255.0).reshape(height, width)
+    return (samples / 255.0).reshape(height, width)
 
 
 def quantize(image: np.ndarray) -> np.ndarray:
     """Clamp to [0, 1], scale to 8 bits, round half-to-even."""
-    clipped = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    return np.rint(clipped * 255.0).astype(np.uint8)
+    out = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
+    out *= 255.0
+    return np.rint(out, out=out).astype(np.uint8)
 
 
 def _write(path, data: bytes) -> None:

@@ -11,7 +11,7 @@ spectrum space and the space one through the full tap-grid system.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +23,8 @@ from .grid import (as_image, as_kernel, convolve, correlation_lags,
 from .linalg import lstsq
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum
+
+_LOG = logging.getLogger("nsdeblur")
 
 
 def _delta_index(l: int, m: int) -> int:
@@ -92,23 +94,6 @@ def _space_system(image: np.ndarray, h: np.ndarray
     return window_gram(y, wl, wm), ryx, wl, wm
 
 
-def _effective_ridge(ryy: np.ndarray, ridge: float,
-                     stacklevel: int | None) -> float:
-    """User ridge, or the default trace-scaled ridge when the system is
-    numerically near-singular (relative eigenvalue below 1e-8).  The
-    default is flagged by a warning at ``stacklevel``, unless it is None."""
-    if ridge > 0.0:
-        return ridge
-    eigvals = np.linalg.eigvalsh(ryy)
-    if eigvals[0] <= 1e-8 * max(eigvals[-1], 1e-300):
-        ridge = 1e-8 * float(np.trace(ryy)) / ryy.shape[0]
-        if stacklevel is not None:
-            warnings.warn(
-                "space-route system is near-singular; applying default "
-                f"ridge {ridge:.3e}", RuntimeWarning, stacklevel=stacklevel)
-    return ridge
-
-
 @dataclass(frozen=True)
 class SpaceSystem:
     """Space-route regression system on the wl x wm tap grid, with its
@@ -122,45 +107,46 @@ class SpaceSystem:
     wm: int
 
 
-def space_system(image, h, ridge: float = 0.0, ridge_relative: float = 0.0,
-                 stacklevel: int | None = 2) -> SpaceSystem:
+def space_system(image, h, ridge: float = 0.0,
+                 ridge_relative: float = 0.0) -> SpaceSystem:
     """Build the space-route system once, for the primary solve and the
-    optimizer alike.
+    optimizer alike; the one place its ridge is chosen.
 
-    The ridge policy is that of :func:`ipsf_space`.  The ridge is added to
-    the diagonal in place, which is ``ryy + ridge * I`` bit for bit.  A
-    default ridge on a near-singular system is flagged by a
-    RuntimeWarning at ``stacklevel`` (counted as by ``warnings.warn``
-    from this function, so 2 names its caller); None keeps it quiet.
+    The ridge is ``ridge_relative`` times trace/rows of the window
+    statistics if that is > 0, else ``ridge`` (both finite and >= 0).  If
+    both are 0, a near-singular system (relative eigenvalue below 1e-8)
+    gets the default 1e-8 relative ridge, logged at INFO on the
+    ``nsdeblur`` logger, and any other is solved by pseudo-inverse.  The
+    ridge goes on the diagonal in place: ``ryy + ridge * I`` bit for bit.
     """
     check_setting("ridge", ridge, 0)
     check_setting("ridge_relative", ridge_relative, 0)
     ryy, ryx, wl, wm = _space_system(image, h)
+    n = ryy.shape[0]
     if ridge_relative > 0.0:
-        ridge = ridge_relative * float(np.trace(ryy)) / ryy.shape[0]
-    ridge = _effective_ridge(
-        ryy, ridge, None if stacklevel is None else stacklevel + 1)
+        ridge = ridge_relative * float(np.trace(ryy)) / n
+    if ridge == 0.0:
+        eigvals = np.linalg.eigvalsh(ryy)
+        if eigvals[0] <= 1e-8 * max(eigvals[-1], 1e-300):
+            ridge = 1e-8 * float(np.trace(ryy)) / n
+            _LOG.info("space-route system is near-singular; applying "
+                      "default ridge %.3e", ridge)
     if ridge > 0.0:
-        ryy.flat[::ryy.shape[0] + 1] += ridge
+        ryy.flat[::n + 1] += ridge
     ryy.flags.writeable = ryx.flags.writeable = False
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
 
 
-def ipsf_space(image, h, ridge: float = 0.0, ridge_relative: float = 0.0,
-               system: SpaceSystem | None = None) -> np.ndarray:
+def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
     Degrades the observed image once more with h, then least-squares fits
-    the taps that map re-degraded windows back to the observed centers.
-    With ridge 0 a near-singular system is flagged and a default
-    trace-scaled ridge applied; ``ridge_relative`` instead scales the
-    ridge by trace/rows of the window statistics.  Both must be finite
-    and >= 0.  ``system``, the :func:`space_system` of (image, h), skips
-    the build; its own ridge then applies and the ridge arguments are
-    not read.
+    the taps that map re-degraded windows back to the observed centers,
+    by pseudo-inverse when the system has no ridge.  ``system``, the
+    :func:`space_system` of (image, h) that carries the ridge, skips the
+    build; without it the default ridge rule applies.
     """
-    if system is None:
-        system = space_system(image, h, ridge, ridge_relative, stacklevel=3)
+    system = system or space_system(image, h)
     if system.ridge > 0.0:
         g = np.linalg.solve(system.ryy, system.ryx)
     else:
@@ -174,10 +160,14 @@ def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:
     module (one-sided full differences at the outermost lines)."""
     eye_x, eye_y = np.eye(wl), np.eye(wm)
     # np.gradient of the identity is the matrix form of np.gradient
-    dx = np.kron(np.gradient(eye_x, axis=0), eye_y)
-    dy = np.kron(eye_x, np.gradient(eye_y, axis=0))
-    return {"dx": dx, "dy": dy, "dxx": dx @ dx, "dyy": dy @ dy,
-            "dxy": dx @ dy}
+    gx, gy = np.gradient(eye_x, axis=0), np.gradient(eye_y, axis=0)
+    # dx @ dx is kron(gx @ gx, I), and so on.  Every entry is a sum of at
+    # most two dyadic products, so both forms are exact; + 0.0 turns the
+    # -0.0 that kron makes of a negative tap times 0 into the products' 0
+    return {"dx": np.kron(gx, eye_y), "dy": np.kron(eye_x, gy),
+            "dxx": np.kron(gx @ gx, eye_y) + 0.0,
+            "dyy": np.kron(eye_x, gy @ gy) + 0.0,
+            "dxy": np.kron(gx, gy) + 0.0}
 
 
 def curvature_system_matrix(g_flat: np.ndarray, ops: dict[str, np.ndarray]
@@ -194,20 +184,17 @@ def curvature_system_matrix(g_flat: np.ndarray, ops: dict[str, np.ndarray]
 
 
 def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
-                        ridge: float = 0.0, system: SpaceSystem | None = None
+                        system: SpaceSystem | None = None
                         ) -> tuple[np.ndarray, RunReport]:
     """Surface-regularized refinement of the space-route inverse: per step
     solve (R_YY - lambda * curvature(g)) g_next = r_YX on the full tap
-    grid, with the same stabilizing ridge policy as the primary solve
-    (applied without a warning).  ``system`` skips the build as in
+    grid, R_YY carrying the system's ridge.  ``system`` is as in
     :func:`ipsf_space`.  The weight is gated by the same leading-iteration
     contraction rule as the spectral optimizers and halved down to the
     floor; if no weight passes, g0 is returned with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
-    check_setting("ridge", ridge, 0)
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
-    if system is None:
-        system = space_system(image, h, ridge, stacklevel=None)
+    system = system or space_system(image, h)
     wl, wm = system.wl, system.wm
     if g_init.shape != (wl, wm):
         raise DimensionError(

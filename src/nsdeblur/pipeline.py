@@ -76,6 +76,7 @@ class EstimateResult:
     ipsf_report: RunReport
     prefiltered: np.ndarray | None = None
     prefilter_kernel: np.ndarray | None = None
+    space_ridge: float | None = None    # the space system's, on that route
 
 
 def estimate_kernels(image, cfg: PipelineConfig | None = None
@@ -101,19 +102,22 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
     stats = gradient_stats(x, basis, moments)
     h0 = estimate_psf(stats, basis)
     h, psf_report = optimize_psf(h0, basis, cfg.solver)
+    space_ridge = None
     if cfg.ipsf_route == "spectral":
         g0 = ipsf_spectral(h, basis)
         g, ipsf_report = optimize_ipsf_spectral(g0, h, basis, cfg.solver)
     else:
         # one system, with its ridge, serves both solves
         system = space_system(x, h, ridge=cfg.space_ridge)
+        space_ridge = system.ridge
         g0 = ipsf_space(x, h, system=system)
         g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,
                                              system=system)
     return EstimateResult(psf=h, ipsf=g, model=model, basis=basis,
                           psf_report=psf_report, ipsf_report=ipsf_report,
                           prefiltered=prefiltered,
-                          prefilter_kernel=prefilter_kernel)
+                          prefilter_kernel=prefilter_kernel,
+                          space_ridge=space_ridge)
 
 
 def restore(image, ipsf, psf=None, cfg: PipelineConfig | None = None

@@ -5,7 +5,6 @@ full chain takes a couple of seconds."""
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,29 +20,34 @@ from nsdeblur.config import OptimizerConfig, format_report
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_probe(probe: str, cwd=None) -> str:
-    """Standard output of ``python -c probe`` in a fresh interpreter with
-    the package on the path."""
+def run_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with the package on the
+    path, its output captured as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
-                         capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def run_probe(probe: str, cwd=None) -> str:
+    """Standard output of ``python -c probe``, run as by :func:`run_python`
+    and required to succeed."""
+    out = run_python(["-c", probe], cwd)
+    out.check_returncode()
     return out.stdout.strip()
 
 
 def estimate_bits(image, cfg):
     """Bytes of everything ``estimate_kernels`` returns and reports: both
-    kernels, the AR fit with its residual and ridge, the null vectors and
-    both optimizer reports."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # default ridge
-        r = nd.estimate_kernels(image, cfg)
+    kernels, the AR fit with its residual and ridge, the null vectors,
+    both optimizer reports and the space ridge (None off that route)."""
+    r = nd.estimate_kernels(image, cfg)
     arrays = (r.psf, r.ipsf, r.model.coeffs,
               np.array([r.model.residual, r.model.ridge]),
               r.basis.null_vectors)
     return ([a.tobytes() for a in arrays], format_report(r.psf_report),
-            format_report(r.ipsf_report))
+            format_report(r.ipsf_report), repr(r.space_ridge))
 
 
 def noisy_case_image(case):

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 import nsdeblur as nd
+from conftest import run_python
 from nsdeblur.cli import (READS, _build_config, build_parser, main,
                           read_config_file)
 from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
 from nsdeblur.fileio import (read_image, read_kernel, write_image, write_kernel,
                              write_pgm)
+from nsdeblur.ipsf import space_system
 from nsdeblur.pipeline import PipelineConfig
 
 
@@ -122,6 +124,32 @@ def test_estimate_report_carries_ar_fit(tmp_path, corpus_texture):
     model = nd.estimate_ar(read_image(image), 13, 13)
     assert float(values["ar_residual"]) == model.residual
     assert float(values["ar_ridge"]) == model.ridge
+    assert "space_ridge" not in values      # spectral route
+
+
+def test_space_estimate_records_its_ridge_quietly(tmp_path):
+    """A denoised space-route estimate of a noisy image takes the default
+    ridge: under ``-W error`` it exits 0 with nothing on stderr, and its
+    report gives the ridge the space system of (prefiltered image,
+    estimated kernel) applies."""
+    clean = nd.texture((128, 128), seed=11)
+    noisy = nd.add_impulse_noise(
+        nd.convolve(clean, nd.gaussian_kernel(1.0, 5)), 0.02, 3)
+    write_pgm(tmp_path / "noisy.pgm", noisy)
+    (tmp_path / "small.cfg").write_text("denoise_order = 13\n"
+                                        "denoise_size = 7\n")
+    run = run_python(
+        ["-W", "error", "-m", "nsdeblur", "estimate", "noisy.pgm",
+         "--denoise", "--ipsf", "space", "--ar-order", "9", "9",
+         "--psf-size", "5", "5", "--config", "small.cfg"], cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    values = dict(line.split(" = ", 1) for line in
+                  (tmp_path / "report.txt").read_text().splitlines()
+                  if " = " in line)
+    x, _ = nd.denoise_prefilter(read_image(tmp_path / "noisy.pgm"),
+                                13, 13, 7, 7)
+    ridge = space_system(x, read_kernel(tmp_path / "h.kern")).ridge
+    assert ridge > 0.0 and float(values["space_ridge"]) == ridge
 
 
 @pytest.mark.parametrize("taps, code", [
@@ -167,12 +195,15 @@ def test_deblur_absurd_inverse_exits_4(tmp_path, capsys, motion_case, scale,
     assert not out.exists()
 
 
-def test_deblur_optimizer_needs_psf(workdir):
+def test_deblur_optimizer_needs_psf(workdir, capsys):
     blurred = workdir / "blurred.pgm"
     g_path = workdir / "g.kern"
     rc = main(["deblur", str(blurred), "--ipsf-file", str(g_path),
                "--output", str(workdir / "o.pgm"), "--optimizer", "cs"])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "deblur failed at stage load: iterative optimizers need "
+        "--psf-file in addition to --ipsf-file\n")
 
 
 def test_deblur_delta_inverse_is_byte_identical(workdir):

@@ -40,6 +40,46 @@ def test_pgm_comment_and_errors(tmp_path):
         read_pgm(tmp_path / "missing.pgm")
 
 
+LEVELS = np.arange(256, dtype=np.uint8).reshape(16, 16)
+
+
+def texture_samples():
+    return np.rint(nd.texture((512, 512), seed=6) * 255.0).astype(np.uint8)
+
+
+@pytest.mark.parametrize("make", [lambda: LEVELS, texture_samples],
+                         ids=["levels", "texture-512"])
+def test_pgm_codec_matches_copying_form(tmp_path, make):
+    """The P5 payload decoded in place, and quantize in one buffer, are
+    bit for bit the expressions they replaced: a copied payload cast to
+    float and then divided, and clip, scale and round each to a fresh
+    array."""
+    samples = make()
+    rows, cols = samples.shape
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n%d %d\n255\n" % (cols, rows) + samples.tobytes())
+    old = np.frombuffer(samples.tobytes(), dtype=np.uint8).astype(np.float64)
+    image = read_pgm(path)
+    assert image.tobytes() == (old / 255.0).reshape(rows, cols).tobytes()
+    # half steps and values past both ends as well as the exact levels
+    for x in (image, image + 0.5 / 255.0, image * 1.2 - 0.1):
+        ref = np.rint(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8)
+        assert quantize(x).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2 2\n255\n\x00\x01\x02", "truncated P5"),
+    (b"P5\n2 2\n255", "truncated P5"),
+    (b"P2\n2 2\n255\n0 1 2\n", "truncated P2"),
+    (b"P2\n2 2\n255\n0 1 2 256\n", "out of 8-bit range"),
+], ids=["p5-short", "p5-no-payload", "p2-short", "p2-range"])
+def test_pgm_payload_errors(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=message):
+        read_pgm(path)
+
+
 def test_quantize_rounds_half_to_even():
     # 127.5/255 and 128.5/255 both round to 128
     img = np.array([[127.5 / 255.0, 128.5 / 255.0]])

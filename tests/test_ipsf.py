@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 import nsdeblur as nd
 from conftest import SPACE_CFG, center_share, noisy_case_image
-from nsdeblur import pipeline
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import InputError
 from nsdeblur.grid import shifted_taps
@@ -81,7 +81,7 @@ def test_space_inverse_matches_dense_oracle():
     rng = np.random.default_rng(1)
     img = rng.random((16, 16))
     h = nd.normalize_kernel(rng.random((3, 3)))
-    g = nd.ipsf_space(img, h, ridge=1e-6)
+    g = nd.ipsf_space(img, h, system=space_system(img, h, ridge=1e-6))
     # dense normal equations assembled independently
     y = nd.convolve(img, h)
     rows = []
@@ -98,15 +98,17 @@ def test_space_inverse_matches_dense_oracle():
 
 @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6])
 @pytest.mark.parametrize("call", [
-    lambda img, h, r: nd.ipsf_space(img, h, ridge=r),
-    lambda img, h, r: nd.ipsf_space(img, h, ridge_relative=r),
-    lambda img, h, r: nd.optimize_ipsf_space(np.zeros((5, 5)), img, h,
-                                             ridge=r),
+    lambda img, h, r: nd.ipsf_space(
+        img, h, system=space_system(img, h, ridge=r)),
+    lambda img, h, r: nd.ipsf_space(
+        img, h, system=space_system(img, h, ridge_relative=r)),
+    lambda img, h, r: nd.optimize_ipsf_space(
+        np.zeros((5, 5)), img, h, system=space_system(img, h, ridge=r)),
 ], ids=["ipsf_space-ridge", "ipsf_space-ridge_relative",
         "optimize_ipsf_space-ridge"])
 def test_space_ridge_must_be_finite_and_nonnegative(call, ridge):
-    """The space_ridge rule: a NaN ridge is not quietly 0, nor an infinite
-    one an all-NaN kernel."""
+    """The space_ridge rule, checked where either solve's system is built:
+    a NaN ridge is not quietly 0, nor an infinite one an all-NaN kernel."""
     img = np.random.default_rng(1).random((16, 16))
     with pytest.raises(InputError, match="ridge"):
         call(img, nd.delta_kernel(3), ridge)
@@ -126,10 +128,8 @@ def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     trace, n = float(np.trace(ryy)), ryy.shape[0]
     ridge = {"default-ridge": 1e-8 * trace / n, "ridge": 1.0,
              "relative-ridge": 1e-2 * trace / n, "pinv": 0.0}[path]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)    # default ridge
-        system = space_system(x, h, **kwargs)
-        g = nd.ipsf_space(x, h, **kwargs)
+    system = space_system(x, h, **kwargs)
+    g = nd.ipsf_space(x, h, system=system)
     summed = ryy + ridge * np.eye(n)
     assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
     assert system.ryy.tobytes() == summed.tobytes()
@@ -149,29 +149,41 @@ def test_space_system_is_read_only(gaussian_case):
         system.ridge = 0.0
 
 
-def near_singular_warnings(call):
-    """The file each near-singular warning that ``call`` raises names."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        call()
-    return [w.filename for w in caught if "near-singular" in str(w.message)]
+def default_ridge_records(caplog, call):
+    """The levels of the default-ridge records ``call`` logs on the
+    ``nsdeblur`` logger; any warning it raises fails the test."""
+    caplog.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.INFO, logger="nsdeblur"):
+            call()
+    return [r.levelname for r in caplog.records
+            if r.name == "nsdeblur" and "default ridge" in r.getMessage()]
 
 
-def test_default_ridge_warns_once_where_the_route_is_asked_for(gaussian_case):
-    """The default ridge is flagged once per request: a standalone
-    ipsf_space names its caller, a space-route estimate (plain or
-    denoised) names the pipeline, and optimize_ipsf_space stays quiet."""
+def test_default_ridge_is_logged_once_per_build(gaussian_case, caplog):
+    """The default ridge is recorded, not warned: one INFO record for each
+    system build that takes it (a standalone solve, a standalone
+    optimizer, a plain or a denoised space-route estimate, whose
+    prefilter has its own ridge) and none when a ridge is given."""
     x, h = gaussian_case.blurred, gaussian_case.psf
-    g0 = nd.ipsf_space(x, h, ridge=1.0)
-    assert near_singular_warnings(lambda: nd.ipsf_space(x, h)) == [__file__]
-    assert near_singular_warnings(
-        lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)) == []
+    given = space_system(x, h, ridge=1.0)
+    g0 = nd.ipsf_space(x, h, system=given)
+    assert default_ridge_records(caplog, lambda: nd.ipsf_space(x, h)) == [
+        "INFO"]
+    assert default_ridge_records(
+        caplog, lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)) == [
+        "INFO"]
+    assert default_ridge_records(caplog, lambda: nd.optimize_ipsf_space(
+        g0, x, h, SPACE_CFG, system=given)) == []
     for denoise in (False, True):
         cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
                                 ipsf_route="space", denoise=denoise,
                                 denoise_order=13, denoise_size=7)
-        assert near_singular_warnings(
-            lambda: nd.estimate_kernels(x, cfg)) == [pipeline.__file__]
+        assert default_ridge_records(
+            caplog, lambda: nd.estimate_kernels(x, cfg)) == ["INFO"]
+        assert default_ridge_records(caplog, lambda: nd.estimate_kernels(
+            x, dataclasses.replace(cfg, space_ridge=1.0))) == []
 
 
 def check_space_cross_correlation(image, h):
@@ -209,6 +221,27 @@ def test_space_sharper_than_spectral(motion_case):
     peak_sigma_spectral = (np.abs(case.ipsf_spectral).max()
                            / np.std(case.ipsf_spectral))
     assert peak_sigma_space > peak_sigma_spectral
+
+
+def product_difference_operators(wl, wm):
+    """The operators as matrix products of the first differences on the
+    flattened grid, the form the Kronecker one replaced."""
+    eye_x, eye_y = np.eye(wl), np.eye(wm)
+    dx = np.kron(np.gradient(eye_x, axis=0), eye_y)
+    dy = np.kron(eye_x, np.gradient(eye_y, axis=0))
+    return {"dx": dx, "dy": dy, "dxx": dx @ dx, "dyy": dy @ dy,
+            "dxy": dx @ dy}
+
+
+@pytest.mark.parametrize("wl, wm", [(17, 17), (13, 13), (9, 9), (17, 9),
+                                    (3, 5)])
+def test_difference_operators_match_matrix_products(wl, wm):
+    """Bit for bit, signed zeros included."""
+    ops, ref = difference_operators(wl, wm), product_difference_operators(
+        wl, wm)
+    assert ops.keys() == ref.keys()
+    for key in ops:
+        assert ops[key].tobytes() == ref[key].tobytes(), key
 
 
 def test_difference_operators_match_gradient():

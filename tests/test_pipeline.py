@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -75,9 +74,7 @@ def test_probe_inputs_end_typed(probe, route):
         with pytest.raises(error):
             nd.estimate_kernels(image, cfg)
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # default ridge
-        result = nd.estimate_kernels(image, cfg)
+    result = nd.estimate_kernels(image, cfg)
     assert np.all(np.isfinite(result.psf)) and np.all(np.isfinite(result.ipsf))
 
 
@@ -88,7 +85,7 @@ def test_estimate_kernels_spectral_route(gaussian_case):
     assert result.ipsf.shape == (9, 9)
     assert abs(result.psf.sum() - 1.0) <= 1e-12
     assert abs(result.ipsf.sum() - 1.0) <= 1e-12
-    assert result.prefiltered is None
+    assert result.prefiltered is None and result.space_ridge is None
 
 
 def test_estimate_kernels_space_route(gaussian_case):
@@ -109,9 +106,11 @@ def test_space_ridge_reaches_refinement(gaussian_case):
                             solver=OptimizerConfig(lambda0=1e-5))
     result = nd.estimate_kernels(x, cfg)
     h = result.psf
-    g0 = nd.ipsf_space(x, h, ridge=1.0)
-    g, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver, ridge=1.0)
+    system = ipsf.space_system(x, h, ridge=1.0)
+    g0 = nd.ipsf_space(x, h, system=system)
+    g, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver, system=system)
     np.testing.assert_array_equal(result.ipsf, g)
+    assert result.space_ridge == 1.0
     g_auto, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver)
     assert not np.allclose(result.ipsf, g_auto)
 
@@ -125,23 +124,22 @@ SPACE_ROUTE = dict(ar_p=13, ar_q=13, psf_l=7, psf_m=7, ipsf_route="space",
 def test_shared_space_system_matches_standalone_calls(path, space_ridge,
                                                       gaussian_case):
     """The estimate's one space system gives the kernel and report of a
-    standalone ipsf_space then optimize_ipsf_space, which build one each,
-    bit for bit on every ridge path: the default ridge of a near-singular
-    system, a configured one, and none on a noisy, well-conditioned image
-    (pinv)."""
+    standalone ipsf_space then optimize_ipsf_space, each handed a system
+    of its own, bit for bit on every ridge path: the default ridge of a
+    near-singular system, a configured one, and none on a noisy,
+    well-conditioned image (pinv).  The estimate records that ridge."""
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
     cfg = nd.PipelineConfig(space_ridge=space_ridge, **SPACE_ROUTE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)    # default ridge
-        result = nd.estimate_kernels(x, cfg)
-        h = result.psf
-        g0 = nd.ipsf_space(x, h, ridge=space_ridge)
-    g, report = nd.optimize_ipsf_space(g0, x, h, cfg.solver,
-                                       ridge=space_ridge)
+    result = nd.estimate_kernels(x, cfg)
+    h = result.psf
+    g0 = nd.ipsf_space(x, h, system=ipsf.space_system(x, h, space_ridge))
+    g, report = nd.optimize_ipsf_space(
+        g0, x, h, cfg.solver, system=ipsf.space_system(x, h, space_ridge))
     assert result.ipsf.tobytes() == g.tobytes()
     assert format_report(result.ipsf_report) == format_report(report)
-    ridge = ipsf.space_system(x, h, space_ridge, stacklevel=None).ridge
+    ridge = ipsf.space_system(x, h, space_ridge).ridge
+    assert result.space_ridge == ridge
     assert {"default-ridge": 0.0 < ridge < 1e-3, "ridge": ridge == 1.0,
             "pinv": ridge == 0.0}[path]
 
