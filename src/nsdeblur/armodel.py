@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientDataError
+from .errors import (DegenerateOperatorError, DimensionError,
+                     InsufficientDataError)
 from .grid import as_image, shifted_taps, window_gram
-from .linalg import lstsq
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -68,9 +68,11 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
 
     The center term is moved to the right-hand side and the remaining
     p*q - 1 coefficients solve the resulting normal equations, with a
-    small trace-relative ridge guarding near-singular texture.  ``region``
-    is an optional (top, left, rows, cols) window; the default is a
-    centered square of side min(image side, max(2*p*q, 64)).
+    small trace-relative ridge guarding near-singular texture; a region
+    whose windows are zero off their centre gets no ridge and raises
+    DegenerateOperatorError.  ``region`` is an optional (top, left, rows,
+    cols) window; the default is a centered square of side min(image
+    side, max(2*p*q, 64)).
     """
     img = as_image(image)
     _check_order(p, q)
@@ -103,10 +105,10 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
     ridge = RIDGE_SCALE * float(np.trace(free))
     free.flat[::n_unknown + 1] += ridge     # free + ridge * I, bit for bit
     rhs = -gram[keep, c]
-    try:
-        a_free = np.linalg.solve(free, rhs)
-    except np.linalg.LinAlgError:
-        a_free = lstsq(free, rhs)
+    if ridge == 0.0 and n_unknown:      # else free + ridge * I is definite
+        raise DegenerateOperatorError(
+            "model fit is singular: the fit windows are zero off their centre")
+    a_free = np.linalg.solve(free, rhs)
     coeffs = np.empty(p * q)
     coeffs[keep] = a_free
     coeffs[c] = 1.0

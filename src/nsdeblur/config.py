@@ -4,6 +4,7 @@ optimizers (each supplies its step and refusal rule), and run reports."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,15 @@ def check_setting(name: str, value, low: float, above: bool = False) -> None:
                          f" {low}, got {value!r}")
 
 
+def check_integers(cfg, *names: str) -> None:
+    """Raise InputError unless each named field of ``cfg`` holds an
+    integer (numpy's included, a bool not)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the iterative optimizers, checked when built.
@@ -50,6 +60,7 @@ class OptimizerConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        check_integers(self, "q", "max_iters")
         for name in ("delta_t", "lambda0", "eps", "alpha"):
             check_setting(name, getattr(self, name), 0, above=True)
         for name in ("q", "theta", "max_iters"):

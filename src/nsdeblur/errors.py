@@ -32,7 +32,8 @@ class InsufficientDataError(DeblurError):
 
 
 class DegenerateOperatorError(DeblurError):
-    """Model operator spectrum is flat: no eigen/null split exists."""
+    """Model fit or operator is degenerate: a singular fit, or a flat
+    operator spectrum with no eigen/null split."""
 
     exit_code = 4
 

@@ -20,37 +20,33 @@ from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import (as_image, as_kernel, convolve, correlation_lags,
                    normalize_kernel, shifted_taps, window_gram)
-from .linalg import lstsq
 from .nullspace import CnsBasis
-from .psf import iterate_spectrum
+from .psf import iterate_spectrum, lstsq
 
 _LOG = logging.getLogger("nsdeblur")
-
-
-def _delta_index(l: int, m: int) -> int:
-    """Center of the (2l-1) x (2m-1) full-convolution grid, row-major."""
-    return (l - 1) * (2 * m - 1) + (m - 1)
 
 
 def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
     """Inverse kernel in the null-basis expansion.
 
-    Solves (in least squares) for the spectrum u such that the kernel
-    sum_j u_j W_j convolved with h equals a delta at the center of the
-    full-convolution grid; the result is normalized to unit tap sum.
+    Least-squares kernel g, in the span of the squared grids, whose full
+    convolution with h is a delta at the center of the full-convolution
+    grid, normalized to unit tap sum.  K >= ceil(l*m/2) grids span every
+    centrosymmetric grid, so g is then sought over the fold's basis of
+    them; the delta rows stay unfolded, so any h is fitted.
     """
     hk = as_kernel(h)
     if hk.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {hk.shape} does not match basis {(basis.l, basis.m)}")
-    # (K, N): full convolution of each squared grid with h, N = (2l-1)(2m-1)
-    m0 = basis.squared_flat.T @ shifted_taps(hk, *hk.shape)
-    if np.abs(m0).max() <= 1e-300:
-        raise DegenerateKernelError("inversion system has zero rank")
+    fold = basis.fold
+    span = fold.T if basis.null_dim >= fold.shape[0] else basis.squared_flat
+    # full convolution of each column of span with h, on the (2l-1) x (2m-1)
+    # grid whose centre, N // 2 of its N taps, the delta takes
+    m0 = span.T @ shifted_taps(hk, *hk.shape)
     target = np.zeros(m0.shape[1])
-    target[_delta_index(basis.l, basis.m)] = 1.0
-    u = lstsq(m0.T, target)
-    flat = basis.squared_flat @ u
+    target[m0.shape[1] // 2] = 1.0
+    flat = span @ lstsq(m0.T, target)
     s = float(flat.sum())
     if abs(s) <= 1e-12:
         raise DegenerateKernelError(
@@ -72,7 +68,7 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
     hk = as_kernel(h)
     m0 = basis.squared_flat.T @ shifted_taps(hk, *hk.shape)
     return iterate_spectrum(g, basis, m0 @ m0.T,
-                            m0[:, _delta_index(basis.l, basis.m)], cfg)
+                            m0[:, m0.shape[1] // 2], cfg)
 
 
 def _space_system(image: np.ndarray, h: np.ndarray

@@ -61,6 +61,22 @@ class CnsBasis:
         """(l*m, K) matrix whose columns are the flattened squared grids."""
         return self.squared_basis.reshape(self.null_dim, -1).T
 
+    @property
+    def fold(self) -> np.ndarray:
+        """(ceil(l*m/2), l*m) orthonormal rows: one per 180-degree rotation
+        pair of flattened taps (t, l*m-1-t), adding it with weight
+        1/sqrt(2), and one keeping the centre tap.  A A^T is unchanged by
+        the rotation, so its eigenvectors are even or odd under it (Cantoni
+        & Butler, Linear Algebra Appl. 13, 1976) and the squared grids are
+        centrosymmetric: the fold keeps their norms, and its transpose
+        spans them all."""
+        n = self.l * self.m
+        fold = np.zeros(((n + 1) // 2, n))
+        pair = np.arange(n // 2)
+        fold[pair, pair] = fold[pair, n - 1 - pair] = np.sqrt(0.5)
+        fold[n // 2:, n // 2] = 1.0          # the centre row, if n is odd
+        return fold
+
 
 def _pick_split(lam: np.ndarray) -> int:
     """First null index: below half the top eigenvalue, snapped either to
@@ -109,15 +125,8 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     if lam[0] <= 1e-12:
         raise DegenerateOperatorError(
             f"operator Gram matrix is numerically zero (lambda_1={lam[0]:.3e})")
-    if force_single:
-        split = n - 1
-    else:
-        split = _pick_split(lam)
-        if n - split > MAX_NULL_DIM:
-            split = n - MAX_NULL_DIM
-    squared = np.empty((n - split, op.l, op.m))
-    for j in range(split, n):
-        v = vectors[:, j].reshape(op.l, op.m)
-        squared[j - split] = v * v
+    split = n - 1 if force_single else max(_pick_split(lam), n - MAX_NULL_DIM)
+    null = vectors[:, split:].T             # C-ordered (K, l*m)
+    squared = (null * null).reshape(n - split, op.l, op.m)
     return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, vectors=vectors,
                     split=split, squared_basis=squared)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armodel import ArModel, estimate_ar, build_operator
-from .config import OptimizerConfig, RunReport, check_setting
+from .config import OptimizerConfig, RunReport, check_integers, check_setting
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
 from .grid import _beside, as_image
@@ -49,6 +49,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name in ("ar_p", "ar_q", "psf_l", "psf_m", "denoise_order",
                      "denoise_size"):
+            check_integers(self, name)
             v = getattr(self, name)
             if v < 1 or v % 2 == 0:
                 raise DimensionError(f"{name} must be odd and >= 1, got {v}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import as_kernel, gradient, normalize_kernel, window_gram
-from .linalg import lstsq
 from .nullspace import CnsBasis
 
 
@@ -106,6 +105,16 @@ def estimate_psf(stats: GradientStats, basis: CnsBasis) -> np.ndarray:
     return (flat / s).reshape(basis.l, basis.m)
 
 
+def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy's minimum-norm least-squares solution of a x = b, or
+    DegenerateKernelError when LAPACK's SVD does not converge."""
+    try:
+        return np.linalg.lstsq(a, b)[0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernelError(
+            f"least-squares solve failed: {exc}") from exc
+
+
 def basis_derivative_products(basis: CnsBasis) -> tuple[np.ndarray, np.ndarray]:
     """(l*m, K) matrices of Vx*V and Vy*V for each null vector: the
     half-derivatives of the squared grids (replicate central differences)."""
@@ -138,7 +147,8 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
     """Surface-penalty smoothing of a kernel in the spectrum space of the
     squared null-basis grids, shared by the spectral kernel optimizers.
 
-    Starts from the least-squares spectrum of ``h`` and per step solves
+    Starts from the least-squares spectrum of ``h``, fitted on the folded
+    taps (:attr:`CnsBasis.fold`), and per step solves
     (system_gram + 2*lambda*penalty(v)) v_next = anchor, renormalizing the
     kernel each time; the weight is gated by :func:`gated_iterate` on the
     summed squared tap change.  If no weight passes, ``h`` is returned
@@ -161,7 +171,8 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
         flat_new /= s
         return (v_new / s, flat_new), float(np.sum((flat_new - flat) ** 2))
 
-    v0 = lstsq(squared, h.ravel())
+    fold = basis.fold
+    v0 = lstsq(fold @ squared, fold @ h.ravel())
     (_, flat), report = gated_iterate((v0, squared @ v0), step, cfg)
     if report.stop_reason == STOP_GATE:
         return h, report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_setting
+from .config import check_integers, check_setting
 from .errors import DimensionError, InputError
 from .grid import as_image
 
@@ -31,6 +31,7 @@ class AiConfig:
     fragment: int = 100
 
     def __post_init__(self) -> None:
+        check_integers(self, "window", "fragment")
         if self.window % 2 != 0 or self.window < 4:
             raise InputError(
                 f"window must be even and >= 4, got {self.window}")
@@ -86,10 +87,9 @@ def anisotropy_index(image, cfg: AiConfig | None = None) -> float:
     fragment; zero for fully isotropic content, higher for sharper images."""
     cfg = cfg or AiConfig()
     img = as_image(image)
-    frag = min(cfg.fragment, min(img.shape))
-    if cfg.fragment > min(img.shape):
-        raise DimensionError(
-            f"fragment {cfg.fragment} exceeds image {img.shape}")
+    frag = cfg.fragment
+    if frag > min(img.shape):
+        raise DimensionError(f"fragment {frag} exceeds image {img.shape}")
     top = (img.shape[0] - frag) // 2
     left = (img.shape[1] - frag) // 2
     rows, cols = np.mgrid[top:top + frag, left:left + frag]

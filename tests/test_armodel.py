@@ -4,12 +4,11 @@ import pytest
 import nsdeblur as nd
 from numpy.lib.stride_tricks import sliding_window_view
 
-import nsdeblur.armodel as armodel
 from conftest import stencil_sums
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
-from nsdeblur.errors import DimensionError, InsufficientDataError
+from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
+                             InsufficientDataError)
 from nsdeblur.grid import window_gram
-from nsdeblur.linalg import lstsq
 
 
 def test_white_noise_1x1_model():
@@ -62,11 +61,7 @@ def gathered_fit(image, p, q):
     free = gram[np.ix_(keep, keep)]
     ridge = RIDGE_SCALE * float(np.trace(free))
     system = free + ridge * np.eye(p * q - 1)
-    rhs = -gram[keep, center]
-    try:
-        a_free = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        a_free = lstsq(system, rhs)
+    a_free = np.linalg.solve(system, -gram[keep, center])
     coeffs = np.empty(p * q)
     coeffs[keep] = a_free
     coeffs[center] = 1.0
@@ -90,21 +85,12 @@ def test_free_block_slices_match_the_gathered_fit(p, q):
                                                       residual, ridge)
 
 
-def test_singular_fit_falls_back_to_lstsq_unchanged(monkeypatch):
-    """An all-zero image has ridge 0 and a singular system, so the solve
-    fails and the least-squares fallback runs, as it did before."""
-    calls = []
-
-    def counting(a, b):
-        calls.append(a.shape)
-        return lstsq(a, b)
-
-    monkeypatch.setattr(armodel, "lstsq", counting)
-    img = np.zeros((64, 64))
-    model = nd.estimate_ar(img, 5, 5)
-    assert calls == [(24, 24)] and model.ridge == 0.0
-    coeffs, residual, ridge = gathered_fit(img, 5, 5)
-    assert model_bytes(model) == (coeffs.tobytes(), residual, ridge)
+def test_singular_fit_falls_back_to_lstsq_unchanged():
+    """An all-zero image has ridge 0 and a singular system.  The fit no
+    longer falls back to least squares there: it raises the typed error
+    the null split raised for such an image after the fallback."""
+    with pytest.raises(DegenerateOperatorError, match="singular"):
+        nd.estimate_ar(np.zeros((64, 64)), 5, 5)
 
 
 def test_center_pinned_to_one():

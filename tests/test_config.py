@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nsdeblur.config import (LAMBDA_FLOOR, STOP_CAP, STOP_EPS, STOP_GATE,
@@ -19,10 +20,19 @@ def test_optimizer_config_rejects_non_finite(name, value):
 
 @pytest.mark.parametrize("settings", [
     {"lambda0": -1.0}, {"eps": 0.0}, {"alpha": 0.0}, {"q": 0},
+    pytest.param({"max_iters": 2.5}, id="max_iters-float"),
+    pytest.param({"max_iters": 20.0}, id="max_iters-integral-float"),
+    pytest.param({"q": 2.5}, id="q-float"),
+    pytest.param({"q": True}, id="q-bool"),
 ], ids=lambda settings: next(iter(settings)))
 def test_optimizer_config_rejects_out_of_range(settings):
     with pytest.raises(ValueError):       # InputError is a ValueError
         OptimizerConfig(**settings)
+
+
+def test_optimizer_config_takes_numpy_integers():
+    cfg = OptimizerConfig(q=np.int64(2), max_iters=np.int32(5))
+    assert (cfg.q, cfg.max_iters) == (2, 5)
 
 
 def shrinking_step(contraction_below: float):

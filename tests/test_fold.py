@@ -1,0 +1,207 @@
+"""The centrosymmetric fold of the squared null grids and the two spectral
+solves that use it: their results, their stability under rounding-level
+changes of the model fit, and numpy's least squares on images where
+LAPACK's divide-and-conquer SVD did not converge on the unfolded rows."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.signal import convolve2d
+
+import nsdeblur as nd
+import nsdeblur.psf as psf
+from conftest import CORPUS_SEED
+from nsdeblur.config import OptimizerConfig
+from nsdeblur.fileio import quantize
+from nsdeblur.ipsf import optimize_ipsf_spectral
+from nsdeblur.psf import gradient_moments
+
+
+def basis_of(kernel):
+    """9 x 9 basis of the corpus texture blurred by ``kernel``."""
+    clean = nd.texture((128, 128), seed=CORPUS_SEED, rolloff=1.4,
+                       noise_floor=0.02)
+    return nd.compute_cns(
+        nd.build_operator(nd.estimate_ar(nd.convolve(clean, kernel), 13, 13),
+                          9, 9))
+
+
+@pytest.fixture(scope="module")
+def wide_basis():
+    """K = 56 >= ceil(81 / 2): the grids span every centrosymmetric grid."""
+    basis = basis_of(nd.gaussian_kernel(1.0, 5))
+    assert basis.null_dim >= 41
+    return basis
+
+
+@pytest.fixture(scope="module")
+def narrow_basis():
+    """K < ceil(81 / 2): the grids span a proper subspace."""
+    basis = basis_of(nd.gaussian_kernel(2.0, 9))
+    assert basis.null_dim < 41
+    return basis
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (3, 5), (9, 9), (7, 3)])
+def test_fold_has_orthonormal_rotation_pair_rows(l, m):
+    n = l * m
+    fold = nd.CnsBasis(l=l, m=m, eigenvalues=np.ones(n), vectors=np.eye(n),
+                       split=n, squared_basis=np.zeros((0, l, m))).fold
+    assert fold.shape == ((n + 1) // 2, n)
+    np.testing.assert_allclose(fold @ fold.T, np.eye((n + 1) // 2),
+                               rtol=0, atol=1e-15)
+    # the rows are unchanged by a 180-degree rotation of the grid
+    rotated = fold.reshape(-1, l, m)[:, ::-1, ::-1].reshape(-1, n)
+    np.testing.assert_array_equal(rotated, fold)
+
+
+def test_fold_keeps_the_norms_of_the_squared_grids(wide_basis):
+    """The grids are centrosymmetric up to rounding, which numpy's default
+    rank cutoff counts as rank on the unfolded rows but not on the folded
+    ones."""
+    squared = wide_basis.squared_flat
+    norms = np.linalg.norm(squared, axis=0)
+    rotated = wide_basis.squared_basis[:, ::-1, ::-1].reshape(
+        wide_basis.null_dim, -1).T
+    assert (np.linalg.norm(squared - rotated, axis=0) <= 1e-8 * norms).all()
+    folded = wide_basis.fold @ squared
+    np.testing.assert_allclose(np.linalg.norm(folded, axis=0), norms,
+                               rtol=1e-12)
+    assert np.linalg.matrix_rank(squared) > 41
+    assert np.linalg.matrix_rank(folded) == 41
+
+
+def test_start_fit_of_an_asymmetric_kernel_keeps_its_minimizer(
+        narrow_basis, monkeypatch):
+    """The antisymmetric part of h is orthogonal to every squared grid, so
+    the start fit on the folded rows has the unfolded fit's minimizer."""
+    lstsq, starts = psf.lstsq, []
+
+    def recording(a, b):
+        starts.append(lstsq(a, b))
+        return starts[-1]
+
+    h = np.random.default_rng(1).random((9, 9))
+    h /= h.sum()
+    monkeypatch.setattr(psf, "lstsq", recording)
+    nd.optimize_psf(h, narrow_basis, OptimizerConfig(max_iters=1))
+    expected = scipy.linalg.lstsq(narrow_basis.squared_flat, h.ravel())[0]
+    assert len(starts) == 1
+    np.testing.assert_allclose(starts[0], expected, rtol=1e-8)
+
+
+def delta_fit(h, span_grids):
+    """Unit-sum kernel in the span of ``span_grids`` (columns, flattened
+    l x m) whose full convolution with h is nearest the centred delta,
+    from scipy's convolution and least squares."""
+    l, m = h.shape
+    cols = np.stack([convolve2d(c.reshape(l, m), h).ravel()
+                     for c in span_grids.T], axis=1)
+    target = np.zeros(cols.shape[0])
+    target[cols.shape[0] // 2] = 1.0
+    g = span_grids @ scipy.linalg.lstsq(cols, target)[0]
+    return (g / g.sum()).reshape(l, m)
+
+
+def centrosymmetric_grids(l, m):
+    """Columns e_t + e_(n-1-t) and the centre tap: a basis of every
+    centrosymmetric l x m grid, built apart from the fold."""
+    n = l * m
+    grids = np.zeros((n, (n + 1) // 2))
+    for t in range((n + 1) // 2):
+        grids[t, t] = grids[n - 1 - t, t] = 1.0
+    return grids
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_spectral_inverse_over_every_centrosymmetric_grid(wide_basis,
+                                                          shifted):
+    """With K >= ceil(lm/2) the inverse is the best centrosymmetric one,
+    also for an asymmetric h: its delta-matching rows are not folded."""
+    h = np.zeros((9, 9))
+    h[2:7, 2:7] = nd.gaussian_kernel(1.0, 5)
+    if shifted:
+        h = np.roll(h, (1, 2), axis=(0, 1)) + 0.05 * np.eye(9)
+        h /= h.sum()
+    g = nd.ipsf_spectral(h, wide_basis)
+    np.testing.assert_allclose(g, delta_fit(h, centrosymmetric_grids(9, 9)),
+                               rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(g, g[::-1, ::-1], rtol=0, atol=1e-15)
+
+
+def test_spectral_inverse_over_the_squared_grids(narrow_basis):
+    """With K < ceil(lm/2) the inverse stays in the squared grids' span."""
+    h = np.zeros((9, 9))
+    h[1:8, 1:8] = nd.gaussian_kernel(1.4, 7)
+    g = nd.ipsf_spectral(h, narrow_basis)
+    np.testing.assert_allclose(g, delta_fit(h, narrow_basis.squared_flat),
+                               rtol=1e-7, atol=1e-12)
+
+
+BLURS = (lambda: nd.gaussian_kernel(1.0, 5), lambda: nd.motion_kernel(7, 30.0))
+
+
+def benchmark_image(seed, index, quantized):
+    """Image ``index`` of the benchmark corpus of ``seed`` at 512 x 512;
+    ``quantized`` to 8 bits as the command-line workload stores it."""
+    image = nd.convolve(nd.texture((512, 512), seed=1000 * seed + index),
+                        BLURS[index % 2]())
+    return quantize(image) / 255.0 if quantized else image
+
+
+def kernel_pair(image, model, moments):
+    """fit -> basis -> kernel -> inverse from a given model fit."""
+    basis = nd.compute_cns(nd.build_operator(model, 9, 9))
+    h, _ = nd.optimize_psf(
+        nd.estimate_psf(nd.gradient_stats(image, basis, moments), basis),
+        basis)
+    g, _ = optimize_ipsf_spectral(nd.ipsf_spectral(h, basis), h, basis)
+    return h, g
+
+
+@pytest.mark.parametrize("seed, index, quantized", [
+    (17, 1, False), (17, 3, False), (3, 1, True), (3, 7, True)],
+    ids=["iterative-17-1", "iterative-17-3", "blind-3-1", "blind-3-7"])
+def test_kernels_stable_under_rounding_of_the_model_fit(seed, index,
+                                                        quantized):
+    """A 1e-10 relative change of the model's free coefficients moves
+    both kernels by at most 1e-6 relative.  With the squared grids'
+    rounding-level singular values counted as rank, the inverse moved by
+    up to 30 %."""
+    image = benchmark_image(seed, index, quantized)
+    model = nd.estimate_ar(image, 17, 17)
+    moments = gradient_moments(image, 9, 9)
+    h, g = kernel_pair(image, model, moments)
+    rng = np.random.default_rng(seed * 100 + index)
+    for _ in range(3):
+        coeffs = model.coeffs * (1.0 + 1e-10 * rng.standard_normal((17, 17)))
+        coeffs[8, 8] = 1.0
+        h2, g2 = kernel_pair(image, dataclasses.replace(model, coeffs=coeffs),
+                             moments)
+        assert np.linalg.norm(h2 - h) <= 1e-6 * np.linalg.norm(h)
+        assert np.linalg.norm(g2 - g) <= 1e-6 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("seed, index", [(321, 11), (1401, 9), (1405, 3),
+                                         (1408, 3)])
+def test_least_squares_converges_where_gelsd_did_not(seed, index,
+                                                     monkeypatch):
+    """The command-line benchmark images on which LAPACK's gelsd failed to
+    converge on the unfolded 81-row systems estimate with every numpy
+    least-squares call succeeding."""
+    lstsq = np.linalg.lstsq
+    calls, failures = [], []
+
+    def recording(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        try:
+            return lstsq(a, b, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            failures.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    nd.estimate_kernels(benchmark_image(seed, index, True))
+    assert calls and not failures

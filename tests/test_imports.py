@@ -1,9 +1,8 @@
 """Importing the package must stay cheap: ``scipy.ndimage`` and
 ``scipy.linalg`` cost about 0.45 s per process, ``scipy.signal`` about
-0.8 s more, and the package needs none of them on its working paths (its
-filters and FFTs are numpy's; only the rare least-squares fallback
-imports ``scipy.linalg``).  Nor does importing it start a thread: the
-image optimizers' worker starts on first use."""
+0.8 s more, and the package imports none of them (its filters, FFTs and
+solves are numpy's; scipy serves the tests alone).  Nor does importing it
+start a thread: the image optimizers' worker starts on first use."""
 
 import ast
 import importlib
@@ -53,6 +52,31 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert last == f"{[0] * len(runs)} []"
     for name in ("bvdr.pgm", "cs.pgm", "g_space.kern"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+PACKAGE = sorted((SRC / "nsdeblur").glob("*.py"))
+
+
+def scipy_imports(tree: ast.AST) -> list[str]:
+    """Line and name of every scipy import anywhere in a module, at its top
+    or inside a function."""
+    found = []
+    for node in ast.walk(tree):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                 and node.level == 0 else [])
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_package_source_imports_no_scipy():
+    """Import probes only see the paths they run; this reads every
+    module, so a lazy import on a rare path shows too."""
+    assert len(PACKAGE) > 1
+    found = {p.name: scipy_imports(ast.parse(p.read_text()))
+             for p in PACKAGE}
+    assert not {name: lines for name, lines in found.items() if lines}
 
 
 SCRIPTS = sorted((SRC.parent / "demos").glob("*.py")) + sorted(

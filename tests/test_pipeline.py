@@ -31,11 +31,27 @@ def test_config_validation():
     ({"denoise": "yes"}, InputError),
     ({"space_ridge": np.inf}, InputError),
     ({"space_ridge": -1.0}, InputError),
+    ({"ar_p": 9.0, "psf_l": 5}, InputError),
+    ({"ar_q": 17.5}, InputError),
+    ({"psf_l": 9.0}, InputError),
+    ({"psf_m": True}, InputError),
+    ({"denoise_order": 33.0}, InputError),
+    ({"denoise_size": 17.0}, InputError),
 ], ids=["denoise-order-even", "denoise-size-not-smaller", "denoise-size-0",
-        "denoise-not-bool", "space-ridge-inf", "space-ridge-negative"])
+        "denoise-not-bool", "space-ridge-inf", "space-ridge-negative",
+        "ar-p-float", "ar-q-float", "psf-l-float", "psf-m-bool",
+        "denoise-order-float", "denoise-size-float"])
 def test_pipeline_config_checks_every_field(settings, error):
     with pytest.raises(error):
         nd.PipelineConfig(**settings)
+
+
+def test_pipeline_config_takes_numpy_integers():
+    sizes = {"ar_p": np.int64(9), "ar_q": np.int32(9), "psf_l": np.int64(5),
+             "psf_m": np.int16(5), "denoise_order": np.int64(13),
+             "denoise_size": np.int64(7)}
+    assert nd.PipelineConfig(**sizes) == nd.PipelineConfig(
+        **{k: int(v) for k, v in sizes.items()})
 
 
 def test_configs_are_frozen():

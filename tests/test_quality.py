@@ -39,9 +39,13 @@ def test_restoration_raises_index(gaussian_case):
 def test_fragment_validation():
     with pytest.raises(DimensionError):
         nd.anisotropy_index(np.ones((64, 64)), AiConfig(fragment=100))
-    for settings in ({"window": 7}, {"fragment": 0}, {"fragment": -5}):
+    for settings in ({"window": 7}, {"fragment": 0}, {"fragment": -5},
+                     {"fragment": 50.5}, {"fragment": 64.0},
+                     {"window": 8.0}, {"window": True}):
         with pytest.raises(InputError):
             AiConfig(**settings)
+    assert AiConfig(window=np.int64(6), fragment=np.int32(64)) == AiConfig(
+        window=6, fragment=64)
 
 
 def test_psnr_basics():
