@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--psf-size", nargs=2, type=int, metavar=("L", "M"),
                        help="kernel size (odd, smaller than the model order)")
     p_est.add_argument("--space-ridge", dest="space_ridge", type=float,
-                       help="ridge for the space-domain inverse fit")
+                       help="space inverse fit ridge; 0 means 1e-8 trace/rows")
     p_est.add_argument("--theta", type=float, help="contraction gate factor")
     _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)

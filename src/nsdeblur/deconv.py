@@ -23,7 +23,8 @@ import numpy as np
 from .armodel import estimate_ar, build_operator
 from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
-from .grid import _beside, as_image, convolve, replicate_filter
+from .grid import (_beside, as_image, convolve, normalize_kernel,
+                   replicate_filter)
 from .ipsf import ipsf_space, space_system
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
@@ -204,8 +205,7 @@ def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,
     x = as_image(image)
     model = estimate_ar(x, p, q)
     basis = compute_cns(build_operator(model, l, m), force_single=True)
-    kernel = basis.squared_basis[0]
-    kernel = kernel / kernel.sum()      # squares are nonnegative
+    kernel = normalize_kernel(basis.squared_basis[0])
     response = ipsf_space(x, kernel, system=space_system(
         x, kernel, ridge_relative=PREFILTER_RIDGE))
     return convolve(x, response), response

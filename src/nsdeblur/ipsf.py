@@ -11,7 +11,6 @@ spectrum space and the space one through the full tap-grid system.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,9 @@ from .grid import (as_image, as_kernel, convolve, correlation_lags,
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq
 
-_LOG = logging.getLogger("nsdeblur")
+#: Ridge of the space-route system when none is given, relative to
+#: trace/rows of its window statistics.
+SPACE_RIDGE = 1e-8
 
 
 def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
@@ -47,11 +48,7 @@ def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
     target = np.zeros(m0.shape[1])
     target[m0.shape[1] // 2] = 1.0
     flat = span @ lstsq(m0.T, target)
-    s = float(flat.sum())
-    if abs(s) <= 1e-12:
-        raise DegenerateKernelError(
-            "inverse kernel sums to zero; cannot normalize")
-    return (flat / s).reshape(basis.l, basis.m)
+    return normalize_kernel(flat.reshape(basis.l, basis.m))
 
 
 def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
@@ -61,7 +58,7 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
     solve the K x K system with the delta-matching data term, renormalize,
     gate and stop exactly as the forward-kernel optimizer."""
     cfg = cfg or OptimizerConfig()
-    g = normalize_kernel(as_kernel(g0))
+    g = normalize_kernel(g0)
     if g.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {g.shape} does not match basis {(basis.l, basis.m)}")
@@ -98,7 +95,7 @@ class SpaceSystem:
 
     ryy: np.ndarray     # (wl*wm, wl*wm) window statistics + ridge * I
     ryx: np.ndarray     # (wl*wm,) products with the window centers
-    ridge: float        # 0 when the system is solved by pseudo-inverse
+    ridge: float        # the ridge on the diagonal, always > 0
     wl: int
     wm: int
 
@@ -109,26 +106,24 @@ def space_system(image, h, ridge: float = 0.0,
     optimizer alike; the one place its ridge is chosen.
 
     The ridge is ``ridge_relative`` times trace/rows of the window
-    statistics if that is > 0, else ``ridge`` (both finite and >= 0).  If
-    both are 0, a near-singular system (relative eigenvalue below 1e-8)
-    gets the default 1e-8 relative ridge, logged at INFO on the
-    ``nsdeblur`` logger, and any other is solved by pseudo-inverse.  The
-    ridge goes on the diagonal in place: ``ryy + ridge * I`` bit for bit.
+    statistics if that is > 0, else ``ridge`` if that is > 0 (both finite
+    and >= 0), else :data:`SPACE_RIDGE` times trace/rows.  It goes on the
+    diagonal in place: ``ryy + ridge * I`` bit for bit.  A system with
+    zero trace (an all-zero image) has no usable ridge and raises
+    DegenerateKernelError.
     """
     check_setting("ridge", ridge, 0)
     check_setting("ridge_relative", ridge_relative, 0)
     ryy, ryx, wl, wm = _space_system(image, h)
-    n = ryy.shape[0]
+    n, trace = ryy.shape[0], float(np.trace(ryy))
+    if not trace > 0.0:
+        raise DegenerateKernelError(
+            "space-route system has zero trace: all-zero image")
     if ridge_relative > 0.0:
-        ridge = ridge_relative * float(np.trace(ryy)) / n
-    if ridge == 0.0:
-        eigvals = np.linalg.eigvalsh(ryy)
-        if eigvals[0] <= 1e-8 * max(eigvals[-1], 1e-300):
-            ridge = 1e-8 * float(np.trace(ryy)) / n
-            _LOG.info("space-route system is near-singular; applying "
-                      "default ridge %.3e", ridge)
-    if ridge > 0.0:
-        ryy.flat[::n + 1] += ridge
+        ridge = ridge_relative * trace / n
+    elif ridge == 0.0:
+        ridge = SPACE_RIDGE * trace / n
+    ryy.flat[::n + 1] += ridge
     ryy.flags.writeable = ryx.flags.writeable = False
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
 
@@ -136,17 +131,14 @@ def space_system(image, h, ridge: float = 0.0,
 def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
-    Degrades the observed image once more with h, then least-squares fits
-    the taps that map re-degraded windows back to the observed centers,
-    by pseudo-inverse when the system has no ridge.  ``system``, the
-    :func:`space_system` of (image, h) that carries the ridge, skips the
-    build; without it the default ridge rule applies.
+    Degrades the observed image once more with h, then fits the taps that
+    map re-degraded windows back to the observed centers by one LU solve
+    of the ridged normal equations.  ``system``, the :func:`space_system`
+    of (image, h) that carries the ridge, skips the build; without it the
+    default ridge applies.
     """
     system = system or space_system(image, h)
-    if system.ridge > 0.0:
-        g = np.linalg.solve(system.ryy, system.ryx)
-    else:
-        g = np.linalg.pinv(system.ryy, rcond=1e-10) @ system.ryx
+    g = np.linalg.solve(system.ryy, system.ryx)
     return g.reshape(system.wl, system.wm)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import as_kernel, gradient, normalize_kernel, window_gram
+from .grid import KERNEL_SUM_TOL, gradient, normalize_kernel, window_gram
 from .nullspace import CnsBasis
 
 
@@ -98,11 +98,7 @@ def estimate_psf(stats: GradientStats, basis: CnsBasis) -> np.ndarray:
             f"stats dimension {stats.rho.shape[0]} != basis K {basis.null_dim}")
     v = spectrum_coefficients(stats)
     flat = basis.squared_flat @ v
-    s = float(flat.sum())
-    if abs(s) <= 1e-12:
-        raise DegenerateKernelError(
-            "assembled kernel sums to zero; cannot normalize")
-    return (flat / s).reshape(basis.l, basis.m)
+    return normalize_kernel(flat.reshape(basis.l, basis.m))
 
 
 def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,7 +162,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
             return None
         flat_new = squared @ v_new
         s = float(flat_new.sum())
-        if abs(s) <= 1e-12 or not np.all(np.isfinite(flat_new)):
+        if abs(s) <= KERNEL_SUM_TOL or not np.all(np.isfinite(flat_new)):
             return None
         flat_new /= s
         return (v_new / s, flat_new), float(np.sum((flat_new - flat) ** 2))
@@ -188,7 +184,7 @@ def optimize_psf(h0, basis: CnsBasis, cfg: OptimizerConfig | None = None
     when the summed squared tap change drops below cfg.eps.
     """
     cfg = cfg or OptimizerConfig()
-    h = normalize_kernel(as_kernel(h0))
+    h = normalize_kernel(h0)
     if h.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {h.shape} does not match basis {(basis.l, basis.m)}")

@@ -52,7 +52,7 @@ def estimate_bits(image, cfg):
 
 def noisy_case_image(case):
     """The case's blurred image with white noise added: its space system
-    is well conditioned, so no ridge applies and pinv solves it."""
+    is well conditioned, yet takes the default ridge like any other."""
     rng = np.random.default_rng(5)
     return case.blurred + 0.1 * rng.standard_normal(case.blurred.shape)
 

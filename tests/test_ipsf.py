@@ -8,7 +8,7 @@ import pytest
 import nsdeblur as nd
 from conftest import SPACE_CFG, center_share, noisy_case_image
 from nsdeblur.config import OptimizerConfig
-from nsdeblur.errors import InputError
+from nsdeblur.errors import DegenerateKernelError, InputError
 from nsdeblur.grid import shifted_taps
 from nsdeblur.ipsf import (_space_system, curvature_system_matrix,
                            difference_operators, space_system)
@@ -119,23 +119,24 @@ def test_space_ridge_must_be_finite_and_nonnegative(call, ridge):
     ("relative-ridge", {"ridge_relative": 1e-2}), ("pinv", {})])
 def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
-    each solve used to build for itself, and ipsf_space solves it as it
-    did: np.linalg.solve with a ridge, pinv without."""
+    each solve used to build for itself, and ipsf_space solves it with
+    np.linalg.solve.  The "pinv" case is a noisy, well-conditioned image,
+    once solved by pseudo-inverse: it takes the default ridge too."""
     h = gaussian_case.psf
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
     ryy, ryx, wl, wm = _space_system(x, h)
     trace, n = float(np.trace(ryy)), ryy.shape[0]
     ridge = {"default-ridge": 1e-8 * trace / n, "ridge": 1.0,
-             "relative-ridge": 1e-2 * trace / n, "pinv": 0.0}[path]
+             "relative-ridge": 1e-2 * trace / n,
+             "pinv": 1e-8 * trace / n}[path]
     system = space_system(x, h, **kwargs)
     g = nd.ipsf_space(x, h, system=system)
     summed = ryy + ridge * np.eye(n)
     assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
     assert system.ryy.tobytes() == summed.tobytes()
     assert system.ryx.tobytes() == ryx.tobytes()
-    old = (np.linalg.solve(summed, ryx) if ridge > 0.0
-           else np.linalg.pinv(ryy, rcond=1e-10) @ ryx)
+    old = np.linalg.solve(summed, ryx)
     assert g.tobytes() == old.reshape(wl, wm).tobytes()
 
 
@@ -149,41 +150,85 @@ def test_space_system_is_read_only(gaussian_case):
         system.ridge = 0.0
 
 
-def default_ridge_records(caplog, call):
-    """The levels of the default-ridge records ``call`` logs on the
-    ``nsdeblur`` logger; any warning it raises fails the test."""
-    caplog.clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with caplog.at_level(logging.INFO, logger="nsdeblur"):
-            call()
-    return [r.levelname for r in caplog.records
-            if r.name == "nsdeblur" and "default ridge" in r.getMessage()]
-
-
-def test_default_ridge_is_logged_once_per_build(gaussian_case, caplog):
-    """The default ridge is recorded, not warned: one INFO record for each
-    system build that takes it (a standalone solve, a standalone
-    optimizer, a plain or a denoised space-route estimate, whose
-    prefilter has its own ridge) and none when a ridge is given."""
+def test_space_builds_log_and_warn_nothing(gaussian_case, caplog):
+    """The applied ridge is recorded on the system, not reported: no
+    standalone solve, standalone optimizer, or plain or denoised
+    space-route estimate (whose prefilter has its own ridge) logs a record
+    or raises a warning, with the default ridge or a given one."""
     x, h = gaussian_case.blurred, gaussian_case.psf
-    given = space_system(x, h, ridge=1.0)
-    g0 = nd.ipsf_space(x, h, system=given)
-    assert default_ridge_records(caplog, lambda: nd.ipsf_space(x, h)) == [
-        "INFO"]
-    assert default_ridge_records(
-        caplog, lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)) == [
-        "INFO"]
-    assert default_ridge_records(caplog, lambda: nd.optimize_ipsf_space(
-        g0, x, h, SPACE_CFG, system=given)) == []
+    g0 = nd.ipsf_space(x, h, system=space_system(x, h, ridge=1.0))
+    calls = [lambda: nd.ipsf_space(x, h),
+             lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)]
     for denoise in (False, True):
         cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
                                 ipsf_route="space", denoise=denoise,
                                 denoise_order=13, denoise_size=7)
-        assert default_ridge_records(
-            caplog, lambda: nd.estimate_kernels(x, cfg)) == ["INFO"]
-        assert default_ridge_records(caplog, lambda: nd.estimate_kernels(
-            x, dataclasses.replace(cfg, space_ridge=1.0))) == []
+        calls += [lambda cfg=cfg: nd.estimate_kernels(x, cfg),
+                  lambda cfg=cfg: nd.estimate_kernels(
+                      x, dataclasses.replace(cfg, space_ridge=1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.DEBUG):
+            for call in calls:
+                call()
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, h: space_system(x, h),
+    lambda x, h: nd.ipsf_space(x, h),
+    lambda x, h: nd.optimize_ipsf_space(np.zeros((17, 17)), x, h),
+], ids=["space_system", "ipsf_space", "optimize_ipsf_space"])
+def test_all_zero_image_has_no_space_inverse(call):
+    """An all-zero image gives a zero-trace system, which no ridge makes
+    usable: a typed error, not an all-zero inverse kernel."""
+    with pytest.raises(DegenerateKernelError, match="zero trace"):
+        call(np.zeros((64, 64)), nd.gaussian_kernel(1.0, 9))
+
+
+def pinv_space_inverse(image, h):
+    """The pseudo-inverse solve the fixed default ridge replaced, kept as
+    a reference: it applied when no ridge was given and the unridged
+    system's smallest eigenvalue was above 1e-8 of its largest."""
+    ryy, ryx, wl, wm = _space_system(image, h)
+    eigvals = np.linalg.eigvalsh(ryy)
+    assert eigvals[0] > 1e-8 * eigvals[-1], "case never took the pinv path"
+    return (np.linalg.pinv(ryy, rcond=1e-10) @ ryx).reshape(wl, wm)
+
+
+def estimated_case(image):
+    """The image with the kernel its default space-route estimate finds."""
+    return image, nd.estimate_kernels(
+        image, nd.PipelineConfig(ipsf_route="space")).psf
+
+
+def random_case():
+    """The image and kernel of the one-step optimizer oracle below."""
+    rng = np.random.default_rng(4)
+    img = rng.random((24, 24))
+    return img, nd.normalize_kernel(rng.random((3, 3)))
+
+
+#: well-conditioned space systems: case -> (image, kernel), given fixtures
+PINV_CASES = {
+    "delta-on-texture": lambda f: (f("corpus_texture"), nd.delta_kernel(9)),
+    "noisy-gaussian": lambda f: (noisy_case_image(f("gaussian_case")),
+                                 f("gaussian_case").psf),
+    "texture-40x40": lambda f: estimated_case(nd.texture((40, 40), seed=0)),
+    "texture-64x1024": lambda f: estimated_case(
+        nd.texture((64, 1024), seed=0)),
+    "random-24x24": lambda f: random_case(),
+}
+
+
+@pytest.mark.parametrize("case", list(PINV_CASES))
+def test_default_ridge_matches_the_pseudo_inverse(case, request):
+    """On systems that were solved by pseudo-inverse, the default ridge's
+    LU solve moves the inverse kernel by at most 1e-3 of its peak."""
+    image, h = PINV_CASES[case](request.getfixturevalue)
+    ref = pinv_space_inverse(image, h)
+    g = nd.ipsf_space(image, h)
+    assert np.abs(g - ref).max() <= 1e-3 * np.abs(ref).max()
 
 
 def check_space_cross_correlation(image, h):
@@ -271,13 +316,12 @@ def test_curvature_system_matches_pointwise_operator():
 
 
 def test_optimize_space_one_step_matches_dense_oracle():
-    rng = np.random.default_rng(4)
-    img = rng.random((24, 24))
-    h = nd.normalize_kernel(rng.random((3, 3)))
+    img, h = random_case()
     g0 = nd.ipsf_space(img, h)
     cfg = OptimizerConfig(lambda0=1e-3, max_iters=1, eps=1e-300, theta=1.0)
     g1, rep = nd.optimize_ipsf_space(g0, img, h, cfg)
     ryy, ryx, wl, wm = _space_system(img, h)
+    ryy[np.diag_indices_from(ryy)] += 1e-8 * np.trace(ryy) / ryy.shape[0]
     ops = difference_operators(wl, wm)
     system = ryy - 1e-3 * curvature_system_matrix(g0.ravel(), ops)
     ref = np.linalg.solve(system, ryx).reshape(wl, wm)

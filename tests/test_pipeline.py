@@ -142,8 +142,9 @@ def test_shared_space_system_matches_standalone_calls(path, space_ridge,
     """The estimate's one space system gives the kernel and report of a
     standalone ipsf_space then optimize_ipsf_space, each handed a system
     of its own, bit for bit on every ridge path: the default ridge of a
-    near-singular system, a configured one, and none on a noisy,
-    well-conditioned image (pinv).  The estimate records that ridge."""
+    near-singular system, a configured one, and the default ridge of a
+    noisy, well-conditioned image, once solved by pseudo-inverse.  The
+    estimate records that ridge."""
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
     cfg = nd.PipelineConfig(space_ridge=space_ridge, **SPACE_ROUTE)
@@ -154,10 +155,11 @@ def test_shared_space_system_matches_standalone_calls(path, space_ridge,
         g0, x, h, cfg.solver, system=ipsf.space_system(x, h, space_ridge))
     assert result.ipsf.tobytes() == g.tobytes()
     assert format_report(result.ipsf_report) == format_report(report)
-    ridge = ipsf.space_system(x, h, space_ridge).ridge
-    assert result.space_ridge == ridge
-    assert {"default-ridge": 0.0 < ridge < 1e-3, "ridge": ridge == 1.0,
-            "pinv": ridge == 0.0}[path]
+    ryy = ipsf._space_system(x, h)[0]
+    default = 1e-8 * float(np.trace(ryy)) / ryy.shape[0]
+    assert result.space_ridge == ipsf.space_system(x, h, space_ridge).ridge
+    assert result.space_ridge == {"default-ridge": default, "ridge": 1.0,
+                                  "pinv": default}[path]
 
 
 @pytest.mark.parametrize("route, denoise, builds", [
