@@ -1,9 +1,14 @@
-"""The null-side dimension as a blur meter.
+"""The null-side dimension along a blur ladder.
 
 The operator's Gram spectrum splits into an eigen side and a null side;
 the number of null-side vectors shrinks as blur gets stronger.  This
-script runs a blur ladder and prints the dimension at each level, plus
-the no-reference sharpness index for comparison.
+script runs a blur ladder on one image and prints the dimension at each
+level, plus the no-reference sharpness index for comparison.
+
+The dimension compares blurs of one image only; it is no blur meter
+across images.  On one 256 x 256 texture under one blur, brightness and
+contrast remaps alone move it from 43 to 6, and additive noise of
+sigma 0.03 moves it from 43 to 11.
 """
 
 import nsdeblur as nd

@@ -19,10 +19,13 @@ from .config import (STOP_NOT_RUN, OptimizerConfig, check_setting,
 from .errors import DeblurError, DegenerateKernelError, InputError
 from .fileio import (read_image, read_kernel, write_image, write_kernel,
                      write_text)
-from .grid import KERNEL_GAIN_MAX, KERNEL_SUM_TOL, as_kernel, convolve
+from .grid import (KERNEL_GAIN_MAX, KERNEL_SUM_TOL, as_kernel, check_fits,
+                   convolve)
 from .pipeline import PipelineConfig, estimate_kernels, restore
 from .quality import AiConfig, anisotropy_index, psnr
-from .synth import add_impulse_noise, disk_kernel, gaussian_kernel, motion_kernel
+from .synth import (add_impulse_noise, disk_kernel, disk_shape,
+                    gaussian_kernel, gaussian_shape, motion_kernel,
+                    motion_shape)
 
 
 def _settings(cls) -> dict:
@@ -96,22 +99,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="settings file (key = value lines)")
 
 
-def _parse_blur(spec: str) -> np.ndarray:
+def _parse_blur(spec: str) -> tuple:
+    """(shape, build) of a ``--blur`` spec: the kernel's shape, found
+    without building the kernel, and the function that builds it."""
     parts = spec.split(":")
     kind = parts[0].lower()
     try:
         if not np.isfinite([float(v) for v in parts[1:]]).all():
             raise ValueError("parameters must be finite")
         if kind == "gaussian":
-            sigma = float(parts[1])
-            size = int(parts[2]) if len(parts) > 2 else None
-            return gaussian_kernel(sigma, size)
+            args = (float(parts[1]), int(parts[2]) if len(parts) > 2 else None)
+            return gaussian_shape(*args), lambda: gaussian_kernel(*args)
         if kind == "motion":
-            length = int(parts[1])
-            angle = float(parts[2]) if len(parts) > 2 else 0.0
-            return motion_kernel(length, angle)
+            args = (int(parts[1]), float(parts[2]) if len(parts) > 2 else 0.0)
+            return motion_shape(*args), lambda: motion_kernel(*args)
         if kind == "disk":
-            return disk_kernel(float(parts[1]))
+            args = (float(parts[1]),)
+            return disk_shape(*args), lambda: disk_kernel(*args)
     except (IndexError, ValueError) as exc:
         raise InputError(f"bad blur spec {spec!r}: {exc}") from exc
     raise InputError(
@@ -189,7 +193,7 @@ def cmd_deblur(args) -> int:
 def cmd_synth(args) -> int:
     stage = "config"
     try:
-        kernel = _parse_blur(args.blur)
+        shape, build_kernel = _parse_blur(args.blur)
         check_setting("noise", args.noise, 0)
         if args.noise > 1:
             raise InputError(f"noise must be in [0, 1], got {args.noise!r}")
@@ -197,6 +201,9 @@ def cmd_synth(args) -> int:
         stage = "load"
         image = read_image(args.input)
         stage = "degrade"
+        # before the kernel is built: gaussian:1e6 would take 288 TB
+        check_fits(shape, image.shape)
+        kernel = build_kernel()
         degraded = convolve(image, kernel)
         if args.noise > 0:
             degraded = add_impulse_noise(degraded, args.noise, args.seed)

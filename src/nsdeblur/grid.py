@@ -3,8 +3,9 @@ builds on.
 
 Images and kernels are plain 2D float64 arrays.  Kernels have odd dimensions
 so the center tap is well defined; a normalized kernel has unit tap sum and
-therefore preserves constants.  Every filter replicates the image's edge
-pixels past its border.
+therefore preserves constants.  Every filter is :func:`replicate_filter`,
+which replicates the image's edge pixels past its border: one
+cached-spectrum FFT path, and an exact shift for a one-tap kernel.
 
 The package's one worker thread lives here too.  :func:`_beside` runs one
 task on it while the calling thread runs another: the kernel estimate
@@ -35,18 +36,6 @@ KERNEL_SUM_TOL = 1e-12
 
 #: Largest gain (sum of |taps|) of a usable kernel file (README: exit codes).
 KERNEL_GAIN_MAX = 1e4
-
-#: Bytes of one float64 row slab of the operations that run over row
-#: slabs (the direct filter here, the pointwise surface operators).  The
-#: curvature keeps five slab fields live; at 256 KB each they fit a 2 MB
-#: L2 cache, where whole 512 x 512 fields (2 MB each) do not.
-SLAB_BYTES = 1 << 18
-
-
-def _slab_rows(cols: int) -> int:
-    """Rows per slab at ``cols`` columns: 64 at 512, at least 1."""
-    return max(SLAB_BYTES // (8 * cols), 1)
-
 
 def _start_worker() -> None:
     """Make ``_WORKER``, the package's one worker thread.  Its thread
@@ -118,30 +107,23 @@ def delta_kernel(l: int = 1) -> np.ndarray:
     return as_kernel(k)
 
 
+def check_fits(kshape: tuple[int, int], shape: tuple[int, int]) -> None:
+    """Raise :class:`DimensionError` if a kernel of ``kshape`` is larger
+    than an image of ``shape`` along either axis."""
+    if kshape[0] > shape[0] or kshape[1] > shape[1]:
+        raise DimensionError(f"kernel {kshape} larger than image {shape}")
+
+
 def convolve(image, kernel) -> np.ndarray:
     """Same-size filtering: out[i,k] = sum_{l,m} kernel[l,m] * image[i+dl, k+dm]
     with (dl, dm) the tap offset from the kernel center and the image's
     edge pixels replicated past its border.
 
     Linear in both arguments; a normalized kernel preserves constants.  It
-    is ``replicate_filter(kernel, image.shape)(image)``: a direct sum over
-    the non-zero taps for a kernel with at most :data:`DIRECT_MAX_TAPS` of
-    them, the cached-spectrum FFT for a denser one.
+    is ``replicate_filter(kernel, image.shape)(image)``.
     """
     img = as_image(image)
     return replicate_filter(kernel, img.shape)(img)
-
-
-#: Most non-zero taps for which :func:`replicate_filter` keeps the direct
-#: path.  That path skips zero taps, so its cost grows with the non-zero
-#: ones, while the FFT path costs the same for every kernel.  At
-#: 512 x 512 on one core of a 2-core x86-64 VM (9 x 9 kernels, medians of
-#: 41 interleaved calls): 1.3 ms for 1 tap, 5.8 ms for the 15-tap 7 px
-#: motion blur, 9.5 ms for 25, 10.4 ms for 30 and 27 ms for 81, against
-#: 9.1 ms for the FFT path: the crossover lies at 25 taps to within the
-#: noise.  Moving the bound moves kernels between the paths, whose results
-#: differ by rounding, so it would change outputs.
-DIRECT_MAX_TAPS = 25
 
 
 def _fast_len(n: int) -> int:
@@ -162,45 +144,48 @@ def replicate_filter(kernel, shape: tuple[int, int]
     work that depends on the kernel alone done here, once: a caller
     filtering many images with one kernel builds it once.
 
-    A kernel with at most :data:`DIRECT_MAX_TAPS` non-zero taps keeps the
-    direct path: the image is edge-padded by the kernel radius once, and
-    each row slab of the output (:data:`SLAB_BYTES`) starts at zero and
-    adds ``w * padded[a:a+R, b:b+C]`` for each non-zero tap w at (a, b), in
-    row-major order, R x C being the slab.  Those are the products and the
-    order of ``scipy.ndimage.correlate(mode="nearest")``, so the result is
-    its bits (the tests check that), and an embedded delta returns the
-    image unchanged.  Any other kernel is applied through ``numpy.fft``:
-    the image is edge-padded by the kernel radius into a zero buffer of
-    2·3·5-smooth size, transformed, multiplied by the cached spectrum of
-    the flipped kernel, transformed back and cropped.  The
-    buffer is at least as large as the padded image, so no wrapped sample
-    reaches the crop; the result differs from the direct correlation by
-    rounding only, a small multiple of log2(buffer size) eps sum|kernel|
-    max|image|.
+    The kernel is applied through ``numpy.fft``: the image is edge-padded
+    by the kernel radius into a zero buffer of 2·3·5-smooth size,
+    transformed, multiplied by the cached spectrum of the flipped kernel,
+    transformed back and cropped.  The buffer is at least as large as the
+    padded image, so no wrapped sample reaches the crop; the result
+    differs from the direct correlation by rounding only, a small multiple
+    of log2(buffer size) eps sum|kernel| max|image|.  A kernel with one
+    non-zero tap w skips the transforms: its result is w times the
+    edge-replicated shift of the image, exactly, so an embedded delta
+    returns the image unchanged.
 
     The returned function reuses its work buffers between calls (it is
     not reentrant) and returns a new array each time.  Its argument is not
     validated: validate once where the image enters.
     """
     k = as_kernel(kernel)
+    check_fits(k.shape, shape)
     rows, cols = shape
-    if k.shape[0] > rows or k.shape[1] > cols:
-        raise DimensionError(f"kernel {k.shape} larger than image {shape}")
-    if np.count_nonzero(k) <= DIRECT_MAX_TAPS:
-        return _direct_filter(k, shape)
     rl, rm = k.shape[0] // 2, k.shape[1] // 2
+    if np.count_nonzero(k) == 1:
+        (a,), (b,) = np.nonzero(k)
+        w = float(k[a, b])
+        source = np.ix_(np.clip(np.arange(a - rl, a - rl + rows), 0, rows - 1),
+                        np.clip(np.arange(b - rm, b - rm + cols), 0, cols - 1))
+        return lambda image: image[source] * w
     pad_r, pad_c = rows + 2 * rl, cols + 2 * rm
     size = (_fast_len(pad_r), _fast_len(pad_c))
-    spectrum = np.fft.rfft2(k[::-1, ::-1], s=size)
+    spectrum = _padded_rfft2(k[::-1, ::-1], size)
     # the padded image and its result share one real buffer.  Past the
     # padded image it holds zeros, restored after each inverse transform:
     # the crop never reads there, but through rounding a previous result
     # left there would change the next one's bits
     padded = np.zeros(size)
+    body = padded[:pad_r, :pad_c]           # the edge-padded image
     work = np.empty(spectrum.shape, dtype=complex)
 
     def apply(image: np.ndarray) -> np.ndarray:
-        _pad_edges(padded[:pad_r, :pad_c], image, rl, rm)
+        body[rl:rl + rows, rm:rm + cols] = image
+        body[:rl, rm:rm + cols] = image[0]
+        body[rl + rows:, rm:rm + cols] = image[-1]
+        body[:, :rm] = body[:, rm:rm + 1]
+        body[:, rm + cols:] = body[:, rm + cols - 1:rm + cols]
         # rfft2 and irfft2 step by step, in place: allocating the
         # intermediate arrays on every call made a call about twice as slow
         np.fft.rfft(padded, axis=1, out=work)
@@ -212,44 +197,6 @@ def replicate_filter(kernel, shape: tuple[int, int]
         padded[pad_r:] = 0.0
         padded[:pad_r, pad_c:] = 0.0
         return result
-
-    return apply
-
-
-def _pad_edges(body: np.ndarray, image: np.ndarray, rl: int, rm: int) -> None:
-    """Fill ``body`` with ``image`` edge-padded by ``rl`` rows and ``rm``
-    columns on each side."""
-    rows, cols = image.shape
-    body[rl:rl + rows, rm:rm + cols] = image
-    body[:rl, rm:rm + cols] = image[0]
-    body[rl + rows:, rm:rm + cols] = image[-1]
-    body[:, :rm] = body[:, rm:rm + 1]
-    body[:, rm + cols:] = body[:, rm + cols - 1:rm + cols]
-
-
-def _direct_filter(k: np.ndarray, shape: tuple[int, int]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """The direct path of :func:`replicate_filter`."""
-    rows, cols = shape
-    rl, rm = k.shape[0] // 2, k.shape[1] // 2
-    taps = [(a, b, float(k[a, b])) for a, b in zip(*np.nonzero(k))]
-    step = _slab_rows(cols)
-    # reused between calls: a padded copy allocated on every call cost
-    # more than the sum itself for a sparse kernel
-    padded = np.empty((rows + 2 * rl, cols + 2 * rm))
-    term = np.empty((min(step, rows), cols))
-
-    def apply(image: np.ndarray) -> np.ndarray:
-        _pad_edges(padded, image, rl, rm)
-        out = np.zeros(shape)
-        for top in range(0, rows, step):
-            n = min(step, rows - top)
-            acc, tmp = out[top:top + n], term[:n]
-            for a, b, w in taps:
-                np.multiply(padded[top + a:top + a + n, b:b + cols], w,
-                            out=tmp)
-                acc += tmp
-        return out
 
     return apply
 

@@ -5,7 +5,10 @@ carries the image structure the stencil failed to cancel, while the
 small-eigenvalue ("null") side spans the kernels compatible with the blur.
 The split threshold is half the leading eigenvalue, snapped to the largest
 adjacent spectral gap below it.  Null-side dimension shrinks as blur grows,
-which makes it a useful blur-severity readout on its own.
+but it also moves with the image alone, so it is no blur-severity readout
+on its own: on one 256 x 256 texture under one blur, brightness/contrast
+remaps move it from 43 to 6, and additive noise of sigma 0.03 from 43
+to 11.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ affine grids have exact slopes everywhere, quadratics have exact second
 derivatives, and the pointwise curvature tracks the true gradient of the
 discrete functional on smooth grids ("x" is the row axis).
 
-The pointwise operators run over row slabs of about
-:data:`nsdeblur.grid.SLAB_BYTES` per array (64 rows at 512 columns), so
-that each slab's intermediate fields stay in cache.  Each slab is
-evaluated with a halo of the rows its differences reach (two for the
-curvature, one for the metric) and its own rows are kept, so the result
-is bit for bit that of the whole field at once.
+The pointwise operators run over row slabs of about :data:`SLAB_BYTES` per
+array (64 rows at 512 columns), so that each slab's intermediate fields
+stay in cache.  Each slab is evaluated with a halo of the rows its
+differences reach (two for the curvature, one for the metric) and its own
+rows are kept, so the result is bit for bit that of the whole field at
+once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .grid import _slab_rows, as_image
+from .grid import as_image
+
+#: Bytes of one float64 row slab of the pointwise operators.  The
+#: curvature keeps five slab fields live; at 256 KB each they fit a 2 MB
+#: L2 cache, where whole 512 x 512 fields (2 MB each) do not.
+SLAB_BYTES = 1 << 18
+
+
+def _slab_rows(cols: int) -> int:
+    """Rows per slab at ``cols`` columns: 64 at 512, at least 1."""
+    return max(SLAB_BYTES // (8 * cols), 1)
 
 
 def _diff(f: np.ndarray, axis: int) -> np.ndarray:

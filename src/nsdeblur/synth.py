@@ -24,66 +24,92 @@ _DISK_SUPERSAMPLE = 8
 _NOTCH_POLE = 0.996
 
 
-def gaussian_kernel(sigma: float, size: int | None = None) -> np.ndarray:
-    """Sampled isotropic Gaussian, unit sum.  sigma 0 gives the identity
-    kernel.  ``size`` (odd) overrides the default 2*ceil(3*sigma)+1."""
+def gaussian_shape(sigma: float, size: int | None = None) -> tuple[int, int]:
+    """Shape of ``gaussian_kernel(sigma, size)``, which it checks."""
     if sigma < 0:
         raise InputError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0:
-        return delta_kernel(1) if size is None else delta_kernel(size)
     if size is None:
         size = 2 * int(np.ceil(3.0 * sigma)) + 1
     if size % 2 == 0 or size < 1:
         raise InputError(f"kernel size must be odd and >= 1, got {size}")
+    return size, size
+
+
+def gaussian_kernel(sigma: float, size: int | None = None) -> np.ndarray:
+    """Sampled isotropic Gaussian, unit sum.  sigma 0 gives the identity
+    kernel.  ``size`` (odd) overrides the default 2*ceil(3*sigma)+1."""
+    size, _ = gaussian_shape(sigma, size)
+    if sigma == 0:
+        return delta_kernel(size)
     r = np.arange(size) - size // 2
     g1 = np.exp(-0.5 * (r / sigma) ** 2)
     k = np.outer(g1, g1)
     return k / k.sum()
 
 
+def _motion_path(length: int, angle_deg: float
+                 ) -> tuple[float, float, int, int]:
+    """(di, dk, ri, rk) of a motion blur: the unit step along the angle,
+    components under 1e-12 set to 0, and the kernel's row and column
+    radii."""
+    if length < 1:
+        raise InputError(f"length must be >= 1, got {length}")
+    ang = np.deg2rad(angle_deg)
+    di, dk = (0.0 if abs(v) < 1e-12 else v
+              for v in (np.sin(ang), np.cos(ang)))
+    half = (length - 1) / 2.0
+    ri = max(int(np.ceil(abs(half * di) - 1e-9)), 0)
+    rk = max(int(np.ceil(abs(half * dk) - 1e-9)), 0)
+    return di, dk, ri, rk
+
+
+def motion_shape(length: int, angle_deg: float = 0.0) -> tuple[int, int]:
+    """Shape of ``motion_kernel(length, angle_deg)``, which it checks."""
+    _, _, ri, rk = _motion_path(length, angle_deg)
+    return 2 * ri + 1, 2 * rk + 1
+
+
 def motion_kernel(length: int, angle_deg: float = 0.0) -> np.ndarray:
     """Uniform straight-line motion: ``length`` samples splatted
     bilinearly along the given angle, unit sum.  Angle 0 moves along the
     column axis, so length 5 at 0 degrees is the 1 x 5 kernel of 0.2s."""
-    if length < 1:
-        raise InputError(f"length must be >= 1, got {length}")
-    if length == 1:
-        return delta_kernel(1)
-    ang = np.deg2rad(angle_deg)
-    di, dk = np.sin(ang), np.cos(ang)
-    if abs(di) < 1e-12:
-        di = 0.0
-    if abs(dk) < 1e-12:
-        dk = 0.0
+    di, dk, ri, rk = _motion_path(length, angle_deg)
     ts = np.linspace(-(length - 1) / 2.0, (length - 1) / 2.0, length)
-    ri = max(int(np.ceil(abs(ts[-1] * di) - 1e-9)), 0)
-    rk = max(int(np.ceil(abs(ts[-1] * dk) - 1e-9)), 0)
-    k = np.zeros((2 * ri + 1, 2 * rk + 1))
-    ci, ck = ri, rk
+    rows, cols = 2 * ri + 1, 2 * rk + 1
+    k = np.zeros((rows, cols))
     w = 1.0 / length
     for t in ts:
-        fi, fk = ci + t * di, ck + t * dk
+        fi, fk = ri + t * di, rk + t * dk
         i0, k0 = int(np.floor(fi)), int(np.floor(fk))
         ai, ak = fi - i0, fk - k0
         for oi, wi in ((0, 1 - ai), (1, ai)):
             for ok, wk in ((0, 1 - ak), (1, ak)):
-                if wi * wk > 0:
+                # the radii forgive 1e-9, so a splat of at most that
+                # weight can land just outside the kernel: it is dropped
+                if (wi * wk > 0 and 0 <= i0 + oi < rows
+                        and 0 <= k0 + ok < cols):
                     k[i0 + oi, k0 + ok] += w * wi * wk
     return as_kernel(k / k.sum())
 
 
-def disk_kernel(radius: float) -> np.ndarray:
-    """Defocus disk: area-sampled circular top hat, unit sum."""
+def disk_shape(radius: float) -> tuple[int, int]:
+    """Shape of ``disk_kernel(radius)``, which it checks."""
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    if radius == 0:
-        return delta_kernel(1)
-    half = int(np.ceil(radius))
-    size = 2 * half + 1
+    size = 2 * int(np.ceil(radius)) + 1
+    return size, size
+
+
+def disk_kernel(radius: float) -> np.ndarray:
+    """Defocus disk: area-sampled circular top hat, unit sum."""
+    size, _ = disk_shape(radius)
+    half = size // 2
     ss = _DISK_SUPERSAMPLE
     coords = (np.arange(size * ss) + 0.5) / ss - half - 0.5
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     fine = (xx * xx + yy * yy <= radius * radius).astype(np.float64)
+    if not fine.any():          # a disk between the centre pixel's samples
+        return delta_kernel(size)
     k = fine.reshape(size, ss, size, ss).mean(axis=(1, 3))
     return as_kernel(k / k.sum())
 

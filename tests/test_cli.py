@@ -75,6 +75,34 @@ def test_synth_bad_blur_spec_exit_2(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", ["gaussian:1e6", "disk:1e5",
+                                  "motion:100000000:30"])
+def test_synth_absurd_blur_exit_3_before_building(tmp_path, capsys, spec):
+    """A kernel larger than the image is rejected from the spec alone;
+    built, each of these would take terabytes."""
+    image = tmp_path / "small.pgm"
+    write_pgm(image, nd.texture((64, 64), seed=1))
+    rc = main(["synth", str(image), "--blur", spec,
+               "--output", str(tmp_path / "x.pgm")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "synth failed at stage degrade" in err
+    assert "larger than image (64, 64)" in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def test_synth_even_gaussian_size_exit_2(workdir, capsys):
+    """An even size is a bad spec whatever sigma is: sigma 0 used to
+    return a delta before the size was checked, and ended with exit 3."""
+    for spec in ("gaussian:0:4", "gaussian:1:4"):
+        rc = main(["synth", str(workdir / "clean.pgm"), "--blur", spec,
+                   "--output", str(workdir / "x.pgm")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert ("synth failed at stage config: bad blur spec "
+                f"'{spec}': kernel size must be odd") in err
+
+
 def test_missing_input_exit_2(workdir, capsys):
     rc = main(["estimate", str(workdir / "nosuch.pgm")])
     assert rc == 2

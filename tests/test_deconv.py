@@ -331,7 +331,7 @@ def test_cs_matches_reference(case_name, delta_t, request):
 @pytest.mark.parametrize("optimize", [nd.bvdr_optimize, nd.cs_optimize],
                          ids=["bvdr", "cs"])
 def test_embedded_delta_pair_fixed_point(optimize):
-    """A 9x9 grid holding one tap stays on the direct path, so the
+    """A 9x9 grid holding one tap takes the exact one-tap shift, so the
     identity pair moves nothing; through the FFT, bvdr's seed weight would
     be a ratio of rounding-level numbers."""
     img = nd.texture((64, 64), seed=4)

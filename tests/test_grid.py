@@ -9,10 +9,9 @@ from nsdeblur.errors import DegenerateKernelError, DimensionError
 import nsdeblur as nd
 from conftest import is_smooth
 from nsdeblur import grid
-from nsdeblur.grid import (DIRECT_MAX_TAPS, as_image, as_kernel, convolve,
-                           correlation_lags, delta_kernel, gradient,
-                           normalize_kernel, replicate_filter, to_luminance,
-                           window_gram)
+from nsdeblur.grid import (as_image, as_kernel, convolve, correlation_lags,
+                           delta_kernel, gradient, normalize_kernel,
+                           replicate_filter, to_luminance, window_gram)
 
 
 def loop_convolve(img, kernel):
@@ -113,15 +112,12 @@ def check_filter(image, kernel):
     ref = direct(image, kernel)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    return got, ref
 
 
 @pytest.mark.parametrize("kshape", [(n, n) for n in range(1, 35, 2)]
                          + [(3, 9), (9, 3), (1, 7), (7, 1)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
-def test_replicate_filter_matches_convolve(kshape, monkeypatch):
-    """Every shape through the FFT path, the crossover set to zero taps."""
-    monkeypatch.setattr(grid, "DIRECT_MAX_TAPS", 0)
+def test_replicate_filter_matches_convolve(kshape):
     rng = np.random.default_rng(kshape[0] * 100 + kshape[1])
     check_filter(rng.random((41, 37)), rng.standard_normal(kshape))
 
@@ -130,17 +126,6 @@ def test_replicate_filter_matches_convolve(kshape, monkeypatch):
 def test_replicate_filter_image_barely_larger_than_kernel(shape):
     rng = np.random.default_rng(shape[1])
     check_filter(rng.random(shape), rng.standard_normal((9, 9)))
-
-
-@pytest.mark.parametrize("taps", [DIRECT_MAX_TAPS, DIRECT_MAX_TAPS + 1])
-def test_replicate_filter_either_side_of_crossover(taps):
-    """Up to the crossover the direct path runs and the result is the
-    direct convolution bit for bit; one tap more goes through the FFT."""
-    rng = np.random.default_rng(taps)
-    kernel = np.zeros(81)
-    kernel[rng.choice(81, taps, replace=False)] = rng.standard_normal(taps)
-    got, ref = check_filter(rng.random((64, 48)), kernel.reshape(9, 9))
-    assert np.array_equal(got, ref) == (taps <= DIRECT_MAX_TAPS)
 
 
 def test_replicate_filter_embedded_delta_is_identity():
@@ -184,8 +169,7 @@ def test_convolve_dense_kernel_matches_direct(image_shape, kshape):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("taps", [1, 5, DIRECT_MAX_TAPS, DIRECT_MAX_TAPS + 1,
-                                  81])
+@pytest.mark.parametrize("taps", [1, 5, 25, 26, 81])
 def test_convolve_is_the_replicate_filter(taps):
     rng = np.random.default_rng(taps + 100)
     kernel = np.zeros(81)
@@ -196,22 +180,17 @@ def test_convolve_is_the_replicate_filter(taps):
         convolve(image, kernel), replicate_filter(kernel, image.shape)(image))
 
 
-@pytest.mark.parametrize("kernel", [
-    nd.gaussian_kernel(1.0, 5),          # 25 taps
-    nd.motion_kernel(7, 30.0),
-    delta_kernel(9),
-], ids=["gaussian5", "motion7", "delta9"])
+@pytest.mark.parametrize("kernel", [delta_kernel(9)], ids=["delta9"])
 def test_convolve_sparse_kernel_is_direct(kernel):
-    """The corpus blurs keep the direct path, bit for bit."""
-    assert np.count_nonzero(kernel) <= DIRECT_MAX_TAPS
+    """A one-tap kernel gives the direct correlation bit for bit."""
     image = np.random.default_rng(12).random((64, 50))
     np.testing.assert_array_equal(convolve(image, kernel),
                                   direct(image, kernel))
 
 
-# --- the direct path: the bits of scipy.ndimage.correlate, slab by slab
+# --- the corpus blurs and other sparse kernels, through the FFT path
 
-DIRECT_KERNELS = {
+SPARSE_KERNELS = {
     "gaussian5": nd.gaussian_kernel(1.0, 5),
     "motion7-30": nd.motion_kernel(7, 30.0),
     "disk2": nd.disk_kernel(2.0),
@@ -221,60 +200,42 @@ DIRECT_KERNELS = {
     "col25x1": np.random.default_rng(42).standard_normal((25, 1)),
 }
 
-#: rows per slab at 1024 columns; a 131-row image there ends in a part slab
-SLAB_1024 = grid._slab_rows(1024)
 
-DIRECT_SHAPES = [(131, 127), (131, 1024), (SLAB_1024 - 5, 1024), (512, 512),
-                 (40, 33)]
-
-
-@pytest.mark.parametrize("shape", DIRECT_SHAPES,
+@pytest.mark.parametrize("shape", [(131, 127), (131, 1024), (27, 1024),
+                                   (512, 512), (40, 33)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("name", list(DIRECT_KERNELS))
-def test_direct_path_is_ndimage_correlate(name, shape):
-    kernel = DIRECT_KERNELS[name]
-    assert np.count_nonzero(kernel) <= DIRECT_MAX_TAPS
+@pytest.mark.parametrize("name", list(SPARSE_KERNELS))
+def test_replicate_filter_matches_direct(name, shape):
     image = np.random.default_rng(shape[0] * shape[1]).random(shape)
-    np.testing.assert_array_equal(
-        replicate_filter(kernel, shape)(image), direct(image, kernel))
-
-
-def test_direct_shapes_cover_the_slab_edges():
-    assert 131 % SLAB_1024 != 0 and 131 > SLAB_1024
-    assert SLAB_1024 - 5 > 0
-    assert grid._slab_rows(127) > 131        # 131 x 127 is one part slab
+    check_filter(image, SPARSE_KERNELS[name])
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (7, 11), (1, 9), (9, 1), (5, 25)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
-def test_direct_path_kernel_as_large_as_image(shape):
+def test_replicate_filter_kernel_as_large_as_image(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
-    taps = min(DIRECT_MAX_TAPS, shape[0] * shape[1])
+    taps = min(25, shape[0] * shape[1])
     kernel = np.zeros(shape[0] * shape[1])
     kernel[rng.choice(kernel.size, taps, replace=False)] = (
         rng.standard_normal(taps))
-    kernel = kernel.reshape(shape)
-    image = rng.random(shape)
-    np.testing.assert_array_equal(
-        replicate_filter(kernel, shape)(image), direct(image, kernel))
+    check_filter(rng.random(shape), kernel.reshape(shape))
 
 
-def test_direct_path_returns_a_fresh_array():
-    """The padded copy is reused; no returned array is, and none changes
-    when the filter runs again."""
-    rng = np.random.default_rng(43)
-    a, b = rng.random((131, 127)), rng.random((131, 127))
-    kernel = nd.gaussian_kernel(1.0, 5)
-    apply = replicate_filter(kernel, a.shape)
-    first = apply(a)
-    kept = first.copy()
-    second = apply(b)
-    third = apply(a)
-    assert not np.shares_memory(first, second)
-    assert not np.shares_memory(first, third)
-    np.testing.assert_array_equal(first, kept)
-    np.testing.assert_array_equal(third, kept)
-    np.testing.assert_array_equal(second, direct(b, kernel))
+@pytest.mark.parametrize("image_shape, kshape, tap", [
+    ((40, 33), (9, 9), (1, 7)),
+    ((7, 11), (7, 11), (6, 0)),          # the kernel as large as the image
+], ids=["off-centre", "as-large-as-image"])
+def test_one_tap_kernel_is_the_shifted_image(image_shape, kshape, tap):
+    """A single negative, non-unit tap off the centre: the direct
+    correlation bit for bit, in a new array each call."""
+    image = np.random.default_rng(44).random(image_shape)
+    kernel = np.zeros(kshape)
+    kernel[tap] = -0.37
+    apply = replicate_filter(kernel, image_shape)
+    first = apply(image)
+    np.testing.assert_array_equal(first, direct(image, kernel))
+    assert not np.shares_memory(first, image)
+    assert not np.shares_memory(first, apply(image))
 
 
 def test_gradient_of_constant_is_zero():

@@ -25,8 +25,9 @@ def test_import_leaves_out_slow_scipy_modules():
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    """One process runs each command on a 96 x 96 texture, on the routes
-    that reach every filter path, and ends with no scipy module loaded."""
+    """One process runs each command on a 96 x 96 texture, through both
+    inverse routes, the prefilter and both image optimizers, and ends with
+    no scipy module loaded."""
     write_pgm(tmp_path / "clean.pgm", texture((96, 96), seed=5))
     runs = [
         ["synth", "clean.pgm", "--blur", "gaussian:1.0:5", "--noise", "0.01",

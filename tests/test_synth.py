@@ -4,6 +4,7 @@ import pytest
 import nsdeblur as nd
 from conftest import stencil_sums
 from nsdeblur.errors import InputError
+from nsdeblur.synth import motion_shape
 
 
 def test_gaussian_sigma_zero_is_delta():
@@ -34,11 +35,30 @@ def test_motion_diagonal_normalized():
     assert k.shape[0] == k.shape[1]
 
 
+def test_motion_kernel_at_every_angle():
+    """Every length and angle gives a unit-sum, non-negative kernel of
+    the shape ``motion_shape`` reports.  Where a path end lies within
+    rounding of a grid line, e.g. length 5 at 240 degrees, a splat of
+    weight 1e-16 used to index past the kernel and raise IndexError."""
+    for length in range(1, 40):
+        for angle in np.linspace(-360.0, 360.0, 97):
+            k = nd.motion_kernel(length, angle)
+            assert k.shape == motion_shape(length, angle)
+            assert abs(k.sum() - 1.0) <= 1e-12 and k.min() >= 0.0
+
+
 def test_disk_kernel_normalized():
     k = nd.disk_kernel(2.0)
     assert abs(k.sum() - 1.0) <= 1e-12
     assert k.shape == (5, 5)
     np.testing.assert_array_equal(nd.disk_kernel(0.0), [[1.0]])
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.05, 0.3])
+def test_disk_inside_the_centre_pixel_is_a_delta(radius):
+    """A disk that misses every sample used to give 0/0 taps, and the
+    ``synth`` command exited 3 with "kernel contains NaN or Inf"."""
+    np.testing.assert_array_equal(nd.disk_kernel(radius), nd.delta_kernel(3))
 
 
 def test_impulse_noise_density_and_determinism():
