@@ -7,6 +7,8 @@ can reproduce cases bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
@@ -39,7 +41,10 @@ def gaussian_kernel(sigma: float, size: int | None = None) -> np.ndarray:
     """Sampled isotropic Gaussian, unit sum.  sigma 0 gives the identity
     kernel.  ``size`` (odd) overrides the default 2*ceil(3*sigma)+1."""
     size, _ = gaussian_shape(sigma, size)
-    if sigma == 0:
+    # no weight even one tap off the centre: the delta (tested in Python
+    # floats, since the squares below overflow for sigma under ~1e-154)
+    inv = 1.0 / float(sigma) if sigma else math.inf
+    if math.exp(-0.5 * inv * inv) == 0.0:
         return delta_kernel(size)
     r = np.arange(size) - size // 2
     g1 = np.exp(-0.5 * (r / sigma) ** 2)

@@ -45,6 +45,19 @@ def test_synth_gauss_sigma_zero_round_trips(workdir):
     np.testing.assert_array_equal(read_kernel(workdir / "d.kern"), [[1.0]])
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-200"])
+def test_synth_tiny_gaussian_is_a_silent_delta(workdir, sigma):
+    """A sigma whose Gaussian has no weight off the centre tap gives the
+    delta as sigma 0 does, with no overflow warning on the way."""
+    kern = workdir / f"tiny-{sigma}.kern"
+    out = run_python(["-m", "nsdeblur", "synth", str(workdir / "clean.pgm"),
+                      "--blur", f"gaussian:{sigma}",
+                      "--output", str(workdir / f"tiny-{sigma}.pgm"),
+                      "--kernel-out", str(kern)])
+    assert (out.returncode, out.stderr) == (0, "")
+    np.testing.assert_array_equal(read_kernel(kern), nd.delta_kernel(3))
+
+
 def test_synth_motion_manifest(workdir):
     out = workdir / "m.pgm"
     kern = workdir / "m.kern"
