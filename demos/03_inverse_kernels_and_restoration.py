@@ -8,14 +8,16 @@ to a unit impulse.
 """
 
 import numpy as np
-from scipy.signal import convolve2d
 
 import nsdeblur as nd
 from nsdeblur.config import OptimizerConfig
 
 
 def identity_share(h, g):
-    full = convolve2d(h, g)
+    # full 2-D convolution of the pair: each tap of h shifts a copy of g
+    full = np.zeros((h.shape[0] + g.shape[0] - 1, h.shape[1] + g.shape[1] - 1))
+    for (i, k), tap in np.ndenumerate(h):
+        full[i:i + g.shape[0], k:k + g.shape[1]] += tap * g
     ci, ck = (full.shape[0] - 1) // 2, (full.shape[1] - 1) // 2
     return abs(full[ci, ck]) / np.abs(full).sum()
 

@@ -24,7 +24,7 @@ def main():
     print(f"+2% impulses:   PSNR {nd.psnr(noisy, clean):.2f} dB, "
           f"null dimension {null_dim(noisy)} (noise-driven)")
 
-    filtered, response = nd.denoise_prefilter(noisy, 33, 33, 17, 17)
+    filtered, response = nd.denoise_prefilter(noisy, 33, 17)
     print(f"prefiltered:    PSNR {nd.psnr(filtered, clean):.2f} dB, "
           f"null dimension {null_dim(filtered)}")
     print(f"filter response: {response.shape[0]}x{response.shape[1]} taps, "

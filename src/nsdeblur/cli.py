@@ -39,8 +39,7 @@ _CONFIG_KEYS = {**_settings(PipelineConfig), **_SOLVER_KEYS}
 #: The settings each command reads; it ignores a settings file's others.
 READS = {"estimate": {"ar_p", "ar_q", "psf_l", "psf_m", "ipsf_route",
                       "denoise", "denoise_order", "denoise_size",
-                      "space_ridge", "lambda0", "q", "theta", "eps",
-                      "max_iters"},
+                      "lambda0", "q", "theta", "eps", "max_iters"},
          "deblur": {"optimizer", "lambda0", "delta_t", "eps", "max_iters",
                     "alpha"}}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -99,28 +98,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="settings file (key = value lines)")
 
 
+#: Each ``--blur`` kind: its usage, its parameter types (only the first
+#: required), and the functions that give its kernel's shape and build it.
+_BLURS = {"gaussian": ("SIGMA[:SIZE]", (float, int), gaussian_shape,
+                       gaussian_kernel),
+          "motion": ("LENGTH[:ANGLE]", (int, float), motion_shape,
+                     motion_kernel),
+          "disk": ("RADIUS", (float,), disk_shape, disk_kernel)}
+_BLUR_USAGE = " | ".join(f"{kind}:{v[0]}" for kind, v in _BLURS.items())
+
+
 def _parse_blur(spec: str) -> tuple:
     """(shape, build) of a ``--blur`` spec: the kernel's shape, found
     without building the kernel, and the function that builds it."""
-    parts = spec.split(":")
-    kind = parts[0].lower()
+    kind, *values = spec.split(":")
+    if kind.lower() not in _BLURS:
+        raise InputError(f"unknown blur type {kind!r} ({_BLUR_USAGE})")
+    usage, types, shape, build = _BLURS[kind.lower()]
     try:
-        if not np.isfinite([float(v) for v in parts[1:]]).all():
+        if not 1 <= len(values) <= len(types):
+            raise ValueError(f"expected {kind}:{usage}")
+        if not np.isfinite([float(v) for v in values]).all():
             raise ValueError("parameters must be finite")
-        if kind == "gaussian":
-            args = (float(parts[1]), int(parts[2]) if len(parts) > 2 else None)
-            return gaussian_shape(*args), lambda: gaussian_kernel(*args)
-        if kind == "motion":
-            args = (int(parts[1]), float(parts[2]) if len(parts) > 2 else 0.0)
-            return motion_shape(*args), lambda: motion_kernel(*args)
-        if kind == "disk":
-            args = (float(parts[1]),)
-            return disk_shape(*args), lambda: disk_kernel(*args)
-    except (IndexError, ValueError) as exc:
+        args = [convert(v) for convert, v in zip(types, values)]
+        return shape(*args), lambda: build(*args)
+    except ValueError as exc:
         raise InputError(f"bad blur spec {spec!r}: {exc}") from exc
-    raise InputError(
-        f"unknown blur type {parts[0]!r} (gaussian:SIGMA[:SIZE], "
-        "motion:LENGTH[:ANGLE], disk:RADIUS)")
 
 
 def cmd_estimate(args) -> int:
@@ -155,10 +158,11 @@ def _read_usable_kernel(path) -> np.ndarray:
     """Kernel file with odd dimensions, finite taps, a tap sum away from
     zero and a gain of at most KERNEL_GAIN_MAX; else it restores garbage."""
     kernel = as_kernel(read_kernel(path))
-    total = float(kernel.sum())
+    with np.errstate(over="ignore"):    # an overflowed gain is inf
+        total = float(kernel.sum())
+        gain = float(np.abs(kernel).sum())
     if abs(total) <= KERNEL_SUM_TOL:
         raise DegenerateKernelError(f"{path}: taps sum to {total:.3e}")
-    gain = float(np.abs(kernel).sum())
     if gain > KERNEL_GAIN_MAX:
         raise DegenerateKernelError(
             f"{path}: tap gain {gain:.3e} exceeds {KERNEL_GAIN_MAX:.0e}")
@@ -264,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model orders (odd)")
     p_est.add_argument("--psf-size", nargs=2, type=int, metavar=("L", "M"),
                        help="kernel size (odd, smaller than the model order)")
-    p_est.add_argument("--space-ridge", dest="space_ridge", type=float,
-                       help="space inverse fit ridge; 0 means 1e-8 trace/rows")
     p_est.add_argument("--theta", type=float, help="contraction gate factor")
     _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)
@@ -288,9 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synth", help="degrade a clean image with a "
                                          "known kernel")
     p_syn.add_argument("input")
-    p_syn.add_argument("--blur", required=True,
-                       help="gaussian:SIGMA[:SIZE] | motion:LENGTH[:ANGLE] "
-                            "| disk:RADIUS")
+    p_syn.add_argument("--blur", required=True, help=_BLUR_USAGE)
     p_syn.add_argument("--output", required=True)
     p_syn.add_argument("--kernel-out")
     p_syn.add_argument("--manifest")

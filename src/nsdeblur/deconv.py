@@ -190,21 +190,22 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
                           extras={"dt_bound_trace": np.array(dt_bounds)})
 
 
-def denoise_prefilter(image, p: int = 33, q: int = 33, l: int = 17,
-                      m: int = 17) -> tuple[np.ndarray, np.ndarray]:
+def denoise_prefilter(image, order: int = 33, size: int = 17
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """High-order single-vector prefilter: a linear two-sided filter that
     removes impulsive noise without extra smoothing.
 
-    Fits a high-order model, keeps only the single smallest-eigenvalue
-    basis vector (maximum assumed blur), builds the corresponding kernel
-    and its space-domain inverse, and applies that inverse once.  The
+    Fits an ``order`` x ``order`` model, keeps only the single
+    smallest-eigenvalue basis vector of a ``size`` x ``size`` kernel
+    (maximum assumed blur), builds the corresponding kernel and its
+    space-domain inverse, and applies that inverse once.  The
     single-vector kernel has spectral nulls, so its inverse fit needs a
     substantial ridge; the filter then acts as a weighted accumulation of
     neighborhood samples.  Returns the filtered image and the tap grid.
     """
     x = as_image(image)
-    model = estimate_ar(x, p, q)
-    basis = compute_cns(build_operator(model, l, m), force_single=True)
+    model = estimate_ar(x, order, order)
+    basis = compute_cns(build_operator(model, size, size), force_single=True)
     kernel = normalize_kernel(basis.squared_basis[0])
     response = ipsf_space(x, kernel, system=space_system(
         x, kernel, ridge_relative=PREFILTER_RIDGE))

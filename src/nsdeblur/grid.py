@@ -22,6 +22,7 @@ of operations on its own buffers, wherever it runs.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -91,13 +92,16 @@ def as_kernel(data) -> np.ndarray:
 
 
 def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Scale taps to unit sum.  Raises if the sum is numerically zero."""
+    """Scale taps to unit sum.  Raises if the sum is numerically zero or
+    overflows, or if a scaled tap would."""
     k = as_kernel(kernel)
-    s = float(k.sum())
-    if abs(s) <= KERNEL_SUM_TOL:
+    with np.errstate(over="ignore"):
+        s = float(k.sum())
+        out = k / s if math.isfinite(s) and abs(s) > KERNEL_SUM_TOL else None
+    if out is None or not np.all(np.isfinite(out)):
         raise DegenerateKernelError(
             f"kernel sums to {s:.3e}; normalization impossible")
-    return k / s
+    return out
 
 
 def delta_kernel(l: int = 1) -> np.ndarray:

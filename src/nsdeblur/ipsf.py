@@ -22,8 +22,8 @@ from .grid import (as_image, as_kernel, convolve, correlation_lags,
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq
 
-#: Ridge of the space-route system when none is given, relative to
-#: trace/rows of its window statistics.
+#: Ridge of the space-route system, relative to trace/rows of its window
+#: statistics.
 SPACE_RIDGE = 1e-8
 
 
@@ -68,25 +68,6 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
                             m0[:, m0.shape[1] // 2], cfg)
 
 
-def _space_system(image: np.ndarray, h: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Regression system for the space-route inverse: accumulated products
-    of re-degraded-image windows against the original's window centers."""
-    x = as_image(image)
-    hk = as_kernel(h)
-    l, m = hk.shape
-    wl, wm = 2 * l - 1, 2 * m - 1
-    if x.shape[0] < 4 * l or x.shape[1] < 4 * m:
-        raise DimensionError(
-            f"image {x.shape} too small for a {l}x{m} space-route inverse")
-    y = convolve(x, hk)
-    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
-    centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
-    # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]
-    ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
-    return window_gram(y, wl, wm), ryx, wl, wm
-
-
 @dataclass(frozen=True)
 class SpaceSystem:
     """Space-route regression system on the wl x wm tap grid, with its
@@ -100,29 +81,38 @@ class SpaceSystem:
     wm: int
 
 
-def space_system(image, h, ridge: float = 0.0,
-                 ridge_relative: float = 0.0) -> SpaceSystem:
+def space_system(image, h, ridge_relative: float = SPACE_RIDGE
+                 ) -> SpaceSystem:
     """Build the space-route system once, for the primary solve and the
     optimizer alike; the one place its ridge is chosen.
 
-    The ridge is ``ridge_relative`` times trace/rows of the window
-    statistics if that is > 0, else ``ridge`` if that is > 0 (both finite
-    and >= 0), else :data:`SPACE_RIDGE` times trace/rows.  It goes on the
+    The system holds the accumulated products of re-degraded-image windows
+    against the original's window centers.  Its ridge is ``ridge_relative``
+    (finite and > 0) times trace/rows of the window statistics, so the
+    fitted taps do not depend on the image's scale.  It goes on the
     diagonal in place: ``ryy + ridge * I`` bit for bit.  A system with
     zero trace (an all-zero image) has no usable ridge and raises
     DegenerateKernelError.
     """
-    check_setting("ridge", ridge, 0)
-    check_setting("ridge_relative", ridge_relative, 0)
-    ryy, ryx, wl, wm = _space_system(image, h)
+    check_setting("ridge_relative", ridge_relative, 0, above=True)
+    x = as_image(image)
+    hk = as_kernel(h)
+    l, m = hk.shape
+    wl, wm = 2 * l - 1, 2 * m - 1
+    if x.shape[0] < 4 * l or x.shape[1] < 4 * m:
+        raise DimensionError(
+            f"image {x.shape} too small for a {l}x{m} space-route inverse")
+    y = convolve(x, hk)
+    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
+    centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
+    # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]
+    ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
+    ryy = window_gram(y, wl, wm)
     n, trace = ryy.shape[0], float(np.trace(ryy))
     if not trace > 0.0:
         raise DegenerateKernelError(
             "space-route system has zero trace: all-zero image")
-    if ridge_relative > 0.0:
-        ridge = ridge_relative * trace / n
-    elif ridge == 0.0:
-        ridge = SPACE_RIDGE * trace / n
+    ridge = ridge_relative * trace / n
     ryy.flat[::n + 1] += ridge
     ryy.flags.writeable = ryx.flags.writeable = False
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)

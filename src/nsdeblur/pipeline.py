@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armodel import ArModel, estimate_ar, build_operator
-from .config import OptimizerConfig, RunReport, check_integers, check_setting
+from .config import OptimizerConfig, RunReport, check_integers
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
 from .grid import _beside, as_image
@@ -43,7 +43,6 @@ class PipelineConfig:
     denoise: bool = False
     denoise_order: int = 33
     denoise_size: int = 17
-    space_ridge: float = 0.0
     solver: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
@@ -53,6 +52,10 @@ class PipelineConfig:
             v = getattr(self, name)
             if v < 1 or v % 2 == 0:
                 raise DimensionError(f"{name} must be odd and >= 1, got {v}")
+        if self.psf_l == self.psf_m == 1:
+            # one tap, one eigenvalue: no eigen/null split to take
+            raise DimensionError("a 1x1 kernel cannot be estimated; "
+                                 "psf_l or psf_m must be above 1")
         for kernel, model in (("psf_l", "ar_p"), ("psf_m", "ar_q"),
                               ("denoise_size", "denoise_order")):
             if getattr(self, kernel) >= getattr(self, model):
@@ -64,7 +67,6 @@ class PipelineConfig:
                               ("denoise", (False, True))):
             if getattr(self, name) not in choices:
                 raise InputError(f"{name} must be one of {choices}")
-        check_setting("space_ridge", self.space_ridge, 0)
 
 
 @dataclass
@@ -88,9 +90,8 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
     x = as_image(image)
     prefiltered = prefilter_kernel = None
     if cfg.denoise:
-        x, prefilter_kernel = denoise_prefilter(
-            x, cfg.denoise_order, cfg.denoise_order,
-            cfg.denoise_size, cfg.denoise_size)
+        x, prefilter_kernel = denoise_prefilter(x, cfg.denoise_order,
+                                                cfg.denoise_size)
         prefiltered = x
 
     def fit():
@@ -109,7 +110,7 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
         g, ipsf_report = optimize_ipsf_spectral(g0, h, basis, cfg.solver)
     else:
         # one system, with its ridge, serves both solves
-        system = space_system(x, h, ridge=cfg.space_ridge)
+        system = space_system(x, h)
         space_ridge = system.ridge
         g0 = ipsf_space(x, h, system=system)
         g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,

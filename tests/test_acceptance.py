@@ -334,7 +334,7 @@ def test_criterion_10_sharpness_orderings(corpus_texture, gaussian_case,
 def noisy_setup(corpus_texture):
     blurred = nd.convolve(corpus_texture, nd.gaussian_kernel(1.0, 5))
     noisy = nd.add_impulse_noise(blurred, 0.02, seed=24)
-    filtered, _ = nd.denoise_prefilter(noisy, 33, 33, 17, 17)
+    filtered, _ = nd.denoise_prefilter(noisy, 33, 17)
     return blurred, noisy, filtered
 
 

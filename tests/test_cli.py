@@ -186,8 +186,7 @@ def test_space_estimate_records_its_ridge_quietly(tmp_path):
     values = dict(line.split(" = ", 1) for line in
                   (tmp_path / "report.txt").read_text().splitlines()
                   if " = " in line)
-    x, _ = nd.denoise_prefilter(read_image(tmp_path / "noisy.pgm"),
-                                13, 13, 7, 7)
+    x, _ = nd.denoise_prefilter(read_image(tmp_path / "noisy.pgm"), 13, 7)
     ridge = space_system(x, read_kernel(tmp_path / "h.kern")).ridge
     assert ridge > 0.0 and float(values["space_ridge"]) == ridge
 
@@ -213,6 +212,20 @@ def test_deblur_rejects_unusable_kernel_at_load(workdir, tmp_path, capsys,
     assert rc == code
     assert "deblur failed at stage load" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_deblur_overflowing_kernel_exits_4_quietly(workdir, tmp_path):
+    """A kernel file whose taps sum past the float range fails at load
+    with its one line, under ``-W error``: no overflow warning first."""
+    bad = tmp_path / "big.kern"
+    bad.write_text("3 3\n1e308 1e308 1e308\n0 0 0\n0 0 0\n")
+    run = run_python(["-W", "error", "-m", "nsdeblur", "deblur",
+                      str(workdir / "clean.pgm"), "--ipsf-file", str(bad),
+                      "--output", "out.pgm"], cwd=tmp_path)
+    assert run.returncode == 4
+    assert run.stderr.startswith("deblur failed at stage load: ")
+    assert run.stderr.count("\n") == 1
+    assert not (tmp_path / "out.pgm").exists()
 
 
 @pytest.mark.parametrize("scale, optimizer, stage", [
@@ -314,13 +327,29 @@ def test_estimate_ignores_restore_settings(workdir, tmp_path):
     ["estimate", "--alpha", "7"],
     ["estimate", "--delta-t", "3"],
     ["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm", "--theta", "0.5"],
-], ids=["estimate-alpha", "estimate-delta-t", "deblur-theta"])
+    ["estimate", "--space-ridge", "1"],
+], ids=["estimate-alpha", "estimate-delta-t", "deblur-theta",
+        "estimate-space-ridge"])
 def test_unread_setting_flags_are_unrecognized(argv, capsys):
     command, *flags = argv
     with pytest.raises(SystemExit) as exc:
         main([command, "in.pgm", *flags])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flags[-2]}" in capsys.readouterr().err
+
+
+def test_space_ridge_is_an_unknown_setting(workdir, tmp_path, capsys):
+    """The space route's ridge is no setting: a file that sets it is
+    refused at stage config before anything is written."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("ipsf_route = space\nspace_ridge = 1\n")
+    rc = main(["estimate", str(workdir / "clean.pgm"), "--config",
+               str(cfg_file), "--report", str(tmp_path / "r.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("estimate failed at stage config")
+    assert "run.cfg:2: unknown key 'space_ridge'" in err
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("settings", ["denoise_order = 8\n",
@@ -375,7 +404,7 @@ def test_every_setting_reaches_its_config(tmp_path):
     cfg_file.write_text(
         "ar_p = 11\nar_q = 13\npsf_l = 5\npsf_m = 7\noptimizer = cs\n"
         "ipsf_route = space\ndenoise = yes\ndenoise_order = 21\n"
-        "denoise_size = 9\nspace_ridge = 0.5\nlambda0 = 0.02\n"
+        "denoise_size = 9\nlambda0 = 0.02\n"
         "delta_t = 0.2\ntheta = 4\nq = 2\neps = 1e-6\nmax_iters = 7\n"
         "alpha = 2.5\n")
     commands = {
@@ -383,7 +412,7 @@ def test_every_setting_reaches_its_config(tmp_path):
                      PipelineConfig(
                          ar_p=11, ar_q=13, psf_l=3, psf_m=5,
                          ipsf_route="space", denoise=True, denoise_order=21,
-                         denoise_size=9, space_ridge=0.5,
+                         denoise_size=9,
                          solver=OptimizerConfig(lambda0=0.02, theta=4.0, q=2,
                                                 eps=1e-6, max_iters=9))),
         "deblur": (["deblur", "in.pgm", "--ipsf-file", "g.kern",
@@ -407,6 +436,15 @@ def test_inconsistent_sizes_exit_3(workdir):
     rc = main(["estimate", str(workdir / "clean.pgm"),
                "--ar-order", "9", "9", "--psf-size", "9", "9"])
     assert rc == 3
+
+
+def test_one_tap_kernel_exits_3_at_stage_config(workdir, tmp_path, capsys):
+    rc = main(["estimate", str(workdir / "clean.pgm"), "--ar-order", "3", "3",
+               "--psf-size", "1", "1", "--report", str(tmp_path / "r.txt")])
+    assert rc == 3
+    assert "estimate failed at stage config: a 1x1 kernel" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_numerical_failure_exit_4(tmp_path, capsys):
@@ -449,11 +487,7 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
       "--delta-t", "-1"], None, "deblur failed at stage config"),
     (["estimate", "--max-iters", "0"], None, "estimate failed at stage config"),
     (["estimate", "--theta", "0.5"], None, "estimate failed at stage config"),
-    (["estimate", "--ipsf", "space", "--space-ridge", "-1"], None,
-     "estimate failed at stage config"),
     (["estimate", "--lambda", "nan"], None, "estimate failed at stage config"),
-    (["estimate", "--ipsf", "space", "--space-ridge", "nan"], None,
-     "estimate failed at stage config"),
     (["deblur", "--ipsf-file", "g.kern", "--output", "o.pgm",
       "--max-iters", "0"], None, "deblur failed at stage config"),
     (["quality", "--window", "7"], None, "quality failed"),
@@ -467,6 +501,12 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
      "synth failed at stage config: bad blur spec"),
     (["synth", "--blur", "disk:inf", "--output", "o.pgm"], None,
      "synth failed at stage config: bad blur spec"),
+    (["synth", "--blur", "gaussian:1:5:3", "--output", "o.pgm"], None,
+     "bad blur spec 'gaussian:1:5:3': expected gaussian:SIGMA[:SIZE]"),
+    (["synth", "--blur", "motion:7:30:1", "--output", "o.pgm"], None,
+     "bad blur spec 'motion:7:30:1': expected motion:LENGTH[:ANGLE]"),
+    (["synth", "--blur", "disk:2:9", "--output", "o.pgm"], None,
+     "bad blur spec 'disk:2:9': expected disk:RADIUS"),
     (["synth", "--blur", "gaussian:1", "--noise", "nan", "--output", "o.pgm"],
      None, "synth failed at stage config: noise"),
     (["synth", "--blur", "gaussian:1", "--noise", "0.1", "--seed", "-1",
@@ -474,10 +514,11 @@ def test_least_squares_failure_exit_4(tmp_path, capsys, monkeypatch,
     (["synth", "--blur", "gaussian:1", "--noise", "2", "--output", "o.pgm"],
      None, "synth failed at stage config: noise"),
 ], ids=["file-int", "file-bool", "delta-t", "max-iters", "theta",
-        "space-ridge", "lambda-nan", "space-ridge-nan", "deblur-max-iters",
+        "lambda-nan", "deblur-max-iters",
         "quality-window", "lambda-inf", "space-ridge-inf", "deblur-alpha-nan",
         "quality-fragment-0", "quality-fragment-negative", "synth-gaussian-inf",
-        "synth-disk-inf", "synth-noise-nan", "synth-seed-negative",
+        "synth-disk-inf", "synth-gaussian-extra", "synth-motion-extra",
+        "synth-disk-extra", "synth-noise-nan", "synth-seed-negative",
         "synth-noise-above-1"])
 def test_bad_setting_exits_2(workdir, tmp_path, capsys, argv, settings,
                              expected):

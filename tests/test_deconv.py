@@ -144,13 +144,13 @@ def test_convergence_check_after_transition():
 def test_denoise_prefilter_improves_impulse_noise(corpus_texture):
     x = nd.convolve(corpus_texture, nd.gaussian_kernel(1.0, 5))
     noisy = nd.add_impulse_noise(x, 0.02, seed=24)
-    filtered, response = nd.denoise_prefilter(noisy, 33, 33, 17, 17)
+    filtered, response = nd.denoise_prefilter(noisy, 33, 17)
     assert response.shape == (33, 33)
     assert nd.psnr(filtered, corpus_texture) > nd.psnr(noisy, corpus_texture)
 
 
 def test_denoise_prefilter_near_identity_on_clean(corpus_texture):
-    filtered, _ = nd.denoise_prefilter(corpus_texture, 33, 33, 17, 17)
+    filtered, _ = nd.denoise_prefilter(corpus_texture, 33, 17)
     rel = (np.linalg.norm(filtered - corpus_texture)
            / np.linalg.norm(corpus_texture))
     assert rel <= 0.2

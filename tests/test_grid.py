@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ def test_normalize_zero_sum_kernel_rejected():
     kernel = np.array([[1.0, -1.0, 0.0]])
     with pytest.raises(DegenerateKernelError):
         normalize_kernel(kernel)
+
+
+@pytest.mark.parametrize("kernel", [
+    np.full((3, 3), 1e308), np.array([[1e308, -1e308, 1e-5]])],
+    ids=["sum-overflows", "scaled-tap-overflows"])
+def test_normalize_overflowing_kernel_rejected(kernel):
+    """Finite taps whose sum, or whose taps over the sum, overflow have no
+    unit-sum scaling: a typed error without a warning, not all-zero or
+    infinite taps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateKernelError, match="normalization"):
+            normalize_kernel(kernel)
 
 
 def direct(image, kernel):
@@ -446,7 +460,7 @@ def test_window_gram_peak_is_near_its_result():
 
 
 def _space_operands(shape, l):
-    """The re-degraded field and the centers of ``ipsf._space_system``
+    """The re-degraded field and the centers of ``ipsf.space_system``
     for an l x l kernel: its ryx correlation."""
     x = nd.texture(shape, seed=l)
     y = convolve(x, nd.gaussian_kernel(1.0, l))

@@ -80,15 +80,24 @@ def test_package_source_imports_no_scipy():
     assert not {name: lines for name, lines in found.items() if lines}
 
 
-SCRIPTS = sorted((SRC.parent / "demos").glob("*.py")) + sorted(
-    (SRC.parent / "perfbench").glob("*.py"))
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+
+def test_demos_import_no_scipy():
+    """The demos run on the numpy-only install the README gives."""
+    assert len(DEMOS) > 1
+    found = {p.name: scipy_imports(ast.parse(p.read_text())) for p in DEMOS}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+SCRIPTS = DEMOS + sorted((SRC.parent / "perfbench").glob("*.py"))
 
 
 def package_references(tree: ast.AST):
-    """(line, dotted name, keyword arguments) of every package name a
-    script reaches: each ``from nsdeblur[.mod] import X``, each attribute
-    read through a name bound to the package or one of its modules, and
-    the keywords of each call made through either."""
+    """(line, dotted name, call) of every package name a script reaches:
+    each ``from nsdeblur[.mod] import X`` and each attribute read through a
+    name bound to the package or one of its modules, with the call made
+    through it, if any."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -99,19 +108,19 @@ def package_references(tree: ast.AST):
               and node.module.split(".")[0] == "nsdeblur"):
             for alias in node.names:
                 name = f"{node.module}.{alias.name}"
-                yield node.lineno, name, []
+                yield node.lineno, name, None
                 bound[alias.asname or alias.name] = name
-    keywords = {id(node.func): [k.arg for k in node.keywords if k.arg]
-                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in bound):
             yield (node.lineno, f"{bound[node.value.id]}.{node.attr}",
-                   keywords.get(id(node), []))
+                   calls.get(id(node)))
         elif (isinstance(node, ast.Name) and node.id in bound
-              and id(node) in keywords):
-            yield node.lineno, bound[node.id], keywords[id(node)]
+              and id(node) in calls):
+            yield node.lineno, bound[node.id], calls[id(node)]
 
 
 def resolve(dotted: str):
@@ -127,27 +136,39 @@ def resolve(dotted: str):
         return None
 
 
-def unknown_keywords(fn, keywords) -> set[str]:
+def call_mismatches(fn, call: ast.Call) -> list[str]:
+    """The keywords of ``call`` that ``fn`` lacks, and its positional
+    arguments past those ``fn`` takes."""
     params = inspect.signature(fn).parameters.values()
-    if any(p.kind is p.VAR_KEYWORD for p in params):
-        return set()
-    return set(keywords) - {p.name for p in params}
+    lost = []
+    if not any(p.kind is p.VAR_KEYWORD for p in params):
+        names = {p.name for p in params}
+        lost += [f"{k.arg}=" for k in call.keywords
+                 if k.arg and k.arg not in names]
+    positional = [p for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if (not any(p.kind is p.VAR_POSITIONAL for p in params)
+            and not any(isinstance(a, ast.Starred) for a in call.args)
+            and len(call.args) > len(positional)):
+        lost.append(f"{len(call.args)} positional")
+    return sorted(lost)
 
 
 @pytest.mark.parametrize("script", SCRIPTS,
                          ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
 def test_demo_and_benchmark_names_resolve(script):
     """The demos and the benchmark are not run by this suite, so every
-    package name and keyword argument they use is checked here."""
+    package name they use, and the keywords and number of positional
+    arguments of each call through one, is checked here."""
     text = script.read_text()
     refs = list(package_references(ast.parse(text)))
     assert refs or "nsdeblur" not in text
     lost = []
-    for line, name, keywords in refs:
+    for line, name, call in refs:
         target = resolve(name)
         if target is None:
             lost.append(f"line {line}: {name}")
-        elif keywords:
-            lost += [f"line {line}: {name}({k}=)"
-                     for k in sorted(unknown_keywords(target, keywords))]
+        elif call is not None:
+            lost += [f"line {line}: {name}({arg})"
+                     for arg in call_mismatches(target, call)]
     assert not lost, f"{script.name} uses names the package lacks: {lost}"

@@ -9,10 +9,23 @@ import nsdeblur as nd
 from conftest import SPACE_CFG, center_share, noisy_case_image
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, InputError
-from nsdeblur.grid import shifted_taps
-from nsdeblur.ipsf import (_space_system, curvature_system_matrix,
-                           difference_operators, space_system)
+from nsdeblur.grid import correlation_lags, shifted_taps, window_gram
+from nsdeblur.ipsf import (curvature_system_matrix, difference_operators,
+                           space_system)
 from nsdeblur.surface import surface_area
+
+
+def unridged_system(image, h):
+    """The space-route statistics before the ridge, rebuilt from the grid
+    primitives: the Gram of the re-degraded image's (2l-1) x (2m-1)
+    windows and their products with the original's window centers."""
+    l, m = h.shape
+    wl, wm = 2 * l - 1, 2 * m - 1
+    y = nd.convolve(image, h)
+    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
+    centers = image[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
+    ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
+    return window_gram(y, wl, wm), ryx, wl, wm
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +94,8 @@ def test_space_inverse_matches_dense_oracle():
     rng = np.random.default_rng(1)
     img = rng.random((16, 16))
     h = nd.normalize_kernel(rng.random((3, 3)))
-    g = nd.ipsf_space(img, h, system=space_system(img, h, ridge=1e-6))
+    system = space_system(img, h, 1e-6)
+    g = nd.ipsf_space(img, h, system=system)
     # dense normal equations assembled independently
     y = nd.convolve(img, h)
     rows = []
@@ -92,42 +106,54 @@ def test_space_inverse_matches_dense_oracle():
             target.append(img[pi + 2, pk + 2])
     a = np.array(rows)
     b = np.array(target)
-    ref = np.linalg.solve(a.T @ a + 1e-6 * np.eye(25), a.T @ b)
+    ridge = 1e-6 * np.trace(a.T @ a) / 25
+    assert system.ridge == pytest.approx(ridge, rel=1e-12)
+    ref = np.linalg.solve(a.T @ a + ridge * np.eye(25), a.T @ b)
     np.testing.assert_allclose(g.ravel(), ref, atol=1e-8)
 
 
-@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6])
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6, -1.0, 0.0])
 @pytest.mark.parametrize("call", [
     lambda img, h, r: nd.ipsf_space(
-        img, h, system=space_system(img, h, ridge=r)),
+        img, h, system=space_system(img, h, r)),
     lambda img, h, r: nd.ipsf_space(
         img, h, system=space_system(img, h, ridge_relative=r)),
     lambda img, h, r: nd.optimize_ipsf_space(
-        np.zeros((5, 5)), img, h, system=space_system(img, h, ridge=r)),
+        np.zeros((5, 5)), img, h, system=space_system(img, h, r)),
 ], ids=["ipsf_space-ridge", "ipsf_space-ridge_relative",
         "optimize_ipsf_space-ridge"])
 def test_space_ridge_must_be_finite_and_nonnegative(call, ridge):
-    """The space_ridge rule, checked where either solve's system is built:
-    a NaN ridge is not quietly 0, nor an infinite one an all-NaN kernel."""
+    """The one ridge rule, finite and > 0, checked where either solve's
+    system is built, passed by position or by name: a NaN ridge is not
+    quietly the default, an infinite one an all-NaN kernel, nor a zero
+    one an unridged solve."""
     img = np.random.default_rng(1).random((16, 16))
     with pytest.raises(InputError, match="ridge"):
         call(img, nd.delta_kernel(3), ridge)
 
 
+def test_space_system_takes_no_absolute_ridge(gaussian_case):
+    """The absolute ridge is gone: passing one fails instead of being read
+    as a relative one."""
+    with pytest.raises(TypeError, match="ridge"):
+        space_system(gaussian_case.blurred, gaussian_case.psf, ridge=1.0)
+
+
 @pytest.mark.parametrize("path, kwargs", [
-    ("default-ridge", {}), ("ridge", {"ridge": 1.0}),
+    ("default-ridge", {}), ("ridge", {"ridge_relative": 1.0}),
     ("relative-ridge", {"ridge_relative": 1e-2}), ("pinv", {})])
 def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
     each solve used to build for itself, and ipsf_space solves it with
-    np.linalg.solve.  The "pinv" case is a noisy, well-conditioned image,
-    once solved by pseudo-inverse: it takes the default ridge too."""
+    np.linalg.solve.  The "ridge" case is as large as the mean diagonal
+    entry.  The "pinv" case is a noisy, well-conditioned image, once
+    solved by pseudo-inverse: it takes the default ridge too."""
     h = gaussian_case.psf
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
-    ryy, ryx, wl, wm = _space_system(x, h)
+    ryy, ryx, wl, wm = unridged_system(x, h)
     trace, n = float(np.trace(ryy)), ryy.shape[0]
-    ridge = {"default-ridge": 1e-8 * trace / n, "ridge": 1.0,
+    ridge = {"default-ridge": 1e-8 * trace / n, "ridge": trace / n,
              "relative-ridge": 1e-2 * trace / n,
              "pinv": 1e-8 * trace / n}[path]
     system = space_system(x, h, **kwargs)
@@ -141,7 +167,7 @@ def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
 
 
 def test_space_system_is_read_only(gaussian_case):
-    system = space_system(gaussian_case.blurred, gaussian_case.psf, ridge=1.0)
+    system = space_system(gaussian_case.blurred, gaussian_case.psf)
     with pytest.raises(ValueError, match="read-only"):
         system.ryy[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -156,16 +182,14 @@ def test_space_builds_log_and_warn_nothing(gaussian_case, caplog):
     space-route estimate (whose prefilter has its own ridge) logs a record
     or raises a warning, with the default ridge or a given one."""
     x, h = gaussian_case.blurred, gaussian_case.psf
-    g0 = nd.ipsf_space(x, h, system=space_system(x, h, ridge=1.0))
+    g0 = nd.ipsf_space(x, h, system=space_system(x, h, 1e-2))
     calls = [lambda: nd.ipsf_space(x, h),
              lambda: nd.optimize_ipsf_space(g0, x, h, SPACE_CFG)]
     for denoise in (False, True):
         cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
                                 ipsf_route="space", denoise=denoise,
                                 denoise_order=13, denoise_size=7)
-        calls += [lambda cfg=cfg: nd.estimate_kernels(x, cfg),
-                  lambda cfg=cfg: nd.estimate_kernels(
-                      x, dataclasses.replace(cfg, space_ridge=1.0))]
+        calls.append(lambda cfg=cfg: nd.estimate_kernels(x, cfg))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with caplog.at_level(logging.DEBUG):
@@ -190,7 +214,7 @@ def pinv_space_inverse(image, h):
     """The pseudo-inverse solve the fixed default ridge replaced, kept as
     a reference: it applied when no ridge was given and the unridged
     system's smallest eigenvalue was above 1e-8 of its largest."""
-    ryy, ryx, wl, wm = _space_system(image, h)
+    ryy, ryx, wl, wm = unridged_system(image, h)
     eigvals = np.linalg.eigvalsh(ryy)
     assert eigvals[0] > 1e-8 * eigvals[-1], "case never took the pinv path"
     return (np.linalg.pinv(ryy, rcond=1e-10) @ ryx).reshape(wl, wm)
@@ -234,7 +258,8 @@ def test_default_ridge_matches_the_pseudo_inverse(case, request):
 def check_space_cross_correlation(image, h):
     """The FFT cross-correlation against the window centers equals the
     accumulated window-times-center products."""
-    ryy, ryx, wl, wm = _space_system(image, h)
+    system = space_system(image, h)
+    ryx, wl, wm = system.ryx, system.wl, system.wm
     y = nd.convolve(image, h)
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = image[h.shape[0] - 1:h.shape[0] - 1 + ni,
@@ -320,7 +345,7 @@ def test_optimize_space_one_step_matches_dense_oracle():
     g0 = nd.ipsf_space(img, h)
     cfg = OptimizerConfig(lambda0=1e-3, max_iters=1, eps=1e-300, theta=1.0)
     g1, rep = nd.optimize_ipsf_space(g0, img, h, cfg)
-    ryy, ryx, wl, wm = _space_system(img, h)
+    ryy, ryx, wl, wm = unridged_system(img, h)
     ryy[np.diag_indices_from(ryy)] += 1e-8 * np.trace(ryy) / ryy.shape[0]
     ops = difference_operators(wl, wm)
     system = ryy - 1e-3 * curvature_system_matrix(g0.ravel(), ops)

@@ -10,6 +10,7 @@ from nsdeblur.config import OptimizerConfig, format_report
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InputError)
 from nsdeblur.fileio import write_pgm
+from nsdeblur.grid import window_gram
 
 
 def test_config_validation():
@@ -29,8 +30,8 @@ def test_config_validation():
     ({"denoise_size": 33}, DimensionError),
     ({"denoise_size": 0}, DimensionError),
     ({"denoise": "yes"}, InputError),
-    ({"space_ridge": np.inf}, InputError),
-    ({"space_ridge": -1.0}, InputError),
+    ({"psf_l": 1, "psf_m": 1}, DimensionError),
+    ({"ipsf_route": "space", "space_ridge": 1.0}, TypeError),
     ({"ar_p": 9.0, "psf_l": 5}, InputError),
     ({"ar_q": 17.5}, InputError),
     ({"psf_l": 9.0}, InputError),
@@ -38,12 +39,24 @@ def test_config_validation():
     ({"denoise_order": 33.0}, InputError),
     ({"denoise_size": 17.0}, InputError),
 ], ids=["denoise-order-even", "denoise-size-not-smaller", "denoise-size-0",
-        "denoise-not-bool", "space-ridge-inf", "space-ridge-negative",
-        "ar-p-float", "ar-q-float", "psf-l-float", "psf-m-bool",
-        "denoise-order-float", "denoise-size-float"])
+        "denoise-not-bool", "psf-1x1", "space-ridge-removed", "ar-p-float",
+        "ar-q-float", "psf-l-float", "psf-m-bool", "denoise-order-float",
+        "denoise-size-float"])
 def test_pipeline_config_checks_every_field(settings, error):
     with pytest.raises(error):
         nd.PipelineConfig(**settings)
+
+
+def test_thinnest_kernels_still_estimate():
+    """A 1x3 kernel has a null split, and the prefilter's single-vector
+    basis works at one tap, so both stay valid; only 1x1 is refused."""
+    x = nd.convolve(nd.texture((96, 96), seed=2), nd.gaussian_kernel(1.0, 5))
+    cfg = nd.PipelineConfig(ar_p=3, ar_q=5, psf_l=1, psf_m=3, denoise=True,
+                            denoise_order=3, denoise_size=1)
+    result = nd.estimate_kernels(x, cfg)
+    assert result.psf.shape == result.ipsf.shape == (1, 3)
+    assert result.prefilter_kernel.shape == (1, 1)
+    assert abs(result.psf.sum() - 1.0) <= 1e-12
 
 
 def test_pipeline_config_takes_numpy_integers():
@@ -113,53 +126,30 @@ def test_estimate_kernels_space_route(gaussian_case):
     assert np.all(np.isfinite(result.ipsf))
 
 
-def test_space_ridge_reaches_refinement(gaussian_case):
-    """The configured ridge is used by both the primary space-route solve
-    and its refinement."""
-    x = gaussian_case.blurred
-    cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
-                            ipsf_route="space", space_ridge=1.0,
-                            solver=OptimizerConfig(lambda0=1e-5))
-    result = nd.estimate_kernels(x, cfg)
-    h = result.psf
-    system = ipsf.space_system(x, h, ridge=1.0)
-    g0 = nd.ipsf_space(x, h, system=system)
-    g, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver, system=system)
-    np.testing.assert_array_equal(result.ipsf, g)
-    assert result.space_ridge == 1.0
-    g_auto, _ = nd.optimize_ipsf_space(g0, x, h, cfg.solver)
-    assert not np.allclose(result.ipsf, g_auto)
-
-
 SPACE_ROUTE = dict(ar_p=13, ar_q=13, psf_l=7, psf_m=7, ipsf_route="space",
                    solver=OptimizerConfig(lambda0=1e-5))
 
 
-@pytest.mark.parametrize("path, space_ridge", [
-    ("default-ridge", 0.0), ("ridge", 1.0), ("pinv", 0.0)])
-def test_shared_space_system_matches_standalone_calls(path, space_ridge,
-                                                      gaussian_case):
+@pytest.mark.parametrize("path", ["default-ridge", "pinv"])
+def test_shared_space_system_matches_standalone_calls(path, gaussian_case):
     """The estimate's one space system gives the kernel and report of a
-    standalone ipsf_space then optimize_ipsf_space, each handed a system
-    of its own, bit for bit on every ridge path: the default ridge of a
-    near-singular system, a configured one, and the default ridge of a
-    noisy, well-conditioned image, once solved by pseudo-inverse.  The
-    estimate records that ridge."""
+    standalone ipsf_space then optimize_ipsf_space, each building its own
+    system, bit for bit: on a near-singular system, and on a noisy,
+    well-conditioned image, once solved by pseudo-inverse.  The estimate
+    records the default ridge of that system."""
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
-    cfg = nd.PipelineConfig(space_ridge=space_ridge, **SPACE_ROUTE)
+    cfg = nd.PipelineConfig(**SPACE_ROUTE)
     result = nd.estimate_kernels(x, cfg)
     h = result.psf
-    g0 = nd.ipsf_space(x, h, system=ipsf.space_system(x, h, space_ridge))
-    g, report = nd.optimize_ipsf_space(
-        g0, x, h, cfg.solver, system=ipsf.space_system(x, h, space_ridge))
+    g0 = nd.ipsf_space(x, h)
+    g, report = nd.optimize_ipsf_space(g0, x, h, cfg.solver)
     assert result.ipsf.tobytes() == g.tobytes()
     assert format_report(result.ipsf_report) == format_report(report)
-    ryy = ipsf._space_system(x, h)[0]
+    ryy = window_gram(nd.convolve(x, h), 2 * h.shape[0] - 1,
+                      2 * h.shape[1] - 1)
     default = 1e-8 * float(np.trace(ryy)) / ryy.shape[0]
-    assert result.space_ridge == ipsf.space_system(x, h, space_ridge).ridge
-    assert result.space_ridge == {"default-ridge": default, "ridge": 1.0,
-                                  "pinv": default}[path]
+    assert result.space_ridge == ipsf.space_system(x, h).ridge == default
 
 
 @pytest.mark.parametrize("route, denoise, builds", [
@@ -168,15 +158,16 @@ def test_shared_space_system_matches_standalone_calls(path, space_ridge,
 def test_space_system_built_once_per_route(route, denoise, builds,
                                            gaussian_case, monkeypatch):
     """One space-system build per space-route estimate, plus one for the
-    prefilter's inverse when denoising."""
+    prefilter's inverse when denoising, counted by the window Gram that
+    each build makes."""
     calls = []
-    raw = ipsf._space_system
+    raw = ipsf.window_gram
 
     def counting(*args):
         calls.append(args)
         return raw(*args)
 
-    monkeypatch.setattr(ipsf, "_space_system", counting)
+    monkeypatch.setattr(ipsf, "window_gram", counting)
     cfg = nd.PipelineConfig(ar_p=13, ar_q=13, psf_l=7, psf_m=7,
                             ipsf_route=route, denoise=denoise,
                             denoise_order=13, denoise_size=7)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import nsdeblur as nd
 from conftest import embed, ncc
 from nsdeblur.config import STOP_GATE, OptimizerConfig
-from nsdeblur.errors import DimensionError
+from nsdeblur.errors import DegenerateKernelError, DimensionError
 from nsdeblur.psf import (_shift_average_matrix, basis_derivative_products,
                           spectrum_coefficients)
 from nsdeblur.surface import surface_area
@@ -14,6 +16,15 @@ from nsdeblur.surface import surface_area
 def small_basis():
     img = nd.texture((96, 96), seed=21)
     return nd.compute_cns(nd.build_operator(nd.estimate_ar(img, 9, 9), 5, 5))
+
+
+def test_optimize_psf_rejects_an_overflowing_kernel(small_basis):
+    """A start whose tap sum overflows is degenerate, not the all-zero
+    kernel a gate failure would hand back."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateKernelError):
+            nd.optimize_psf(np.full((5, 5), 1e308), small_basis)
 
 
 def test_constant_image_gives_zero_stats(small_basis):
