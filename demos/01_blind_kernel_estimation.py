@@ -35,12 +35,11 @@ def main():
           f"split at {basis.split} -> null side K={basis.null_dim}")
 
     # 4. gradient statistics projected onto the null side
-    stats = nd.gradient_stats(degraded, basis)
-    print(f"[4] gradient statistics: {stats.rho.shape[0]}x"
-          f"{stats.rho.shape[1]} projections")
+    coeffs = nd.gradient_stats(degraded, basis)
+    print(f"[4] gradient statistics: {len(coeffs)} spectrum coefficients")
 
     # 5. kernel assembly + surface-regularized smoothing
-    h0 = nd.estimate_psf(stats, basis)
+    h0 = nd.estimate_psf(coeffs, basis)
     h, report = nd.optimize_psf(h0, basis)
     print(f"[5] kernel optimized in {report.iterations} steps "
           f"({report.stop_reason}), tap sum = {h.sum():.12f}")

@@ -21,10 +21,10 @@ from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
                    optimize_ipsf_spectral)
 from .nullspace import CnsBasis, compute_cns
 from .pipeline import EstimateResult, PipelineConfig, estimate_kernels, restore
-from .psf import GradientStats, estimate_psf, gradient_stats, optimize_psf
+from .psf import estimate_psf, gradient_stats, optimize_psf
 from .quality import AiConfig, anisotropy_index, psnr
 from .surface import curvature_operator, metric_determinant, surface_area
-from .synth import (add_impulse_noise, ar_texture, disk_kernel,
-                    gaussian_kernel, motion_kernel, smooth_stencil, texture)
+from .synth import (add_impulse_noise, disk_kernel, gaussian_kernel,
+                    motion_kernel, texture)
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ def read_config_file(path) -> dict:
                     raise InputError(
                         f"{path}:{lineno}: bad {conv.__name__} value "
                         f"{val!r} for {key}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     return values
 

@@ -63,7 +63,12 @@ def read_pgm(path) -> np.ndarray:
     elif magic == b"P2":
         vals = []
         for tok, _ in toks:
-            vals.append(int(tok))
+            try:
+                vals.append(int(tok))
+            except ValueError:
+                raise InputError(
+                    f"{path}: bad P2 sample {tok.decode(errors='replace')!r}"
+                ) from None
             if len(vals) == n:
                 break
         if len(vals) < n:

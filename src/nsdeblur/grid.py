@@ -64,11 +64,9 @@ def _beside(task, here):
     return future.result(), mine
 
 
-def as_image(data, copy: bool = False) -> np.ndarray:
+def as_image(data) -> np.ndarray:
     """Coerce to a finite 2D float64 array."""
-    # np.array(copy=False) raises on NumPy 2 whenever a conversion is needed
-    img = (np.array(data, dtype=np.float64) if copy
-           else np.asarray(data, dtype=np.float64))
+    img = np.asarray(data, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionError(f"image must be 2D, got shape {img.shape}")
     if img.size == 0:

@@ -137,8 +137,10 @@ def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:
     grid, matching the repeated central-difference scheme of the surface
     module (one-sided full differences at the outermost lines)."""
     eye_x, eye_y = np.eye(wl), np.eye(wm)
-    # np.gradient of the identity is the matrix form of np.gradient
-    gx, gy = np.gradient(eye_x, axis=0), np.gradient(eye_y, axis=0)
+    # np.gradient of the identity is the matrix form of np.gradient; an
+    # axis one tap long has no differences
+    gx, gy = (np.gradient(e, axis=0) if len(e) > 1 else 0.0 * e
+              for e in (eye_x, eye_y))
     # dx @ dx is kron(gx @ gx, I), and so on.  Every entry is a sum of at
     # most two dyadic products, so both forms are exact; + 0.0 turns the
     # -0.0 that kron makes of a negative tap times 0 into the products' 0

@@ -101,8 +101,7 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
     # the fit chain runs on the caller, so its error wins over the moments'
     moments, (model, basis) = _beside(
         lambda: gradient_moments(x, cfg.psf_l, cfg.psf_m), fit)
-    stats = gradient_stats(x, basis, moments)
-    h0 = estimate_psf(stats, basis)
+    h0 = estimate_psf(gradient_stats(x, basis, moments), basis)
     h, psf_report = optimize_psf(h0, basis, cfg.solver)
     space_ridge = None
     if cfg.ipsf_route == "spectral":

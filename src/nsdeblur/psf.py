@@ -13,22 +13,11 @@ area of the kernel.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
 
 from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import KERNEL_SUM_TOL, gradient, normalize_kernel, window_gram
 from .nullspace import CnsBasis
-
-
-@dataclass(frozen=True)
-class GradientStats:
-    """K x K spectral projections of the degraded image's gradient field:
-    ``rho`` from the cross-flipped window correlation, ``omega`` from the
-    averaged mutual shifts.  Only their diagonals feed the estimate."""
-
-    rho: np.ndarray
-    omega: np.ndarray
 
 
 def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -69,8 +58,10 @@ def gradient_moments(image, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gradient_stats(image, basis: CnsBasis,
                    moments: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> GradientStats:
-    """Project the gradient-field statistics onto the null-side basis.
+                   ) -> np.ndarray:
+    """The K spectrum coefficients: the signed square root of
+    diag(V^T (Gram . J) V) + diag(V^T S V)^2, with V the null vectors and
+    S the shift-average matrix of the gradient field (sign(0) is +1).
     ``moments`` is ``gradient_moments(image, basis.l, basis.m)``, computed
     here when not given."""
     if moments is None:
@@ -78,26 +69,17 @@ def gradient_stats(image, basis: CnsBasis,
     gram, shift_average = moments
     cross = gram[:, ::-1]                      # columns reversed: Gram . J
     v_ns = basis.null_vectors
-    rho = v_ns.T @ cross @ v_ns
-    rho = 0.5 * (rho + rho.T)                  # quadratic form: diag unchanged
-    omega = v_ns.T @ shift_average @ v_ns
-    return GradientStats(rho=rho, omega=omega)
+    d = (np.diag(v_ns.T @ cross @ v_ns)
+         + np.diag(v_ns.T @ shift_average @ v_ns) ** 2)
+    return np.where(d < 0, -1.0, 1.0) * np.sqrt(np.abs(d))
 
 
-def spectrum_coefficients(stats: GradientStats) -> np.ndarray:
-    """Signed square-root combination of the two diagonal statistics."""
-    d = np.diag(stats.rho) + np.diag(stats.omega) ** 2
-    sign = np.where(d < 0, -1.0, 1.0)          # sign(0) treated as +1
-    return sign * np.sqrt(np.abs(d))
-
-
-def estimate_psf(stats: GradientStats, basis: CnsBasis) -> np.ndarray:
+def estimate_psf(coeffs: np.ndarray, basis: CnsBasis) -> np.ndarray:
     """Assemble the normalized kernel from the spectrum coefficients."""
-    if stats.rho.shape[0] != basis.null_dim:
+    if len(coeffs) != basis.null_dim:
         raise DimensionError(
-            f"stats dimension {stats.rho.shape[0]} != basis K {basis.null_dim}")
-    v = spectrum_coefficients(stats)
-    flat = basis.squared_flat @ v
+            f"{len(coeffs)} coefficients != basis K {basis.null_dim}")
+    flat = basis.squared_flat @ coeffs
     return normalize_kernel(flat.reshape(basis.l, basis.m))
 
 

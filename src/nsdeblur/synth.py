@@ -1,5 +1,5 @@
-"""Synthetic degradation harness: blur kernels, impulse noise and
-deterministic test textures.
+"""Synthetic degradation harness: blur kernels, impulse noise and a
+deterministic test texture.
 
 Everything is seeded and pure so experiment scripts and the test suite
 can reproduce cases bit for bit.
@@ -21,9 +21,6 @@ _EDGE_OBJECTS = 4
 
 #: Samples per pixel side when :func:`disk_kernel` area-samples the disk.
 _DISK_SUPERSAMPLE = 8
-
-#: Pole of the 1D notch filters :func:`smooth_stencil` is built from.
-_NOTCH_POLE = 0.996
 
 
 def gaussian_shape(sigma: float, size: int | None = None) -> tuple[int, int]:
@@ -121,7 +118,7 @@ def disk_kernel(radius: float) -> np.ndarray:
 
 def add_impulse_noise(image, density: float, seed: int = 0) -> np.ndarray:
     """Salt-and-pepper corruption of a fraction ``density`` of pixels."""
-    img = as_image(image, copy=True)
+    img = as_image(image).copy()
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be in [0, 1], got {density}")
     if density == 0.0:
@@ -159,47 +156,3 @@ def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
         img[top:top + hh, left:left + ww] += 0.3
     img = np.clip(img, 0.0, 1.0)
     return 0.05 + 0.9 * img
-
-
-def ar_texture(stencil, shape: tuple[int, int], noise_amp: float = 1e-3,
-               seed: int = 0) -> np.ndarray:
-    """Texture whose stencil-weighted sums are white noise of amplitude
-    ``noise_amp``: synthesized in the frequency domain by inverting the
-    stencil's symbol (the stencil acts as a correlation).
-
-    The field is shifted and scaled into [0.05, 0.95]; through the constant
-    offset the stencil sums pick up a small DC leak proportional to the
-    stencil's tap sum.
-    """
-    st = as_kernel(stencil)
-    rng = np.random.default_rng(seed)
-    n = rng.standard_normal(shape) * noise_amp
-    pad = np.zeros(shape)
-    pad[:st.shape[0], :st.shape[1]] = st
-    pad = np.roll(pad, (-(st.shape[0] // 2), -(st.shape[1] // 2)), axis=(0, 1))
-    sym = np.conj(np.fft.fft2(pad))
-    mag = np.abs(sym)
-    sym = np.where(mag < 1e-9, 1e-9, sym)
-    img = np.real(np.fft.ifft2(np.fft.fft2(n) / sym))
-    img -= img.min()
-    img /= max(img.max(), _LUMA_EPS)
-    return 0.05 + 0.9 * img
-
-
-def smooth_stencil(p: int, q: int) -> np.ndarray:
-    """Symmetric separable stencil with a deep low-frequency notch: the
-    outer product of 1D filters [-pole/2, 1, -pole/2] (pole
-    :data:`_NOTCH_POLE`) stretched to the requested odd orders.  Its unit
-    center makes it a valid model stencil; images synthesized from it are
-    smooth, natural-like fields."""
-    def axis_filter(n: int) -> np.ndarray:
-        f = np.array([-_NOTCH_POLE / 2.0, 1.0, -_NOTCH_POLE / 2.0])
-        while f.size < n:
-            g = np.convolve(f, np.array([-0.25, 1.0, -0.25]))
-            f = g / g[g.size // 2]
-        return f
-
-    fx = axis_filter(p)
-    fy = axis_filter(q)
-    st = np.outer(fx, fy)
-    return st / st[p // 2, q // 2]

@@ -1,6 +1,7 @@
 """Shared fixtures: the synthetic corpus used by the acceptance suite and
-the heavier module tests.  Estimation chains are session-scoped because a
-full chain takes a couple of seconds."""
+the heavier module tests, and the AR-model textures some tests build on.
+Estimation chains are session-scoped because a full chain takes a couple
+of seconds."""
 
 import os
 import subprocess
@@ -15,6 +16,8 @@ from scipy.signal import convolve2d
 
 import nsdeblur as nd
 from nsdeblur.config import OptimizerConfig, format_report
+from nsdeblur.grid import as_kernel
+from nsdeblur.synth import _LUMA_EPS
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +95,54 @@ def stencil_sums(image, stencil):
     field of an AR fit."""
     windows = sliding_window_view(image, stencil.shape)
     return np.tensordot(windows, stencil, axes=([2, 3], [0, 1]))
+
+
+#: Pole of the 1D notch filters :func:`smooth_stencil` is built from.
+_NOTCH_POLE = 0.996
+
+
+def ar_texture(stencil, shape: tuple[int, int], noise_amp: float = 1e-3,
+               seed: int = 0) -> np.ndarray:
+    """Texture whose stencil-weighted sums are white noise of amplitude
+    ``noise_amp``: synthesized in the frequency domain by inverting the
+    stencil's symbol (the stencil acts as a correlation).
+
+    The field is shifted and scaled into [0.05, 0.95]; through the constant
+    offset the stencil sums pick up a small DC leak proportional to the
+    stencil's tap sum.
+    """
+    st = as_kernel(stencil)
+    rng = np.random.default_rng(seed)
+    n = rng.standard_normal(shape) * noise_amp
+    pad = np.zeros(shape)
+    pad[:st.shape[0], :st.shape[1]] = st
+    pad = np.roll(pad, (-(st.shape[0] // 2), -(st.shape[1] // 2)), axis=(0, 1))
+    sym = np.conj(np.fft.fft2(pad))
+    mag = np.abs(sym)
+    sym = np.where(mag < 1e-9, 1e-9, sym)
+    img = np.real(np.fft.ifft2(np.fft.fft2(n) / sym))
+    img -= img.min()
+    img /= max(img.max(), _LUMA_EPS)
+    return 0.05 + 0.9 * img
+
+
+def smooth_stencil(p: int, q: int) -> np.ndarray:
+    """Symmetric separable stencil with a deep low-frequency notch: the
+    outer product of 1D filters [-pole/2, 1, -pole/2] (pole
+    :data:`_NOTCH_POLE`) stretched to the requested odd orders.  Its unit
+    center makes it a valid model stencil; images synthesized from it are
+    smooth, natural-like fields."""
+    def axis_filter(n: int) -> np.ndarray:
+        f = np.array([-_NOTCH_POLE / 2.0, 1.0, -_NOTCH_POLE / 2.0])
+        while f.size < n:
+            g = np.convolve(f, np.array([-0.25, 1.0, -0.25]))
+            f = g / g[g.size // 2]
+        return f
+
+    fx = axis_filter(p)
+    fy = axis_filter(q)
+    st = np.outer(fx, fy)
+    return st / st[p // 2, q // 2]
 
 
 def mass_center(kernel):

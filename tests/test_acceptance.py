@@ -14,7 +14,8 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import nsdeblur as nd
-from conftest import SPACE_CFG, center_share, embed, mass_center, ncc
+from conftest import (SPACE_CFG, ar_texture, center_share, embed,
+                      mass_center, ncc, smooth_stencil)
 from nsdeblur.cli import main
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.fileio import write_pgm
@@ -32,8 +33,8 @@ def report(label, ok, detail=""):
 
 def test_criterion_01_null_space_membership():
     t0 = time.time()
-    stencil = nd.smooth_stencil(7, 7)
-    source = nd.ar_texture(stencil, (128, 128), noise_amp=1e-4, seed=17)
+    stencil = smooth_stencil(7, 7)
+    source = ar_texture(stencil, (128, 128), noise_amp=1e-4, seed=17)
     h_true = nd.gaussian_kernel(1.3, 5)
     blurred = nd.convolve(source, h_true)
     model = nd.estimate_ar(blurred, 7, 7, region=(0, 0, 128, 128))

@@ -4,7 +4,7 @@ import pytest
 import nsdeblur as nd
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import stencil_sums
+from conftest import ar_texture, smooth_stencil, stencil_sums
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InsufficientDataError)
@@ -99,10 +99,23 @@ def test_center_pinned_to_one():
     assert model.coeffs[2, 2] == 1.0
 
 
+def test_ar_texture_satisfies_stencil():
+    stencil = smooth_stencil(5, 5)
+    img = ar_texture(stencil, (64, 64), noise_amp=1e-6, seed=6)
+    res = stencil_sums(img, stencil)
+    assert np.linalg.norm(res) <= 1e-3 * np.linalg.norm(img)
+
+
+def test_smooth_stencil_center_is_one():
+    st = smooth_stencil(7, 7)
+    assert st[3, 3] == 1.0
+    assert st.shape == (7, 7)
+
+
 def test_recovers_known_stencil():
     f = np.array([-0.499, 1.0, -0.499])
     stencil = np.outer(f, f)
-    img = nd.ar_texture(stencil, (96, 96), noise_amp=1e-4, seed=2)
+    img = ar_texture(stencil, (96, 96), noise_amp=1e-4, seed=2)
     model = nd.estimate_ar(img, 3, 3)
     np.testing.assert_allclose(model.coeffs, stencil, atol=1e-3)
 
@@ -110,8 +123,8 @@ def test_recovers_known_stencil():
 def test_whitening_residual_small_on_self_synthesized():
     # the synthesis floor is ~1.5e-4 relative (normalization fixes the
     # noise-to-signal ratio regardless of the requested amplitude)
-    stencil = nd.smooth_stencil(5, 5)
-    img = nd.ar_texture(stencil, (96, 96), noise_amp=1e-5, seed=4)
+    stencil = smooth_stencil(5, 5)
+    img = ar_texture(stencil, (96, 96), noise_amp=1e-5, seed=4)
     model = nd.estimate_ar(img, 5, 5)
     res = stencil_sums(img, model.coeffs)
     assert np.linalg.norm(res) <= 1e-3 * np.linalg.norm(img)

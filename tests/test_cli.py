@@ -447,6 +447,48 @@ def test_one_tap_kernel_exits_3_at_stage_config(workdir, tmp_path, capsys):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("size", [("3", "1"), ("1", "3")])
+def test_space_route_kernel_one_tap_wide_exits_0(workdir, tmp_path, size):
+    rc = main(["estimate", str(workdir / "clean.pgm"), "--ipsf", "space",
+               "--ar-order", "9", "9", "--psf-size", *size,
+               "--out-psf", str(tmp_path / "h.kern"),
+               "--out-ipsf", str(tmp_path / "g.kern"),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 0
+    l, m = (int(v) for v in size)
+    assert read_kernel(tmp_path / "g.kern").shape == (2 * l - 1, 2 * m - 1)
+
+
+@pytest.mark.parametrize("sample", ["x", "3.5"])
+@pytest.mark.parametrize("command", ["estimate", "deblur", "quality"])
+def test_non_integer_p2_sample_exits_2(tmp_path, capsys, command, sample):
+    bad = tmp_path / "bad.pgm"
+    bad.write_text(f"P2 2 2 255 1 2 {sample} 4")
+    kern = tmp_path / "g.kern"
+    write_kernel(kern, nd.delta_kernel(3))
+    argv = {"estimate": ["estimate", str(bad)],
+            "deblur": ["deblur", str(bad), "--ipsf-file", str(kern),
+                       "--output", str(tmp_path / "out.pgm")],
+            "quality": ["quality", str(bad)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith({"quality": "quality failed: "}.get(
+        command, f"{command} failed at stage load: "))
+    assert f"bad.pgm: bad P2 sample '{sample}'" in err
+
+
+def test_config_file_not_utf8_exits_2(workdir, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xff\xfe")
+    rc = main(["estimate", str(workdir / "clean.pgm"), "--config",
+               str(cfg_file), "--report", str(tmp_path / "r.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("estimate failed at stage config: cannot read "
+                          f"config {cfg_file}")
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_numerical_failure_exit_4(tmp_path, capsys):
     flat = tmp_path / "flat.pgm"
     write_pgm(flat, np.full((64, 64), 0.5))

@@ -72,7 +72,10 @@ def test_pgm_codec_matches_copying_form(tmp_path, make):
     (b"P5\n2 2\n255", "truncated P5"),
     (b"P2\n2 2\n255\n0 1 2\n", "truncated P2"),
     (b"P2\n2 2\n255\n0 1 2 256\n", "out of 8-bit range"),
-], ids=["p5-short", "p5-no-payload", "p2-short", "p2-range"])
+    (b"P2 2 2 255 1 2 x 4", "bad P2 sample 'x'"),
+    (b"P2 2 2 255 1 2 3.5 4", "bad P2 sample '3.5'"),
+], ids=["p5-short", "p5-no-payload", "p2-short", "p2-range", "p2-letter",
+        "p2-fraction"])
 def test_pgm_payload_errors(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)

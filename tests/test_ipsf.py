@@ -324,6 +324,21 @@ def test_difference_operators_match_gradient():
                                np.gradient(g, axis=1), atol=1e-12)
 
 
+@pytest.mark.parametrize("wl, wm", [(1, 5), (5, 1), (1, 1)])
+def test_difference_operators_one_tap_axis_has_none(wl, wm):
+    """An axis one tap long has zero differences; the other axis keeps
+    np.gradient's."""
+    g = np.random.default_rng(3).random((wl, wm))
+    ops = difference_operators(wl, wm)
+    for key, axis in (("dx", 0), ("dy", 1)):
+        got = (ops[key] @ g.ravel()).reshape(wl, wm)
+        ref = (np.gradient(g, axis=axis) if g.shape[axis] > 1
+               else np.zeros_like(g))
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+    for key in ("dxx", "dxy") if wl == 1 else ("dyy", "dxy"):
+        assert not ops[key].any()
+
+
 def test_curvature_system_zero_on_affine_interior():
     plane = np.fromfunction(lambda i, k: 0.2 * i - 0.4 * k, (7, 7))
     ops = difference_operators(7, 7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
+from conftest import ar_texture, smooth_stencil
 from nsdeblur.armodel import ArModel, OperatorMatrix
 from nsdeblur.errors import DegenerateOperatorError
 
@@ -93,8 +94,8 @@ def test_null_dimension_tracks_blur(corpus_texture):
 def test_true_kernel_in_left_null_side():
     """Membership of the true blur kernel in the operator's left null side
     for a model-consistent source."""
-    stencil = nd.smooth_stencil(7, 7)
-    src = nd.ar_texture(stencil, (128, 128), noise_amp=1e-4, seed=17)
+    stencil = smooth_stencil(7, 7)
+    src = ar_texture(stencil, (128, 128), noise_amp=1e-4, seed=17)
     h_true = nd.gaussian_kernel(1.3, 5)
     blurred = nd.convolve(src, h_true)
     model = nd.estimate_ar(blurred, 7, 7, region=(0, 0, 128, 128))

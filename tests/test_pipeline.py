@@ -49,14 +49,20 @@ def test_pipeline_config_checks_every_field(settings, error):
 
 def test_thinnest_kernels_still_estimate():
     """A 1x3 kernel has a null split, and the prefilter's single-vector
-    basis works at one tap, so both stay valid; only 1x1 is refused."""
+    basis works at one tap, so both stay valid; only 1x1 is refused.  On
+    the space route the 1x5 inverse grid has no differences across it."""
     x = nd.convolve(nd.texture((96, 96), seed=2), nd.gaussian_kernel(1.0, 5))
-    cfg = nd.PipelineConfig(ar_p=3, ar_q=5, psf_l=1, psf_m=3, denoise=True,
-                            denoise_order=3, denoise_size=1)
-    result = nd.estimate_kernels(x, cfg)
-    assert result.psf.shape == result.ipsf.shape == (1, 3)
-    assert result.prefilter_kernel.shape == (1, 1)
-    assert abs(result.psf.sum() - 1.0) <= 1e-12
+    for route, ipsf_shape in (("spectral", (1, 3)), ("space", (1, 5))):
+        cfg = nd.PipelineConfig(ar_p=3, ar_q=5, psf_l=1, psf_m=3,
+                                denoise=True, denoise_order=3,
+                                denoise_size=1, ipsf_route=route)
+        result = nd.estimate_kernels(x, cfg)
+        assert result.psf.shape == (1, 3)
+        assert result.ipsf.shape == ipsf_shape
+        assert result.prefilter_kernel.shape == (1, 1)
+        assert abs(result.psf.sum() - 1.0) <= 1e-12
+        # the space fit is not normalized, but keeps the mean to ~1e-4
+        assert abs(result.ipsf.sum() - 1.0) <= 1e-3
 
 
 def test_pipeline_config_takes_numpy_integers():

@@ -8,7 +8,7 @@ from conftest import embed, ncc
 from nsdeblur.config import STOP_GATE, OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 from nsdeblur.psf import (_shift_average_matrix, basis_derivative_products,
-                          spectrum_coefficients)
+                          gradient_moments)
 from nsdeblur.surface import surface_area
 
 
@@ -28,18 +28,16 @@ def test_optimize_psf_rejects_an_overflowing_kernel(small_basis):
 
 
 def test_constant_image_gives_zero_stats(small_basis):
-    stats = nd.gradient_stats(np.full((96, 96), 0.4), small_basis)
-    np.testing.assert_allclose(stats.rho, 0.0, atol=1e-20)
-    np.testing.assert_allclose(stats.omega, 0.0, atol=1e-20)
+    coeffs = nd.gradient_stats(np.full((96, 96), 0.4), small_basis)
+    assert coeffs.shape == (small_basis.null_dim,)
+    np.testing.assert_allclose(coeffs, 0.0, atol=1e-10)
 
 
-def test_stats_symmetric_and_match_direct_projection(small_basis):
+def test_coefficients_match_direct_projection(small_basis):
     img = nd.texture((96, 96), seed=22)
-    stats = nd.gradient_stats(img, small_basis)
-    assert np.abs(stats.rho - stats.rho.T).max() < 1e-10
-    assert np.abs(stats.omega - stats.omega.T).max() < 1e-10
+    coeffs = nd.gradient_stats(img, small_basis)
 
-    # direct loop oracle for one diagonal entry of the correlation stat
+    # direct loop oracle for the correlation term of the first coefficient
     grad = nd.gradient(img)
     l = m = 5
     v = small_basis.null_vectors[:, 0].reshape(l, m)
@@ -49,7 +47,10 @@ def test_stats_symmetric_and_match_direct_projection(small_basis):
         for pk in range(img.shape[1] - m):
             w = grad[pi:pi + l, pk:pk + m]
             acc += np.sum(w * v) * np.sum(w * vf)
-    assert stats.rho[0, 0] == pytest.approx(acc, rel=1e-10)
+    shift = v.ravel() @ _shift_average_matrix(grad, l, m) @ v.ravel()
+    d = acc + shift ** 2
+    assert coeffs[0] == pytest.approx(np.sign(d) * np.sqrt(abs(d)),
+                                      rel=1e-10)
 
 
 def test_single_vector_stats_shape():
@@ -57,8 +58,7 @@ def test_single_vector_stats_shape():
     basis = nd.compute_cns(
         nd.build_operator(nd.estimate_ar(img, 9, 9), 5, 5),
         force_single=True)
-    stats = nd.gradient_stats(img, basis)
-    assert stats.rho.shape == (1, 1) and stats.omega.shape == (1, 1)
+    assert nd.gradient_stats(img, basis).shape == (1,)
 
 
 def test_image_too_small_rejected(small_basis):
@@ -68,8 +68,7 @@ def test_image_too_small_rejected(small_basis):
 
 def test_estimate_is_normalized_and_in_span(small_basis):
     img = nd.texture((96, 96), seed=24)
-    stats = nd.gradient_stats(img, small_basis)
-    h = nd.estimate_psf(stats, small_basis)
+    h = nd.estimate_psf(nd.gradient_stats(img, small_basis), small_basis)
     assert abs(h.sum() - 1.0) <= 1e-12
     # expansion lives in the span of the squared-basis grids
     coeffs, *_ = np.linalg.lstsq(small_basis.squared_flat, h.ravel(),
@@ -78,11 +77,36 @@ def test_estimate_is_normalized_and_in_span(small_basis):
     assert np.linalg.norm(recon - h.ravel()) <= 1e-10
 
 
-def test_sign_rule_at_zero_is_positive():
-    stats = nd.GradientStats(rho=np.zeros((2, 2)), omega=np.zeros((2, 2)))
-    np.testing.assert_array_equal(spectrum_coefficients(stats), [0.0, 0.0])
-    stats = nd.GradientStats(rho=np.diag([4.0, -9.0]), omega=np.zeros((2, 2)))
-    np.testing.assert_allclose(spectrum_coefficients(stats), [2.0, -3.0])
+def test_coefficient_count_must_match_basis(small_basis):
+    with pytest.raises(DimensionError):
+        nd.estimate_psf(np.ones(small_basis.null_dim + 1), small_basis)
+
+
+def moments_with_diagonal(basis, rho_diag, omega_diag):
+    """Moments whose projections onto the basis are diagonal with the
+    given entries: V diag(d) V^T with its columns reversed, since
+    gradient_stats reverses them back, and V diag(w) V^T."""
+    v = basis.null_vectors
+    cross = (v * rho_diag) @ v.T
+    return cross[:, ::-1], (v * omega_diag) @ v.T
+
+
+def test_sign_rule_at_zero_is_positive(small_basis):
+    k = small_basis.null_dim
+    assert k >= 2
+    zero = np.zeros(k)
+    coeffs = nd.gradient_stats(
+        None, small_basis, moments_with_diagonal(small_basis, zero, zero))
+    assert coeffs.tobytes() == zero.tobytes()      # +0.0, not -0.0
+    rho = np.zeros(k)
+    rho[:2] = 4.0, -9.0
+    omega = np.zeros(k)
+    omega[2:] = 0.5
+    coeffs = nd.gradient_stats(
+        None, small_basis, moments_with_diagonal(small_basis, rho, omega))
+    expected = np.full(k, 0.5)                     # sqrt(0 + 0.5 ** 2)
+    expected[:2] = 2.0, -3.0
+    np.testing.assert_allclose(coeffs, expected, rtol=1e-12)
 
 
 def test_sharp_image_estimate_is_center_dominant(corpus_texture):
@@ -132,8 +156,7 @@ def test_optimize_smooth_kernel_is_fixed_point(small_basis):
 
 def test_optimizer_gate_failure_returns_input(small_basis, monkeypatch):
     img = nd.texture((96, 96), seed=25)
-    stats = nd.gradient_stats(img, small_basis)
-    h0 = nd.estimate_psf(stats, small_basis)
+    h0 = nd.estimate_psf(nd.gradient_stats(img, small_basis), small_basis)
     cfg = OptimizerConfig(theta=1e12, eps=1e-300, max_iters=20)
     h1, rep = nd.optimize_psf(h0, small_basis, cfg)
     assert rep.stop_reason == STOP_GATE
@@ -185,3 +208,39 @@ def test_shift_average_matrix_matches_box_means(shape, l, m):
                 for mc in range(m):
                     assert abs(got[i * m + lc, j * m + mc]
                                - means[i + j, lc + mc]) <= 1e-12 * scale
+
+
+def projection_path(image, basis):
+    """The coefficients as the two full K x K projections gave them: the
+    symmetrised cross-flipped projection and the shift-average one, then
+    the signed square root of their diagonal combination."""
+    gram, shift_average = gradient_moments(image, basis.l, basis.m)
+    v = basis.null_vectors
+    rho = v.T @ gram[:, ::-1] @ v
+    rho = 0.5 * (rho + rho.T)
+    omega = v.T @ shift_average @ v
+    d = np.diag(rho) + np.diag(omega) ** 2
+    sign = np.where(d < 0, -1.0, 1.0)
+    return sign * np.sqrt(np.abs(d))
+
+
+@pytest.mark.parametrize("seed, blur, order, size, single", [
+    (31, nd.delta_kernel(1), 9, 5, False),
+    (32, nd.gaussian_kernel(1.0, 5), 11, 7, False),
+    (33, nd.motion_kernel(5, 30.0), 13, 9, False),
+    (34, nd.gaussian_kernel(1.4, 7), 9, 5, True),
+], ids=["sharp-5x5", "gaussian-7x7", "motion-9x9", "single-vector"])
+def test_gradient_stats_bit_equal_to_projection_path(seed, blur, order, size,
+                                                     single):
+    """Each coefficient reads one diagonal entry of the same two products,
+    so the result is bit for bit that of the full projections; the
+    single-vector case is the prefilter's K = 1 basis."""
+    img = nd.convolve(nd.texture((128, 128), seed=seed), blur)
+    basis = nd.compute_cns(
+        nd.build_operator(nd.estimate_ar(img, order, order), size, size),
+        force_single=single)
+    assert (basis.null_dim == 1) == single
+    coeffs = nd.gradient_stats(img, basis)
+    assert coeffs.tobytes() == projection_path(img, basis).tobytes()
+    moments = gradient_moments(img, size, size)
+    assert nd.gradient_stats(img, basis, moments).tobytes() == coeffs.tobytes()
