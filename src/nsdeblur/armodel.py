@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, DimensionError,
                      InsufficientDataError)
-from .grid import as_image, shifted_taps, window_gram
+from .grid import as_image, fold_system, shifted_taps, unfold, window_gram
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -63,7 +63,8 @@ def _check_order(p: int, q: int) -> None:
         raise DimensionError(f"model orders must be odd and >= 1, got {p}x{q}")
 
 
-def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
+def estimate_ar(image, p: int, q: int, region=None, *,
+                centrosymmetric: bool = False) -> ArModel:
     """Least-squares fit of the P x Q stencil with pinned unit center.
 
     The center term is moved to the right-hand side and the remaining
@@ -73,6 +74,13 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
     DegenerateOperatorError.  ``region`` is an optional (top, left, rows,
     cols) window; the default is a centered square of side min(image
     side, max(2*p*q, 64)).
+
+    ``centrosymmetric`` constrains the stencil to a[i, k] =
+    a[p-1-i, q-1-k] and solves the folded normal equations of its
+    (p*q - 1) / 2 rotation pairs (:func:`nsdeblur.grid.fold_system`),
+    1/8 of the LU work.  The ridge and the residual keep their
+    definitions: ridge * ||a_free||^2 is 2 * ridge on the folded
+    diagonal, and the residual is a^T G a on the full Gram.
     """
     img = as_image(image)
     _check_order(p, q)
@@ -95,23 +103,31 @@ def estimate_ar(image, p: int, q: int, region=None) -> ArModel:
     # the full Gram give the normal equations, and a^T G a the residual
     gram = window_gram(img[top:top + rows, left:left + cols], p, q)
     c = (p // 2) * q + (q // 2)         # the center's column
-    keep = np.arange(p * q) != c
-    # the free block in four slice copies (np.ix_ gathers element-wise)
-    free = np.empty((n_unknown, n_unknown))
-    free[:c, :c] = gram[:c, :c]
-    free[:c, c:] = gram[:c, c + 1:]
-    free[c:, :c] = gram[c + 1:, :c]
-    free[c:, c:] = gram[c + 1:, c + 1:]
-    ridge = RIDGE_SCALE * float(np.trace(free))
-    free.flat[::n_unknown + 1] += ridge     # free + ridge * I, bit for bit
-    rhs = -gram[keep, c]
-    if ridge == 0.0 and n_unknown:      # else free + ridge * I is definite
+    diagonal = np.diagonal(gram)
+    # the free block's trace, summed in the order np.trace sums it
+    ridge = RIDGE_SCALE * float(
+        np.concatenate((diagonal[:c], diagonal[c + 1:])).sum())
+    if ridge == 0.0 and n_unknown:      # else the ridged block is definite
         raise DegenerateOperatorError(
             "model fit is singular: the fit windows are zero off their centre")
-    a_free = np.linalg.solve(free, rhs)
-    coeffs = np.empty(p * q)
-    coeffs[keep] = a_free
-    coeffs[c] = 1.0
+    if centrosymmetric:
+        folded, centre = fold_system(gram, gram[:, c])
+        pairs = folded[:c, :c]
+        pairs.flat[::c + 1] += 2.0 * ridge
+        half = np.append(np.linalg.solve(pairs, -centre[:c]), 1.0)
+        coeffs = unfold(half, p * q)
+    else:
+        keep = np.arange(p * q) != c
+        # the free block in four slice copies (np.ix_ gathers element-wise)
+        free = np.empty((n_unknown, n_unknown))
+        free[:c, :c] = gram[:c, :c]
+        free[:c, c:] = gram[:c, c + 1:]
+        free[c:, :c] = gram[c + 1:, :c]
+        free[c:, c:] = gram[c + 1:, c + 1:]
+        free.flat[::n_unknown + 1] += ridge     # free + ridge * I, bit for bit
+        coeffs = np.empty(p * q)
+        coeffs[keep] = np.linalg.solve(free, -gram[keep, c])
+        coeffs[c] = 1.0
     residual = float(coeffs @ gram @ coeffs) / n_eq
     return ArModel(p=p, q=q, coeffs=coeffs.reshape(p, q),
                    residual=residual, ridge=ridge)

@@ -9,6 +9,7 @@ or written raises :class:`InputError`.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -36,6 +37,15 @@ def _tokens(data: bytes):
     return
 
 
+def _number(tok: bytes) -> int:
+    """The value of a PGM number token, ASCII digits only: ``int`` alone
+    also takes a sign and underscores.  Raises ValueError otherwise, as
+    ``int`` does past its digit limit."""
+    if not tok.isdigit():
+        raise ValueError(f"not a PGM number: {tok!r}")
+    return int(tok)
+
+
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit P2/P5 PGM into a float image in [0, 1]."""
     try:
@@ -44,11 +54,11 @@ def read_pgm(path) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     toks = _tokens(raw)
+    header = list(itertools.islice(toks, 4))
     try:
-        magic, _ = next(toks)
-        (w_tok, _), (h_tok, _), (max_tok, end) = (next(toks) for _ in range(3))
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except (StopIteration, ValueError) as exc:
+        (magic, _), (w_tok, _), (h_tok, _), (max_tok, end) = header
+        width, height, maxval = map(_number, (w_tok, h_tok, max_tok))
+    except ValueError as exc:       # too few tokens, or a non-number
         raise InputError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise InputError(f"{path}: only 8-bit PGM supported (maxval 255)")
@@ -64,18 +74,19 @@ def read_pgm(path) -> np.ndarray:
         vals = []
         for tok, _ in toks:
             try:
-                vals.append(int(tok))
+                vals.append(_number(tok))
             except ValueError:
                 raise InputError(
                     f"{path}: bad P2 sample {tok.decode(errors='replace')!r}"
                 ) from None
+            # checked here: a long digit string overflows a float
+            if vals[-1] > 255:
+                raise InputError(f"{path}: sample out of 8-bit range")
             if len(vals) == n:
                 break
         if len(vals) < n:
             raise InputError(f"{path}: truncated P2 payload")
         samples = np.array(vals, dtype=np.float64)
-        if samples.min() < 0 or samples.max() > 255:
-            raise InputError(f"{path}: sample out of 8-bit range")
     else:
         raise InputError(f"{path}: not a P2/P5 PGM file")
     return (samples / 255.0).reshape(height, width)

@@ -379,6 +379,50 @@ def shifted_taps(taps: np.ndarray, l: int, m: int) -> np.ndarray:
     return mat.reshape(l * m, -1)
 
 
+def rotation_pairs(n: int) -> tuple[slice, slice]:
+    """The taps a 180-degree rotation swaps in a flattened grid of n taps:
+    (lo, hi) with lo[t] = t and hi[t] = n-1-t for t < n // 2.  An odd n
+    leaves its centre tap n // 2 unpaired."""
+    return slice(0, n // 2), slice(n - 1, (n - 1) // 2, -1)
+
+
+def fold_system(matrix: np.ndarray, rhs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(E^T matrix E, E^T rhs): an n-unknown linear system restricted to
+    centrosymmetric solutions x = E y, x[t] = x[n-1-t].  Column t < n // 2
+    of E is e_t + e_(n-1-t) and an odd n's centre column is e_(n//2), so
+    y is the first ceil(n/2) taps of x (:func:`unfold`).
+
+    The pair block is the sum of the four rotation-paired blocks, as
+    (M[lo,lo] + M[hi,hi]) + (M[lo,hi] + M[hi,lo]): a symmetric matrix
+    folds to an exactly symmetric one.  Slices only, O(n^2); a dense
+    E^T M E would cost more than the solve it shrinks.
+    """
+    n = matrix.shape[0]
+    h = n // 2
+    lo, hi = rotation_pairs(n)
+    out = np.empty(((n + 1) // 2,) * 2)
+    np.add(matrix[lo, lo], matrix[hi, hi], out=out[:h, :h])
+    out[:h, :h] += matrix[lo, hi] + matrix[hi, lo]
+    if n % 2:
+        out[h, :h] = matrix[h, lo] + matrix[h, hi]
+        out[:h, h] = matrix[lo, h] + matrix[hi, h]
+        out[h, h] = matrix[h, h]
+    folded = rhs[:(n + 1) // 2].copy()
+    folded[:h] += rhs[hi]
+    return out, folded
+
+
+def unfold(half: np.ndarray, n: int) -> np.ndarray:
+    """The centrosymmetric n-vector E half of :func:`fold_system`: its
+    first ceil(n/2) taps are ``half``, the rest their mirror images."""
+    lo, hi = rotation_pairs(n)
+    out = np.empty(n)
+    out[:len(half)] = half
+    out[hi] = half[lo]
+    return out
+
+
 def to_luminance(rgb: np.ndarray) -> np.ndarray:
     """Collapse an (H, W, 3) array to single-channel luminance."""
     a = np.asarray(rgb, dtype=np.float64)

@@ -18,7 +18,8 @@ import numpy as np
 from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import (as_image, as_kernel, convolve, correlation_lags,
-                   normalize_kernel, shifted_taps, window_gram)
+                   fold_system, normalize_kernel, shifted_taps, unfold,
+                   window_gram)
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq
 
@@ -118,17 +119,25 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
 
 
-def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
+def ipsf_space(image, h, system: SpaceSystem | None = None, *,
+               centrosymmetric: bool = False) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
     Degrades the observed image once more with h, then fits the taps that
     map re-degraded windows back to the observed centers by one LU solve
     of the ridged normal equations.  ``system``, the :func:`space_system`
     of (image, h) that carries the ridge, skips the build; without it the
-    default ridge applies.
+    default ridge applies.  ``centrosymmetric`` constrains the taps to
+    g[i, k] = g[wl-1-i, wm-1-k] and solves the folded system of their
+    ceil(wl*wm/2) rotation pairs (:func:`nsdeblur.grid.fold_system`), on
+    which the system's ridge * I is the same penalty ridge * ||g||^2.
     """
     system = system or space_system(image, h)
-    g = np.linalg.solve(system.ryy, system.ryx)
+    if centrosymmetric:
+        folded, rhs = fold_system(system.ryy, system.ryx)
+        g = unfold(np.linalg.solve(folded, rhs), system.ryx.size)
+    else:
+        g = np.linalg.solve(system.ryy, system.ryx)
     return g.reshape(system.wl, system.wm)
 
 

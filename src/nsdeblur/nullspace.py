@@ -19,6 +19,7 @@ import numpy as np
 
 from .armodel import OperatorMatrix
 from .errors import DegenerateOperatorError
+from .grid import rotation_pairs
 
 #: Cap on the null-side dimension (bounds downstream K x K solves).
 MAX_NULL_DIM = 128
@@ -75,8 +76,8 @@ class CnsBasis:
         spans them all."""
         n = self.l * self.m
         fold = np.zeros(((n + 1) // 2, n))
-        pair = np.arange(n // 2)
-        fold[pair, pair] = fold[pair, n - 1 - pair] = np.sqrt(0.5)
+        for taps in rotation_pairs(n):      # row t: taps t and n-1-t
+            np.fill_diagonal(fold[:, taps], np.sqrt(0.5))
         fold[n // 2:, n // 2] = 1.0          # the centre row, if n is odd
         return fold
 

@@ -459,11 +459,11 @@ def test_space_route_kernel_one_tap_wide_exits_0(workdir, tmp_path, size):
     assert read_kernel(tmp_path / "g.kern").shape == (2 * l - 1, 2 * m - 1)
 
 
-@pytest.mark.parametrize("sample", ["x", "3.5"])
-@pytest.mark.parametrize("command", ["estimate", "deblur", "quality"])
-def test_non_integer_p2_sample_exits_2(tmp_path, capsys, command, sample):
+def load_error(tmp_path, capsys, command, data: str) -> str:
+    """Standard error of ``command`` run on a PGM file holding ``data``,
+    required to exit 2 at the load stage and write no output."""
     bad = tmp_path / "bad.pgm"
-    bad.write_text(f"P2 2 2 255 1 2 {sample} 4")
+    bad.write_text(data)
     kern = tmp_path / "g.kern"
     write_kernel(kern, nd.delta_kernel(3))
     argv = {"estimate": ["estimate", str(bad)],
@@ -471,10 +471,26 @@ def test_non_integer_p2_sample_exits_2(tmp_path, capsys, command, sample):
                        "--output", str(tmp_path / "out.pgm")],
             "quality": ["quality", str(bad)]}[command]
     assert main(argv) == 2
+    assert not (tmp_path / "out.pgm").exists()
     err = capsys.readouterr().err
     assert err.startswith({"quality": "quality failed: "}.get(
         command, f"{command} failed at stage load: "))
+    return err
+
+
+@pytest.mark.parametrize("sample", ["x", "3.5"])
+@pytest.mark.parametrize("command", ["estimate", "deblur", "quality"])
+def test_non_integer_p2_sample_exits_2(tmp_path, capsys, command, sample):
+    err = load_error(tmp_path, capsys, command, f"P2 2 2 255 1 2 {sample} 4")
     assert f"bad.pgm: bad P2 sample '{sample}'" in err
+
+
+@pytest.mark.parametrize("header", ["P5 4", "P2 2 2"])
+@pytest.mark.parametrize("command", ["estimate", "deblur", "quality"])
+def test_truncated_pgm_header_exits_2(tmp_path, capsys, command, header):
+    """Fewer than three numbers after the magic: no traceback."""
+    err = load_error(tmp_path, capsys, command, header)
+    assert "bad.pgm: malformed PGM header" in err
 
 
 def test_config_file_not_utf8_exits_2(workdir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,89 @@ def test_pgm_payload_errors(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(InputError, match=message):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("data", [b"P5 4", b"P2 2 2", b"P5\n8 8", b""],
+                         ids=["one-field", "two-fields", "no-maxval",
+                              "empty"])
+def test_truncated_pgm_header(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match="malformed PGM header"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "-1"],
+                         ids=["underscore", "plus", "minus"])
+@pytest.mark.parametrize("kind", ["width", "height", "maxval", "sample"])
+def test_pgm_numbers_are_ascii_digits(tmp_path, kind, token):
+    """``int`` takes signs and underscores; a PGM number is ASCII digits
+    only, in the header and in a P2 payload alike."""
+    fields = {"width": "2", "height": "2", "maxval": "255", "sample": "1"}
+    fields[kind] = token
+    path = tmp_path / "bad.pgm"
+    path.write_bytes("P2 {width} {height} {maxval} {sample} 2 3 4".format(
+        **fields).encode())
+    message = ("bad P2 sample" if kind == "sample"
+               else "malformed PGM header")
+    with pytest.raises(InputError, match=message):
+        read_pgm(path)
+
+
+def test_p2_sample_too_long_for_a_float_is_out_of_range(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2 1 1 255 1" + b"0" * 400)
+    with pytest.raises(InputError, match="out of 8-bit range"):
+        read_pgm(path)
+
+
+def pgm_mutants(valid: bytes, rng: random.Random, count: int):
+    """``count`` copies of ``valid``, each with one to three byte edits:
+    a byte replaced, a byte inserted, or a run dropped (to the end of the
+    file, at times).  Half the edits land in the first 16 bytes, the
+    header; new bytes are drawn mostly from digits, signs, whitespace,
+    '#', '_' and 'P'."""
+    alphabet = b"0123456789+-_# \t\n\rP"
+    for _ in range(count):
+        data = bytearray(valid)
+        for _ in range(rng.randint(1, 3)):
+            end = len(data) if rng.random() < 0.5 else min(len(data), 16)
+            at = rng.randint(0, end)
+            byte = (rng.choice(alphabet) if rng.random() < 0.8
+                    else rng.randrange(256))
+            edit = rng.choice(("replace", "insert", "drop"))
+            if edit == "insert":
+                data.insert(at, byte)
+            elif at < len(data):
+                if edit == "replace":
+                    data[at] = byte
+                else:
+                    del data[at:at + rng.choice((1, 2, len(data)))]
+        yield bytes(data)
+
+
+def test_mutated_pgm_is_read_or_rejected(tmp_path):
+    """Seeded byte mutants of a valid 8 x 8 P5 and P2 file: each reads as
+    a float image in [0, 1] or raises InputError, nothing else."""
+    samples = np.arange(0, 256, 4, dtype=np.uint8).reshape(8, 8)
+    p5 = b"P5\n8 8\n255\n" + samples.tobytes()
+    p2 = b"P2\n8 8\n255\n" + b"\n".join(
+        b" ".join(b"%d" % v for v in row) for row in samples) + b"\n"
+    rng = random.Random(2026)
+    path = tmp_path / "mutant.pgm"
+    outcomes = {"read": 0, "rejected": 0}
+    for valid in (p5, p2):
+        for data in pgm_mutants(valid, rng, 1500):
+            path.write_bytes(data)
+            try:
+                image = read_pgm(path)
+            except InputError:
+                outcomes["rejected"] += 1
+                continue
+            assert image.dtype == np.float64 and image.ndim == 2, data
+            assert 0.0 <= image.min() and image.max() <= 1.0, data
+            outcomes["read"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 def test_quantize_rounds_half_to_even():

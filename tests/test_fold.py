@@ -1,7 +1,9 @@
 """The centrosymmetric fold of the squared null grids and the two spectral
 solves that use it: their results, their stability under rounding-level
 changes of the model fit, and numpy's least squares on images where
-LAPACK's divide-and-conquer SVD did not converge on the unfolded rows."""
+LAPACK's divide-and-conquer SVD did not converge on the unfolded rows.
+Also the folded normal equations of the prefilter's model fit and
+response, against the constraint written out as a dense expansion."""
 
 import dataclasses
 
@@ -11,11 +13,14 @@ import scipy.linalg
 from scipy.signal import convolve2d
 
 import nsdeblur as nd
+import nsdeblur.deconv as deconv
 import nsdeblur.psf as psf
 from conftest import CORPUS_SEED
+from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.fileio import quantize
-from nsdeblur.ipsf import optimize_ipsf_spectral
+from nsdeblur.grid import fold_system, unfold, window_gram
+from nsdeblur.ipsf import optimize_ipsf_spectral, space_system
 from nsdeblur.psf import gradient_moments
 
 
@@ -205,3 +210,128 @@ def test_least_squares_converges_where_gelsd_did_not(seed, index,
     monkeypatch.setattr(np.linalg, "lstsq", recording)
     nd.estimate_kernels(benchmark_image(seed, index, True))
     assert calls and not failures
+
+
+# --- the folded normal equations of the prefilter's two fits
+
+#: Relative 2-norm distance allowed between a folded solve and the dense
+#: constrained solve.  Both solve the same system to rounding; on 128^2
+#: and 256^2 textures (seeds 3, 5, 7, clean and impulse-noisy) the stencil
+#: differed by at most 4e-11 and the response by at most 6e-12.
+FOLD_RTOL = 1e-9
+
+
+def prefilter_input(seed=3):
+    """A blurred 128 x 128 texture with 2 % impulse noise, as the
+    prefilter sees it."""
+    x = nd.convolve(nd.texture((128, 128), seed=seed),
+                    nd.gaussian_kernel(1.0, 5))
+    return nd.add_impulse_noise(x, 0.02, seed=seed)
+
+
+def assert_near(actual, expected):
+    assert (np.linalg.norm(actual - expected)
+            <= FOLD_RTOL * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 81])
+def test_fold_system_is_the_dense_expansion(n):
+    """E^T M E and E^T r from slices, for odd and even n; a symmetric M
+    folds to an exactly symmetric matrix, and unfold is E y exactly."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    sym, rhs = a @ a.T, rng.standard_normal(n)
+    e = centrosymmetric_grids(1, n)
+    folded, folded_rhs = fold_system(sym, rhs)
+    np.testing.assert_allclose(folded, e.T @ sym @ e, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(folded_rhs, e.T @ rhs, rtol=1e-13, atol=0)
+    assert np.array_equal(folded, folded.T)
+    half = rng.standard_normal(e.shape[1])
+    assert np.array_equal(unfold(half, n), e @ half)
+
+
+@pytest.mark.parametrize("order", [13, 33])
+def test_folded_model_fit_is_the_constrained_solve(order):
+    """The fit over a[t] = a[n-1-t] with the centre pinned, solved on the
+    free columns of the dense n x (n+1)/2 expansion E: ridge * ||a_free||^2
+    is ridge * E_free^T E_free.  The ridge is the unfolded fit's, bit for
+    bit, and the residual a^T G a / n_eq on the full Gram."""
+    x = prefilter_input()
+    model = nd.estimate_ar(x, order, order, centrosymmetric=True)
+    top, left, rows, cols = default_fit_region(x.shape, order, order)
+    gram = window_gram(x[top:top + rows, left:left + cols], order, order)
+    n = order * order
+    c, e = n // 2, centrosymmetric_grids(order, order)
+    free = e[:, :c]
+    ridge = nd.estimate_ar(x, order, order).ridge
+    pairs = free.T @ gram @ free + ridge * (free.T @ free)
+    expected = free @ np.linalg.solve(pairs, -free.T @ gram[:, c]) + e[:, c]
+    assert model.ridge == ridge
+    assert_near(model.coeffs.ravel(), expected)
+    n_eq = (rows - order + 1) * (cols - order + 1)
+    assert model.residual == pytest.approx(
+        expected @ gram @ expected / n_eq, rel=1e-9)
+
+
+@pytest.mark.parametrize("size", [7, 17], ids=["13x13", "33x33"])
+def test_folded_response_is_the_constrained_solve(size):
+    """The response over g[t] = g[n-1-t], from the dense expansion of the
+    ridged system; its ridge * I needs no change to fold."""
+    x = prefilter_input()
+    kernel = nd.gaussian_kernel(2.0, size)
+    system = space_system(x, kernel, ridge_relative=deconv.PREFILTER_RIDGE)
+    g = nd.ipsf_space(x, kernel, system=system, centrosymmetric=True)
+    e = centrosymmetric_grids(2 * size - 1, 2 * size - 1)
+    expected = e @ np.linalg.solve(e.T @ system.ryy @ e, e.T @ system.ryx)
+    assert_near(g.ravel(), expected)
+
+
+def test_prefilter_stencil_and_response_are_centrosymmetric(monkeypatch):
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append(estimate_ar(*args, **kwargs))
+        return fits[-1]
+
+    estimate_ar = deconv.estimate_ar
+    monkeypatch.setattr(deconv, "estimate_ar", recording)
+    _, response = nd.denoise_prefilter(prefilter_input(), 33, 17)
+    (model,) = fits
+    assert np.array_equal(model.coeffs, model.coeffs[::-1, ::-1])
+    assert np.array_equal(response, response[::-1, ::-1])
+
+
+def unfolded_fit(image, p, q):
+    """estimate_ar's solve before the fold, line for line: the free block
+    in four slice copies, its ridge added in place, one LU solve."""
+    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    gram = window_gram(image[top:top + rows, left:left + cols], p, q)
+    c, n_unknown = (p // 2) * q + (q // 2), p * q - 1
+    keep = np.arange(p * q) != c
+    free = np.empty((n_unknown, n_unknown))
+    free[:c, :c] = gram[:c, :c]
+    free[:c, c:] = gram[:c, c + 1:]
+    free[c:, :c] = gram[c + 1:, :c]
+    free[c:, c:] = gram[c + 1:, c + 1:]
+    ridge = RIDGE_SCALE * float(np.trace(free))
+    free.flat[::n_unknown + 1] += ridge
+    coeffs = np.empty(p * q)
+    coeffs[keep] = np.linalg.solve(free, -gram[keep, c])
+    coeffs[c] = 1.0
+    n_eq = (rows - p + 1) * (cols - q + 1)
+    residual = float(coeffs @ gram @ coeffs) / n_eq
+    return coeffs.reshape(p, q), residual, ridge
+
+
+def test_default_fits_are_unchanged_bit_for_bit():
+    """Without ``centrosymmetric`` both fits are the unfolded solves."""
+    x = prefilter_input()
+    model = nd.estimate_ar(x, 33, 33)
+    coeffs, residual, ridge = unfolded_fit(x, 33, 33)
+    assert (model.coeffs.tobytes(), model.residual, model.ridge) == (
+        coeffs.tobytes(), residual, ridge)
+    kernel = nd.gaussian_kernel(2.0, 17)
+    system = space_system(x, kernel, ridge_relative=deconv.PREFILTER_RIDGE)
+    expected = np.linalg.solve(system.ryy, system.ryx).reshape(33, 33)
+    assert (nd.ipsf_space(x, kernel, system=system).tobytes()
+            == expected.tobytes())
