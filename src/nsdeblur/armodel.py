@@ -75,12 +75,14 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     cols) window; the default is a centered square of side min(image
     side, max(2*p*q, 64)).
 
-    ``centrosymmetric`` constrains the stencil to a[i, k] =
-    a[p-1-i, q-1-k] and solves the folded normal equations of its
-    (p*q - 1) / 2 rotation pairs (:func:`nsdeblur.grid.fold_system`),
-    1/8 of the LU work.  The ridge and the residual keep their
-    definitions: ridge * ||a_free||^2 is 2 * ridge on the folded
-    diagonal, and the residual is a^T G a on the full Gram.
+    ``centrosymmetric``, set by the prefilter only (folded, the default
+    fit scored worse on the acceptance corpus; see the README), constrains
+    the stencil to a[i, k] = a[p-1-i, q-1-k] and solves the folded normal
+    equations of its (p*q - 1) / 2 rotation pairs
+    (:func:`nsdeblur.grid.fold_system`), 1/8 of the LU work.  The ridge
+    and the residual keep their definitions: ridge * ||a_free||^2 is
+    2 * ridge on the folded diagonal, and the residual is a^T G a on the
+    full Gram.
     """
     img = as_image(image)
     _check_order(p, q)

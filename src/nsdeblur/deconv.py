@@ -204,17 +204,17 @@ def denoise_prefilter(image, order: int = 33, size: int = 17
     neighborhood samples.  Returns the filtered image and the tap grid.
 
     The kernel, a squared eigenvector, is centrosymmetric, and so are the
-    model stencil and the response by construction: both fits solve
-    their folded normal equations (``centrosymmetric=True``), about half
-    the unknowns and 1/8 of the LU work.  No free block is copied out of
-    the fit's Gram: on a 256 x 256 image the prefilter's traced
-    allocations peak at about 14.4 MiB, the 9.5 MB Gram and the folded
-    545 x 545 system with its work copies.
+    model stencil (``centrosymmetric=True``) and the response (as every
+    space-route inverse): both fits solve folded normal equations, 1/8
+    of the LU work.  No free block is copied out of the fit's Gram: on a
+    256 x 256 image the prefilter's traced allocations peak at about
+    14.4 MiB, the 9.5 MB Gram and the folded 545 x 545 system with its
+    work copies.
     """
     x = as_image(image)
     model = estimate_ar(x, order, order, centrosymmetric=True)
     basis = compute_cns(build_operator(model, size, size), force_single=True)
     kernel = normalize_kernel(basis.squared_basis[0])
     response = ipsf_space(x, kernel, system=space_system(
-        x, kernel, ridge_relative=PREFILTER_RIDGE), centrosymmetric=True)
+        x, kernel, ridge_relative=PREFILTER_RIDGE))
     return convolve(x, response), response

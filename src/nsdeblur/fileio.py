@@ -34,15 +34,14 @@ def _tokens(data: bytes):
         while pos < n and not data[pos:pos + 1].isspace():
             pos += 1
         yield data[start:pos], pos
-    return
 
 
 def _number(tok: bytes) -> int:
-    """The value of a PGM number token, ASCII digits only: ``int`` alone
-    also takes a sign and underscores.  Raises ValueError otherwise, as
-    ``int`` does past its digit limit."""
+    """The value of a number token of a PGM or kernel file header, ASCII
+    digits only: ``int`` alone also takes a sign and underscores.  Raises
+    ValueError otherwise, as ``int`` does past its digit limit."""
     if not tok.isdigit():
-        raise ValueError(f"not a PGM number: {tok!r}")
+        raise ValueError(f"not a header number: {tok!r}")
     return int(tok)
 
 
@@ -179,23 +178,23 @@ def write_kernel(path, kernel) -> None:
 
 
 def read_kernel(path) -> np.ndarray:
-    """Inverse of :func:`write_kernel` (bit-exact for doubles)."""
+    """Inverse of :func:`write_kernel` (bit-exact for doubles), and no
+    more: L and M are ASCII digit strings of at least 1, the L rows hold M
+    taps each that ``float`` reads without a PEP 515 underscore, and only
+    whitespace follows the last row."""
     try:
-        with open(path, encoding="ascii") as fh:
-            first = fh.readline().split()
-            if len(first) != 2:
-                raise InputError(f"{path}: malformed kernel header")
-            l, m = int(first[0]), int(first[1])
-            rows = []
-            for _ in range(l):
-                vals = [float(t) for t in fh.readline().split()]
-                if len(vals) != m:
-                    raise InputError(f"{path}: malformed kernel row")
-                rows.append(vals)
-    except InputError:          # a ValueError too: keep its message
-        raise
+        with open(path, "rb") as fh:
+            header, *lines = fh.read().split(b"\n")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    rows = [line.split() for line in lines]
+    try:
+        l, m = map(_number, header.split())
+        if min(l, m) < 1 or len(rows) < l or any(rows[l:]) or any(
+                len(row) != m for row in rows[:l]):
+            raise ValueError(f"not {l} rows of {m} taps, L and M >= 1")
+        if any(b"_" in t for row in rows for t in row):
+            raise ValueError("underscore in a tap")
+        return np.array([[float(t) for t in row] for row in rows[:l]])
     except ValueError as exc:
-        raise InputError(f"{path}: bad kernel value: {exc}") from exc
-    return np.array(rows, dtype=np.float64)
+        raise InputError(f"{path}: malformed kernel file: {exc}") from None

@@ -3,10 +3,10 @@
 Spectral route: expand the inverse kernel in the same squared null-basis
 grids as the forward kernel and solve for the spectrum that makes the
 full convolution with the forward kernel a centered delta.  Space route:
-refit the inverse directly against the image, using a re-degraded copy of
-the observed image as the regression input.  Both shapes can then be
-smoothed by the surface-area penalty, the spectral one in its K-dim
-spectrum space and the space one through the full tap-grid system.
+refit the inverse directly against the image, with a re-degraded copy of
+it as the regression input.  Either shape can then be smoothed by the
+surface-area penalty, in the K-dim spectrum or on the tap grid.  Every
+inverse is centrosymmetric, as the squared grids are.
 """
 
 from __future__ import annotations
@@ -119,25 +119,21 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
 
 
-def ipsf_space(image, h, system: SpaceSystem | None = None, *,
-               centrosymmetric: bool = False) -> np.ndarray:
+def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
     """Space-domain inverse kernel on the (2l-1) x (2m-1) grid.
 
-    Degrades the observed image once more with h, then fits the taps that
-    map re-degraded windows back to the observed centers by one LU solve
-    of the ridged normal equations.  ``system``, the :func:`space_system`
-    of (image, h) that carries the ridge, skips the build; without it the
-    default ridge applies.  ``centrosymmetric`` constrains the taps to
-    g[i, k] = g[wl-1-i, wm-1-k] and solves the folded system of their
-    ceil(wl*wm/2) rotation pairs (:func:`nsdeblur.grid.fold_system`), on
-    which the system's ridge * I is the same penalty ridge * ||g||^2.
+    Degrades the observed image once more with h, then fits the
+    centrosymmetric taps, g[i, k] = g[wl-1-i, wm-1-k], that map
+    re-degraded windows back to the observed centers: one LU solve of the
+    ridged normal equations folded onto their ceil(wl*wm/2) rotation pairs
+    (:func:`nsdeblur.grid.fold_system`), on which the ridge * I is the
+    same penalty ridge * ||g||^2.  ``system``, the :func:`space_system` of
+    (image, h) that carries the ridge, skips the build; without it the
+    default ridge applies.
     """
     system = system or space_system(image, h)
-    if centrosymmetric:
-        folded, rhs = fold_system(system.ryy, system.ryx)
-        g = unfold(np.linalg.solve(folded, rhs), system.ryx.size)
-    else:
-        g = np.linalg.solve(system.ryy, system.ryx)
+    g = unfold(np.linalg.solve(*fold_system(system.ryy, system.ryx)),
+               system.ryx.size)
     return g.reshape(system.wl, system.wm)
 
 
@@ -176,9 +172,11 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
                         system: SpaceSystem | None = None
                         ) -> tuple[np.ndarray, RunReport]:
     """Surface-regularized refinement of the space-route inverse: per step
-    solve (R_YY - lambda * curvature(g)) g_next = r_YX on the full tap
-    grid, R_YY carrying the system's ridge.  ``system`` is as in
-    :func:`ipsf_space`.  The weight is gated by the same leading-iteration
+    solve (R_YY - lambda * curvature(g)) g_next = r_YX over centrosymmetric
+    taps, folded as in :func:`ipsf_space`, R_YY carrying the system's
+    ridge; ``system`` is as there.  At a centrosymmetric g the curvature
+    matrix is rotation-equivariant, so the fold drops only the data term's
+    antisymmetric part.  The weight is gated by the same leading-iteration
     contraction rule as the spectral optimizers and halved down to the
     floor; if no weight passes, g0 is returned with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
@@ -193,7 +191,8 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
     def step(flat, lam):
         a = system.ryy - lam * curvature_system_matrix(flat, ops)
         try:
-            flat_new = np.linalg.solve(a, system.ryx)
+            flat_new = unfold(np.linalg.solve(*fold_system(a, system.ryx)),
+                              flat.size)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(flat_new)):

@@ -41,6 +41,32 @@ def run_probe(probe: str, cwd=None) -> str:
     return out.stdout.strip()
 
 
+def byte_mutants(valid: bytes, rng, count: int,
+                 alphabet: bytes = b"0123456789+-_# \t\n\rP"):
+    """``count`` copies of ``valid``, each with one to three byte edits
+    drawn from the ``random.Random`` ``rng``: a byte replaced, a byte
+    inserted, or a run dropped (to the end of the file, at times).  Half
+    the edits land in the first 16 bytes, the header; new bytes are drawn
+    mostly from ``alphabet``, by default digits, signs, whitespace, '#',
+    '_' and 'P'."""
+    for _ in range(count):
+        data = bytearray(valid)
+        for _ in range(rng.randint(1, 3)):
+            end = len(data) if rng.random() < 0.5 else min(len(data), 16)
+            at = rng.randint(0, end)
+            byte = (rng.choice(alphabet) if rng.random() < 0.8
+                    else rng.randrange(256))
+            edit = rng.choice(("replace", "insert", "drop"))
+            if edit == "insert":
+                data.insert(at, byte)
+            elif at < len(data):
+                if edit == "replace":
+                    data[at] = byte
+                else:
+                    del data[at:at + rng.choice((1, 2, len(data)))]
+        yield bytes(data)
+
+
 def estimate_bits(image, cfg):
     """Bytes of everything ``estimate_kernels`` returns and reports: both
     kernels, the AR fit with its residual and ridge, the null vectors,
@@ -58,6 +84,17 @@ def noisy_case_image(case):
     is well conditioned, yet takes the default ridge like any other."""
     rng = np.random.default_rng(5)
     return case.blurred + 0.1 * rng.standard_normal(case.blurred.shape)
+
+
+def centrosymmetric_grids(l, m):
+    """Columns e_t + e_(n-1-t) and the centre tap: a basis of every
+    centrosymmetric l x m grid, built apart from the fold.  It is the
+    dense expansion E of :func:`nsdeblur.grid.fold_system`."""
+    n = l * m
+    grids = np.zeros((n, (n + 1) // 2))
+    for t in range((n + 1) // 2):
+        grids[t, t] = grids[n - 1 - t, t] = 1.0
+    return grids
 
 
 def embed(kernel, l, m):

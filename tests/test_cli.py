@@ -214,6 +214,26 @@ def test_deblur_rejects_unusable_kernel_at_load(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "1 1\n1_0\n", "+1 1\n1\n", "-1 3\n", "1 1\n1\n2 3 4\nxx\n"],
+    ids=["underscore-tap", "signed-header", "negative-header",
+         "text-after-rows"])
+def test_deblur_malformed_kernel_file_exits_2(workdir, tmp_path, capsys,
+                                              text):
+    """Kernel files write_kernel cannot write: the first two were read as
+    [[10]] and [[1]], the third failed as a shape error (exit 3), and the
+    fourth's extra lines were ignored."""
+    bad = tmp_path / "bad.kern"
+    bad.write_text(text)
+    out = tmp_path / "out.pgm"
+    rc = main(["deblur", str(workdir / "clean.pgm"), "--ipsf-file", str(bad),
+               "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"deblur failed at stage load: {bad}: malformed kernel file: ")
+    assert not out.exists()
+
+
 def test_deblur_overflowing_kernel_exits_4_quietly(workdir, tmp_path):
     """A kernel file whose taps sum past the float range fails at load
     with its one line, under ``-W error``: no overflow warning first."""

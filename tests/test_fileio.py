@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
+from conftest import byte_mutants
 from nsdeblur.config import format_report, make_report
 from nsdeblur.errors import InputError
 from nsdeblur.fileio import (quantize, read_image, read_kernel, read_pgm,
@@ -119,31 +120,6 @@ def test_p2_sample_too_long_for_a_float_is_out_of_range(tmp_path):
         read_pgm(path)
 
 
-def pgm_mutants(valid: bytes, rng: random.Random, count: int):
-    """``count`` copies of ``valid``, each with one to three byte edits:
-    a byte replaced, a byte inserted, or a run dropped (to the end of the
-    file, at times).  Half the edits land in the first 16 bytes, the
-    header; new bytes are drawn mostly from digits, signs, whitespace,
-    '#', '_' and 'P'."""
-    alphabet = b"0123456789+-_# \t\n\rP"
-    for _ in range(count):
-        data = bytearray(valid)
-        for _ in range(rng.randint(1, 3)):
-            end = len(data) if rng.random() < 0.5 else min(len(data), 16)
-            at = rng.randint(0, end)
-            byte = (rng.choice(alphabet) if rng.random() < 0.8
-                    else rng.randrange(256))
-            edit = rng.choice(("replace", "insert", "drop"))
-            if edit == "insert":
-                data.insert(at, byte)
-            elif at < len(data):
-                if edit == "replace":
-                    data[at] = byte
-                else:
-                    del data[at:at + rng.choice((1, 2, len(data)))]
-        yield bytes(data)
-
-
 def test_mutated_pgm_is_read_or_rejected(tmp_path):
     """Seeded byte mutants of a valid 8 x 8 P5 and P2 file: each reads as
     a float image in [0, 1] or raises InputError, nothing else."""
@@ -155,7 +131,7 @@ def test_mutated_pgm_is_read_or_rejected(tmp_path):
     path = tmp_path / "mutant.pgm"
     outcomes = {"read": 0, "rejected": 0}
     for valid in (p5, p2):
-        for data in pgm_mutants(valid, rng, 1500):
+        for data in byte_mutants(valid, rng, 1500):
             path.write_bytes(data)
             try:
                 image = read_pgm(path)
@@ -200,6 +176,38 @@ def test_kernel_file_errors(tmp_path):
     bad.write_text("3 3\n1 2 3\n4 5\n")
     with pytest.raises(InputError):
         read_kernel(bad)
+
+
+#: Kernel files that write_kernel cannot write: name -> (text, message).
+BAD_KERNEL_FILES = {
+    "underscore-tap": ("1 1\n1_0\n", "underscore in a tap"),
+    "signed-header": ("+1 1\n1\n", "not a header number: b'\\+1'"),
+    "negative-header": ("-1 3\n", "not a header number: b'-1'"),
+    "zero-header": ("0 3\n", "not 0 rows of 3 taps, L and M >= 1"),
+    "text-after-rows": ("1 1\n1\n2 3 4\nxx\n", "not 1 rows of 1 taps"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_KERNEL_FILES))
+def test_kernel_file_accepts_only_what_write_kernel_writes(tmp_path, name):
+    """Python's float reads PEP 515 underscores (1_0 is 10) and int a
+    sign; a negative row count read no row at all; and the lines after
+    the declared rows were ignored.  Each is refused instead."""
+    text, message = BAD_KERNEL_FILES[name]
+    bad = tmp_path / "bad.kern"
+    bad.write_text(text)
+    with pytest.raises(InputError, match=message):
+        read_kernel(bad)
+
+
+def test_kernel_file_may_end_in_whitespace(tmp_path):
+    """Only whitespace may follow the last row: blank lines, CR LF line
+    ends and a missing final newline read as written."""
+    path = tmp_path / "k.kern"
+    for text in ("1 2\n1 -2.5e-3\n\n \t\n", "1 2\r\n1 -2.5e-3\r\n",
+                 "1 2\n1 -2.5e-3"):
+        path.write_text(text, newline="")
+        np.testing.assert_array_equal(read_kernel(path), [[1.0, -2.5e-3]])
 
 
 def test_unsupported_format(tmp_path):

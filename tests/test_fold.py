@@ -2,8 +2,9 @@
 solves that use it: their results, their stability under rounding-level
 changes of the model fit, and numpy's least squares on images where
 LAPACK's divide-and-conquer SVD did not converge on the unfolded rows.
-Also the folded normal equations of the prefilter's model fit and
-response, against the constraint written out as a dense expansion."""
+Also the folded normal equations of the prefilter's model fit and of
+the space-route response, against the constraint written out as a dense
+expansion."""
 
 import dataclasses
 
@@ -15,7 +16,7 @@ from scipy.signal import convolve2d
 import nsdeblur as nd
 import nsdeblur.deconv as deconv
 import nsdeblur.psf as psf
-from conftest import CORPUS_SEED
+from conftest import CORPUS_SEED, centrosymmetric_grids
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.fileio import quantize
@@ -108,16 +109,6 @@ def delta_fit(h, span_grids):
     target[cols.shape[0] // 2] = 1.0
     g = span_grids @ scipy.linalg.lstsq(cols, target)[0]
     return (g / g.sum()).reshape(l, m)
-
-
-def centrosymmetric_grids(l, m):
-    """Columns e_t + e_(n-1-t) and the centre tap: a basis of every
-    centrosymmetric l x m grid, built apart from the fold."""
-    n = l * m
-    grids = np.zeros((n, (n + 1) // 2))
-    for t in range((n + 1) // 2):
-        grids[t, t] = grids[n - 1 - t, t] = 1.0
-    return grids
 
 
 @pytest.mark.parametrize("shifted", [False, True])
@@ -280,7 +271,7 @@ def test_folded_response_is_the_constrained_solve(size):
     x = prefilter_input()
     kernel = nd.gaussian_kernel(2.0, size)
     system = space_system(x, kernel, ridge_relative=deconv.PREFILTER_RIDGE)
-    g = nd.ipsf_space(x, kernel, system=system, centrosymmetric=True)
+    g = nd.ipsf_space(x, kernel, system=system)
     e = centrosymmetric_grids(2 * size - 1, 2 * size - 1)
     expected = e @ np.linalg.solve(e.T @ system.ryy @ e, e.T @ system.ryx)
     assert_near(g.ravel(), expected)
@@ -324,14 +315,11 @@ def unfolded_fit(image, p, q):
 
 
 def test_default_fits_are_unchanged_bit_for_bit():
-    """Without ``centrosymmetric`` both fits are the unfolded solves."""
+    """Without ``centrosymmetric`` the model fit is the unfolded solve.
+    The space-route inverse has no unfolded path: every one is solved
+    folded (test_folded_response_is_the_constrained_solve)."""
     x = prefilter_input()
     model = nd.estimate_ar(x, 33, 33)
     coeffs, residual, ridge = unfolded_fit(x, 33, 33)
     assert (model.coeffs.tobytes(), model.residual, model.ridge) == (
         coeffs.tobytes(), residual, ridge)
-    kernel = nd.gaussian_kernel(2.0, 17)
-    system = space_system(x, kernel, ridge_relative=deconv.PREFILTER_RIDGE)
-    expected = np.linalg.solve(system.ryy, system.ryx).reshape(33, 33)
-    assert (nd.ipsf_space(x, kernel, system=system).tobytes()
-            == expected.tobytes())

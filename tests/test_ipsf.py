@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
-from conftest import SPACE_CFG, center_share, noisy_case_image
+from conftest import (SPACE_CFG, center_share, centrosymmetric_grids,
+                      noisy_case_image)
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, InputError
-from nsdeblur.grid import correlation_lags, shifted_taps, window_gram
+from nsdeblur.grid import (correlation_lags, fold_system, shifted_taps,
+                           unfold, window_gram)
 from nsdeblur.ipsf import (curvature_system_matrix, difference_operators,
                            space_system)
 from nsdeblur.surface import surface_area
+
+
+def constrained_solve(matrix, rhs):
+    """E (E^T A E)^-1 E^T b: the solve over centrosymmetric taps, with E
+    the dense expansion rather than the fold's slices."""
+    e = centrosymmetric_grids(1, len(rhs))
+    return e @ np.linalg.solve(e.T @ matrix @ e, e.T @ rhs)
 
 
 def unridged_system(image, h):
@@ -108,7 +117,7 @@ def test_space_inverse_matches_dense_oracle():
     b = np.array(target)
     ridge = 1e-6 * np.trace(a.T @ a) / 25
     assert system.ridge == pytest.approx(ridge, rel=1e-12)
-    ref = np.linalg.solve(a.T @ a + ridge * np.eye(25), a.T @ b)
+    ref = constrained_solve(a.T @ a + ridge * np.eye(25), a.T @ b)
     np.testing.assert_allclose(g.ravel(), ref, atol=1e-8)
 
 
@@ -139,13 +148,22 @@ def test_space_system_takes_no_absolute_ridge(gaussian_case):
         space_system(gaussian_case.blurred, gaussian_case.psf, ridge=1.0)
 
 
+def test_ipsf_space_takes_no_centrosymmetric_switch(gaussian_case):
+    """Every space-route inverse is centrosymmetric: the switch is gone,
+    and passing it fails instead of being ignored."""
+    with pytest.raises(TypeError, match="centrosymmetric"):
+        nd.ipsf_space(gaussian_case.blurred, gaussian_case.psf,
+                      centrosymmetric=False)
+
+
 @pytest.mark.parametrize("path, kwargs", [
     ("default-ridge", {}), ("ridge", {"ridge_relative": 1.0}),
     ("relative-ridge", {"ridge_relative": 1e-2}), ("pinv", {})])
 def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
-    each solve used to build for itself, and ipsf_space solves it with
-    np.linalg.solve.  The "ridge" case is as large as the mean diagonal
+    each solve used to build for itself, and ipsf_space solves it folded
+    (grid.fold_system, checked against the dense expansion in
+    test_fold).  The "ridge" case is as large as the mean diagonal
     entry.  The "pinv" case is a noisy, well-conditioned image, once
     solved by pseudo-inverse: it takes the default ridge too."""
     h = gaussian_case.psf
@@ -162,8 +180,8 @@ def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
     assert system.ryy.tobytes() == summed.tobytes()
     assert system.ryx.tobytes() == ryx.tobytes()
-    old = np.linalg.solve(summed, ryx)
-    assert g.tobytes() == old.reshape(wl, wm).tobytes()
+    folded = unfold(np.linalg.solve(*fold_system(summed, ryx)), n)
+    assert g.tobytes() == folded.reshape(wl, wm).tobytes()
 
 
 def test_space_system_is_read_only(gaussian_case):
@@ -213,11 +231,15 @@ def test_all_zero_image_has_no_space_inverse(call):
 def pinv_space_inverse(image, h):
     """The pseudo-inverse solve the fixed default ridge replaced, kept as
     a reference: it applied when no ridge was given and the unridged
-    system's smallest eigenvalue was above 1e-8 of its largest."""
+    system's smallest eigenvalue was above 1e-8 of its largest.  It is
+    taken of the system folded by the dense expansion E, as the inverse
+    is now sought over centrosymmetric taps."""
     ryy, ryx, wl, wm = unridged_system(image, h)
     eigvals = np.linalg.eigvalsh(ryy)
     assert eigvals[0] > 1e-8 * eigvals[-1], "case never took the pinv path"
-    return (np.linalg.pinv(ryy, rcond=1e-10) @ ryx).reshape(wl, wm)
+    e = centrosymmetric_grids(wl, wm)
+    half = np.linalg.pinv(e.T @ ryy @ e, rcond=1e-10) @ (e.T @ ryx)
+    return (e @ half).reshape(wl, wm)
 
 
 def estimated_case(image):
@@ -364,8 +386,36 @@ def test_optimize_space_one_step_matches_dense_oracle():
     ryy[np.diag_indices_from(ryy)] += 1e-8 * np.trace(ryy) / ryy.shape[0]
     ops = difference_operators(wl, wm)
     system = ryy - 1e-3 * curvature_system_matrix(g0.ravel(), ops)
-    ref = np.linalg.solve(system, ryx).reshape(wl, wm)
+    ref = constrained_solve(system, ryx).reshape(wl, wm)
     np.testing.assert_allclose(g1, ref, atol=1e-8)
+
+
+@pytest.mark.parametrize("case", ["estimated", "random"])
+def test_space_solves_return_centrosymmetric_taps(case):
+    """Both space solves return g[i, k] = g[wl-1-i, wm-1-k] exactly, for
+    an estimated kernel and for a random asymmetric one; the optimizer
+    takes at least one step from the primary solve."""
+    img, h = (estimated_case(nd.texture((40, 40), seed=0))
+              if case == "estimated" else random_case())
+    if case == "random":
+        assert not np.allclose(h, h[::-1, ::-1])
+    g0 = nd.ipsf_space(img, h)
+    g1, rep = nd.optimize_ipsf_space(g0, img, h, SPACE_CFG)
+    assert rep.iterations >= 1
+    for g in (g0, g1):
+        assert np.array_equal(g, g[::-1, ::-1])
+
+
+def test_curvature_matrix_is_rotation_equivariant():
+    """At centrosymmetric taps the linearized curvature matrix is
+    unchanged by the 180-degree rotation of the grid, exactly, so a
+    folded optimizer step drops no part of the curvature term; at
+    asymmetric taps it is not."""
+    r = np.random.default_rng(6).random((7, 5)) * 0.1
+    ops = difference_operators(7, 5)
+    for g, equivariant in ((r + r[::-1, ::-1], True), (r, False)):
+        c = curvature_system_matrix(g.ravel(), ops)
+        assert np.array_equal(c, c[::-1, ::-1]) == equivariant
 
 
 def test_optimize_space_preserves_identity(motion_case):
