@@ -92,14 +92,23 @@ def _increased(sizes: list[float]) -> bool:
     return len(sizes) >= 2 and sizes[-1] > sizes[-2]
 
 
-def _step_size(delta: np.ndarray, bound: float, name: str) -> float:
-    """Mean square of step ``delta`` of optimizer ``name``, unless it is
-    non-finite or above ``bound``, the input image's mean square."""
-    size = float(np.mean(delta ** 2))
+def _take_step(s: np.ndarray, direction: np.ndarray, delta_t: float,
+               bound: float, name: str
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(s_next, s_next - s, mean square of the step) of optimizer ``name``
+    for s_next = s + delta_t * direction, formed in ``direction``'s
+    buffer, unless the mean square is non-finite or above ``bound``, the
+    input image's mean square.  An overflow makes the step infinite,
+    which raises here; it warns of nothing."""
+    with np.errstate(over="ignore"):
+        s_next = np.multiply(direction, delta_t, out=direction)
+        s_next += s
+        delta = s_next - s
+        size = float(np.mean(delta ** 2))
     if not size <= bound:
         raise DeblurError(f"{name} diverged: mean-square step {size:.3e}"
                           f" against the input image's {bound:.3e}")
-    return size
+    return s_next, delta, size
 
 
 def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
@@ -138,8 +147,9 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
         prev[0] = cur
         # lambda0 is the configured maximum of the dynamic weight
         lambdas.append(min(max(lam, 0.0), cfg.lambda0))
-        s_next = s + cfg.delta_t * (x - cur[0] + lambdas[-1] * cur[1])
-        return s_next, _step_size(s_next - s, bound, "bvdr")
+        s_next, _, size = _take_step(s, x - cur[0] + lambdas[-1] * cur[1],
+                                     cfg.delta_t, bound, "bvdr")
+        return s_next, size
 
     s, residuals, stop = iterate(g_filter(x), step, cfg, _increased)
     transition = int(np.argmax(lambdas)) if lambdas else 0
@@ -176,9 +186,8 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
             lambda: (metric_determinant(s), curvature_operator(s)))
         r = x - hs
         weight = r * r / (2.0 * sigma)
-        s_next = s + cfg.delta_t * (r + g_filter(weight * curv))
-        delta = s_next - s
-        size = _step_size(delta, bound, "cs")
+        s_next, delta, size = _take_step(s, r + g_filter(weight * curv),
+                                         cfg.delta_t, bound, "cs")
         curv_scale = _mean_abs(curv)
         dt_bounds.append(_mean_abs(delta) / curv_scale
                          if curv_scale > 0 else 0.0)

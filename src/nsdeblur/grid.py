@@ -414,12 +414,12 @@ def fold_system(matrix: np.ndarray, rhs: np.ndarray
 
 
 def unfold(half: np.ndarray, n: int) -> np.ndarray:
-    """The centrosymmetric n-vector E half of :func:`fold_system`: its
-    first ceil(n/2) taps are ``half``, the rest their mirror images."""
+    """The centrosymmetric n-vectors E half of :func:`fold_system` along the
+    last axis: the first ceil(n/2) taps are ``half``, the rest mirrored."""
     lo, hi = rotation_pairs(n)
-    out = np.empty(n)
-    out[:len(half)] = half
-    out[hi] = half[lo]
+    out = np.empty(half.shape[:-1] + (n,))
+    out[..., :half.shape[-1]] = half
+    out[..., hi] = half[..., lo]
     return out
 
 

@@ -4,9 +4,10 @@ Spectral route: expand the inverse kernel in the same squared null-basis
 grids as the forward kernel and solve for the spectrum that makes the
 full convolution with the forward kernel a centered delta.  Space route:
 refit the inverse directly against the image, with a re-degraded copy of
-it as the regression input.  Either shape can then be smoothed by the
-surface-area penalty, in the K-dim spectrum or on the tap grid.  Every
-inverse is centrosymmetric, as the squared grids are.
+it as the regression input.  Either shape can then be smoothed by one
+surface-area penalty matrix (:func:`nsdeblur.psf.surface_penalty_matrix`),
+in the K-dim spectrum or on the folded tap grid.  Every inverse is
+centrosymmetric, as the squared grids are.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .grid import (as_image, as_kernel, convolve, correlation_lags,
                    fold_system, normalize_kernel, shifted_taps, unfold,
                    window_gram)
 from .nullspace import CnsBasis
-from .psf import iterate_spectrum, lstsq
+from .psf import iterate_spectrum, lstsq, surface_penalty_matrix
 
 #: Ridge of the space-route system, relative to trace/rows of its window
 #: statistics.
@@ -137,67 +138,50 @@ def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
     return g.reshape(system.wl, system.wm)
 
 
-def difference_operators(wl: int, wm: int) -> dict[str, np.ndarray]:
-    """First/second/mixed difference matrices on the flattened wl x wm
-    grid, matching the repeated central-difference scheme of the surface
-    module (one-sided full differences at the outermost lines)."""
-    eye_x, eye_y = np.eye(wl), np.eye(wm)
-    # np.gradient of the identity is the matrix form of np.gradient; an
-    # axis one tap long has no differences
-    gx, gy = (np.gradient(e, axis=0) if len(e) > 1 else 0.0 * e
-              for e in (eye_x, eye_y))
-    # dx @ dx is kron(gx @ gx, I), and so on.  Every entry is a sum of at
-    # most two dyadic products, so both forms are exact; + 0.0 turns the
-    # -0.0 that kron makes of a negative tap times 0 into the products' 0
-    return {"dx": np.kron(gx, eye_y), "dy": np.kron(eye_x, gy),
-            "dxx": np.kron(gx @ gx, eye_y) + 0.0,
-            "dyy": np.kron(eye_x, gy @ gy) + 0.0,
-            "dxy": np.kron(gx, gy) + 0.0}
-
-
-def curvature_system_matrix(g_flat: np.ndarray, ops: dict[str, np.ndarray]
-                            ) -> np.ndarray:
-    """Linearized surface-curvature operator at the current taps: the
-    matrix whose product with g gives the pointwise curvature field."""
-    gx = ops["dx"] @ g_flat
-    gy = ops["dy"] @ g_flat
-    w = (1.0 + gx * gx + gy * gy) ** -1.5
-    lin = ((1.0 + gy * gy)[:, None] * ops["dxx"]
-           + (1.0 + gx * gx)[:, None] * ops["dyy"]
-           - 2.0 * (gx * gy)[:, None] * ops["dxy"])
-    return w[:, None] * lin
+def difference_maps(wl: int, wm: int) -> tuple[np.ndarray, np.ndarray]:
+    """(wl*wm, ceil(wl*wm/2)) derivative maps along x and y: np.gradient of
+    each unfolded basis grid of the centrosymmetric taps, built folded
+    (:func:`nsdeblur.grid.unfold`); an axis one tap long has none."""
+    n = wl * wm
+    grids = unfold(np.eye((n + 1) // 2), n).reshape(-1, wl, wm)
+    return tuple((np.gradient(grids, axis=axis) if grids.shape[axis] > 1
+                  else np.zeros_like(grids)).reshape(len(grids), n).T
+                 for axis in (1, 2))
 
 
 def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
                         system: SpaceSystem | None = None
                         ) -> tuple[np.ndarray, RunReport]:
-    """Surface-regularized refinement of the space-route inverse: per step
-    solve (R_YY - lambda * curvature(g)) g_next = r_YX over centrosymmetric
-    taps, folded as in :func:`ipsf_space`, R_YY carrying the system's
-    ridge; ``system`` is as there.  At a centrosymmetric g the curvature
-    matrix is rotation-equivariant, so the fold drops only the data term's
-    antisymmetric part.  The weight is gated by the same leading-iteration
-    contraction rule as the spectral optimizers and halved down to the
-    floor; if no weight passes, g0 is returned with a gate-failed report."""
+    """Surface-regularized refinement of the space-route inverse over
+    centrosymmetric taps g = E y, from g0's centrosymmetric part.  The
+    system is folded once per call, as in :func:`ipsf_space`, and each
+    step solves (E^T R_YY E + lambda * P(y)) y_next = E^T r_YX, with
+    R_YY carrying the system's ridge and P the spectral optimizers'
+    :func:`nsdeblur.psf.surface_penalty_matrix` on the
+    :func:`difference_maps`; ``system`` is as there.  The weight is gated
+    and halved as in the spectral optimizers; if no weight passes, the
+    start is returned with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
     system = system or space_system(image, h)
-    wl, wm = system.wl, system.wm
+    wl, wm, n = system.wl, system.wm, system.ryx.size
     if g_init.shape != (wl, wm):
         raise DimensionError(
             f"initial taps {g_init.shape} do not match system {(wl, wm)}")
-    ops = difference_operators(wl, wm)
+    ryy, ryx = fold_system(system.ryy, system.ryx)
+    dx, dy = difference_maps(wl, wm)
 
-    def step(flat, lam):
-        a = system.ryy - lam * curvature_system_matrix(flat, ops)
+    def step(y, lam):
         try:
-            flat_new = unfold(np.linalg.solve(*fold_system(a, system.ryx)),
-                              flat.size)
+            y_new = np.linalg.solve(
+                ryy + lam * surface_penalty_matrix(y, dx, dy), ryx)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(flat_new)):
+        if not np.all(np.isfinite(y_new)):
             return None
-        return flat_new, float(np.sum((flat_new - flat) ** 2))
+        return y_new, float(np.sum(unfold(y_new - y, n) ** 2))
 
-    flat, report = gated_iterate(g_init.ravel(), step, cfg)
-    return flat.reshape(wl, wm), report
+    flat = g_init.ravel()
+    y, report = gated_iterate((0.5 * (flat + flat[::-1]))[:ryx.size], step,
+                              cfg)
+    return unfold(y, n).reshape(wl, wm), report

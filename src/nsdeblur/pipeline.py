@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .armodel import ArModel, estimate_ar, build_operator
+from .armodel import ArModel, build_operator, default_fit_region, estimate_ar
 from .config import OptimizerConfig, RunReport, check_integers
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
@@ -26,6 +26,13 @@ from .psf import estimate_psf, gradient_moments, gradient_stats, optimize_psf
 
 OPTIMIZERS = ("none", "bvdr", "cs")
 IPSF_ROUTES = ("spectral", "space")
+
+#: Bytes the dense matrices of one estimate may take (:func:`dense_bytes`).
+#: The 61 x 61 model with a 59 x 59 kernel on a 512 x 512 image counts
+#: 1.06 GB and peaks at 1.1 GB resident; the budget admits about twice
+#: that, and refuses larger models before they allocate, with a typed
+#: error instead of numpy's MemoryError part-way through a run.
+DENSE_BUDGET = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,32 @@ class PipelineConfig:
                 raise InputError(f"{name} must be one of {choices}")
 
 
+def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
+    """Bytes of the dense matrices that :func:`estimate_kernels` builds
+    for an image of ``shape``, counted before any is built: for the model
+    fit and, with ``denoise``, the prefilter's, the fit's window Gram with
+    its work arrays and solve copy, the operator, the eigensystem and the
+    space system; then the gradient moments."""
+    rows, cols = shape
+
+    def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
+        return 2 * (p * q) ** 2 + (h + w) * p * q
+
+    def chain(p, q, l, m, space):
+        *_, h, w = default_fit_region(shape, p, q)
+        return (system(p, q, h, w) + l * m * (p + l - 1) * (q + m - 1)
+                + 2 * (l * m) ** 2
+                + space * system(2 * l - 1, 2 * m - 1, rows, cols))
+
+    l, m = cfg.psf_l, cfg.psf_m
+    total = (chain(cfg.ar_p, cfg.ar_q, l, m, cfg.ipsf_route == "space")
+             + system(l, m, rows, cols))
+    if cfg.denoise:
+        o, k = cfg.denoise_order, cfg.denoise_size
+        total += chain(o, o, k, k, True)
+    return 8 * total
+
+
 @dataclass
 class EstimateResult:
     psf: np.ndarray
@@ -85,9 +118,17 @@ class EstimateResult:
 def estimate_kernels(image, cfg: PipelineConfig | None = None
                      ) -> EstimateResult:
     """Full estimation chain: (optional prefilter) -> model fit -> basis ->
-    kernel estimate and optimization -> inverse kernel and optimization."""
+    kernel estimate and optimization -> inverse kernel and optimization.
+    A configuration whose :func:`dense_bytes` exceed DENSE_BUDGET raises
+    DimensionError before anything is built."""
     cfg = cfg or PipelineConfig()
     x = as_image(image)
+    need = dense_bytes(cfg, x.shape)
+    if need > DENSE_BUDGET:
+        raise DimensionError(
+            f"the estimate's dense matrices need {need / 2**30:.3g} GiB, over "
+            f"the {DENSE_BUDGET / 2**30:g} GiB budget: lower the model "
+            "orders or the kernel size")
     prefiltered = prefilter_kernel = None
     if cfg.denoise:
         x, prefilter_kernel = denoise_prefilter(x, cfg.denoise_order,

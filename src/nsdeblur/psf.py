@@ -94,13 +94,13 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def basis_derivative_products(basis: CnsBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(l*m, K) matrices of Vx*V and Vy*V for each null vector: the
-    half-derivatives of the squared grids (replicate central differences)."""
+    """(l*m, K) maps to the x and y derivatives of the squared grids: each
+    null vector V times its replicate central full difference."""
     n, k = basis.l * basis.m, basis.null_dim
     grids = basis.null_vectors.T.reshape(k, basis.l, basis.m)
     p = np.pad(grids, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    dx = 0.5 * (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) * grids
-    dy = 0.5 * (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) * grids
+    dx = (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) * grids
+    dy = (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) * grids
     # row-major like the per-vector columns were: BLAS rounds a product
     # with a transposed operand differently
     return (np.ascontiguousarray(dx.reshape(k, n).T),
@@ -109,13 +109,13 @@ def basis_derivative_products(basis: CnsBasis) -> tuple[np.ndarray, np.ndarray]:
 
 def surface_penalty_matrix(v: np.ndarray, dx: np.ndarray, dy: np.ndarray
                            ) -> np.ndarray:
-    """K x K matrix of the linearized surface-area term at spectrum v:
-    sum over taps of the derivative products weighted by the inverse local
-    surface element sqrt(1 + hx^2 + hy^2)."""
+    """Lagged-diffusivity matrix of the surface area at coefficients v,
+    Dx^T W Dx + Dy^T W Dy with W = (1 + hx^2 + hy^2)^(-1/2) at the taps
+    (Vogel & Oman, SIAM J. Sci. Comput. 17, 1996), ``dx`` and ``dy``
+    mapping v to hx and hy; the one penalty of every kernel optimizer."""
     gx = dx @ v
     gy = dy @ v
-    den = np.sqrt(1.0 + 4.0 * gx * gx + 4.0 * gy * gy)
-    w = 1.0 / den
+    w = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
     return (dx * w[:, None]).T @ dx + (dy * w[:, None]).T @ dy
 
 
@@ -127,7 +127,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
 
     Starts from the least-squares spectrum of ``h``, fitted on the folded
     taps (:attr:`CnsBasis.fold`), and per step solves
-    (system_gram + 2*lambda*penalty(v)) v_next = anchor, renormalizing the
+    (system_gram + lambda/2 * penalty(v)) v_next = anchor, renormalizing the
     kernel each time; the weight is gated by :func:`gated_iterate` on the
     summed squared tap change.  If no weight passes, ``h`` is returned
     with the gate-failed report.
@@ -137,7 +137,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
 
     def step(state, lam):
         v, flat = state
-        system = system_gram + 2.0 * lam * surface_penalty_matrix(v, dx, dy)
+        system = system_gram + 0.5 * lam * surface_penalty_matrix(v, dx, dy)
         try:
             v_new = np.linalg.solve(system, anchor)
         except np.linalg.LinAlgError:

@@ -4,6 +4,7 @@ Estimation chains are session-scoped because a full chain takes a couple
 of seconds."""
 
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -23,14 +24,19 @@ from nsdeblur.synth import _LUMA_EPS
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(args, cwd=None) -> subprocess.CompletedProcess:
+def run_python(args, cwd=None, address_space=None
+               ) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter with the package on the
-    path, its output captured as text."""
+    path, its output captured as text.  ``address_space`` caps the child's
+    virtual memory (RLIMIT_AS, bytes), so an oversized allocation fails at
+    once instead of taking the machine's memory."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cap = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, preexec_fn=cap)
 
 
 def run_probe(probe: str, cwd=None) -> str:

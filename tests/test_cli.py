@@ -11,7 +11,7 @@ from nsdeblur.config import STOP_NOT_RUN, OptimizerConfig
 from nsdeblur.fileio import (read_image, read_kernel, write_image, write_kernel,
                              write_pgm)
 from nsdeblur.ipsf import space_system
-from nsdeblur.pipeline import PipelineConfig
+from nsdeblur.pipeline import DENSE_BUDGET, PipelineConfig, dense_bytes
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,38 @@ def test_synth_absurd_blur_exit_3_before_building(tmp_path, capsys, spec):
     assert "synth failed at stage degrade" in err
     assert "larger than image (64, 64)" in err
     assert not (tmp_path / "x.pgm").exists()
+
+
+def test_oversized_model_exit_3_before_allocating(tmp_path):
+    """A 201 x 201 model with a 199 x 199 kernel on a 512 x 512 image
+    counts about 119 GiB of dense matrices: exit 3 from the budget before
+    any is built, where it once ended in numpy's MemoryError (exit 1).
+    The child's address space is capped at 4 GiB, so a run that tries the
+    allocation fails at once."""
+    image = tmp_path / "t512.pgm"
+    write_pgm(image, nd.texture((512, 512), seed=1))
+    outputs = [tmp_path / name for name in ("h.kern", "g.kern", "r.txt")]
+    run = run_python(["-m", "nsdeblur", "estimate", str(image),
+                      "--ar-order", "201", "201", "--psf-size", "199", "199",
+                      *(arg for flag, path in zip(
+                          ("--out-psf", "--out-ipsf", "--report"), outputs)
+                        for arg in (flag, str(path)))],
+                     address_space=4 << 30)
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "over the 2 GiB budget" in run.stderr
+    assert not any(path.exists() for path in outputs)
+
+
+def test_dense_budget_admits_the_largest_known_run():
+    """The 61 x 61 model with a 59 x 59 kernel (1.06 GB counted, exit 0)
+    and the denoise + space defaults stay inside the budget; the space
+    route at 61/59, with its 13689-unknown system, does not."""
+    big = PipelineConfig(ar_p=61, ar_q=61, psf_l=59, psf_m=59)
+    for cfg in (big, PipelineConfig(denoise=True, ipsf_route="space")):
+        assert dense_bytes(cfg, (512, 512)) <= DENSE_BUDGET
+    assert dense_bytes(dataclasses.replace(big, ipsf_route="space"),
+                       (512, 512)) > DENSE_BUDGET
 
 
 def test_synth_even_gaussian_size_exit_2(workdir, capsys):

@@ -360,6 +360,22 @@ def test_diverging_step_raises(optimize, name, scale, motion_case):
     assert exc.value.exit_code == 4
 
 
+@pytest.mark.parametrize("delta_t", [1e160, 1e308])
+@pytest.mark.parametrize("optimize, name", [(nd.bvdr_optimize, "bvdr"),
+                                            (nd.cs_optimize, "cs")],
+                         ids=["bvdr", "cs"])
+def test_overflowing_step_raises_without_warning(optimize, name, delta_t,
+                                                 motion_case):
+    """A step whose square (1e160) or whose product with the step
+    parameter (1e308) overflows is an infinite step: DeblurError, as at
+    1e100, and no RuntimeWarning, which this suite turns into an error."""
+    case = motion_case
+    with pytest.raises(nd.DeblurError,
+                       match=f"^{name} diverged: mean-square step inf"):
+        optimize(case.blurred, case.psf, case.ipsf_spectral,
+                 OptimizerConfig(delta_t=delta_t))
+
+
 @pytest.mark.parametrize("optimize, name", [(nd.bvdr_optimize, "bvdr"),
                                             (nd.cs_optimize, "cs")],
                          ids=["bvdr", "cs"])

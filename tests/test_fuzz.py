@@ -1,13 +1,14 @@
 """Seeded fuzzing of the kernel-file reader and the command line.
 
 Each test draws its cases from stdlib ``random`` with a fixed seed and a
-fixed count, so every run sees the same cases.  Kernel files are mutated
-byte by byte as tests/test_fileio.py mutates PGM files; command lines
-are drawn for ``estimate``, ``deblur`` and ``quality`` over small images
-with model orders of at most 9.
+fixed count, so every run sees the same cases.  Kernel and settings files
+are mutated byte by byte as tests/test_fileio.py mutates PGM files;
+command lines are drawn for ``estimate``, ``deblur`` and ``quality`` over
+small images with model orders of at most 9.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ def draw_argv(rng: random.Random, images, kernels, out) -> list[str]:
                     "--report": (0.3, str(out / "d.txt")),
                     "--optimizer": (0.6, draw(rng, ("none", "bvdr", "cs"),
                                               ("other",))),
-                    "--delta-t": (0.2, draw(rng, ("0.3", "1"), ("0", "x"))),
+                    "--delta-t": (0.2, draw(rng, ("0.3", "1", "1e308"),
+                                             ("0", "x"))),
                     "--alpha": (0.2, draw(rng, ("0.5", "1"), ("-1", "nan"))),
                     "--lambda": (0.2, draw(rng, ("1e-3", "1"), ("-1",))),
                     "--eps": (0.2, draw(rng, ("1e-6", "1e-3"), ("0",))),
@@ -169,3 +171,48 @@ def test_drawn_command_lines_end_in_an_exit_code(cli_inputs, tmp_path,
         assert code == 0 or not any(tmp_path.iterdir()), argv
         codes.append(code)
     assert {0, 2, 3} <= set(codes), codes
+
+
+#: A settings file each command reads whole: every key it reads, at
+#: values that run in milliseconds on the fuzz images.
+VALID_SETTINGS = {
+    "estimate": b"# kernel estimate\nar_p = 5\nar_q = 7\npsf_l = 3\n"
+                b"psf_m = 5\nipsf_route = space\ndenoise = no\n"
+                b"denoise_order = 33\ndenoise_size = 17\ntheta = 10\n"
+                b"q = 3\nlambda0 = 0.01\neps = 1e-8\nmax_iters = 5\n",
+    "deblur": b"optimizer = cs\ndelta_t = 0.3\nalpha = 1\n"
+              b"lambda0 = 0.01\neps = 1e-6\nmax_iters = 5\n"}
+
+
+def test_mutated_settings_files_end_in_an_exit_code(cli_inputs, tmp_path,
+                                                    capsys):
+    """Seeded byte mutants of valid estimate and deblur settings files:
+    each run exits 0, 2, 3 or 4 without a traceback, and one that fails
+    writes no output file.  ``--max-iters 3`` on the command line, which
+    overrides the file, bounds the optimizers' runs."""
+    images, kernels = cli_inputs
+    rng = random.Random(2029)
+    settings, out = tmp_path / "settings.txt", tmp_path / "out"
+    out.mkdir()
+    argv = {"estimate": ["estimate", images[0], "--out-psf",
+                         str(out / "h.kern"), "--out-ipsf",
+                         str(out / "g.kern"), "--report", str(out / "r.txt")],
+            "deblur": ["deblur", images[0], "--ipsf-file", kernels[0],
+                       "--psf-file", kernels[1], "--output",
+                       str(out / "out.pgm"), "--report", str(out / "d.txt")]}
+    codes = Counter()
+    for command, valid in VALID_SETTINGS.items():
+        for data in byte_mutants(valid, rng, 200,
+                                 b"0123456789+-_.eE=# \t\n\r"):
+            settings.write_bytes(data)
+            for written in out.iterdir():
+                written.unlink()
+            code = main([*argv[command], "--config", str(settings),
+                         "--max-iters", "3"])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (command, data)
+            assert "Traceback" not in err, (command, data)
+            assert code == 0 or not any(out.iterdir()), (command, data)
+            codes[command, code] += 1
+    assert all(codes[command, code] for command in VALID_SETTINGS
+               for code in (0, 2)), codes

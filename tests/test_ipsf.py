@@ -12,8 +12,8 @@ from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, InputError
 from nsdeblur.grid import (correlation_lags, fold_system, shifted_taps,
                            unfold, window_gram)
-from nsdeblur.ipsf import (curvature_system_matrix, difference_operators,
-                           space_system)
+from nsdeblur.ipsf import difference_maps, space_system
+from nsdeblur.psf import surface_penalty_matrix
 from nsdeblur.surface import surface_area
 
 
@@ -315,66 +315,76 @@ def test_space_sharper_than_spectral(motion_case):
     assert peak_sigma_space > peak_sigma_spectral
 
 
-def product_difference_operators(wl, wm):
-    """The operators as matrix products of the first differences on the
-    flattened grid, the form the Kronecker one replaced."""
+def dense_differences(wl, wm):
+    """np.gradient along x and y as dense (wl*wm) x (wl*wm) matrices on the
+    flattened grid; an axis one tap long has none."""
     eye_x, eye_y = np.eye(wl), np.eye(wm)
-    dx = np.kron(np.gradient(eye_x, axis=0), eye_y)
-    dy = np.kron(eye_x, np.gradient(eye_y, axis=0))
-    return {"dx": dx, "dy": dy, "dxx": dx @ dx, "dyy": dy @ dy,
-            "dxy": dx @ dy}
+    gx, gy = (np.gradient(e, axis=0) if len(e) > 1 else 0.0 * e
+              for e in (eye_x, eye_y))
+    return np.kron(gx, eye_y), np.kron(eye_x, gy)
+
+
+def dense_penalty(g, wl, wm):
+    """Dx^T W Dx + Dy^T W Dy on the full tap grid at taps g, with
+    W = (1 + gx^2 + gy^2)^(-1/2), written out with a diagonal W."""
+    dx, dy = dense_differences(wl, wm)
+    w = np.diag(1.0 / np.sqrt(1.0 + (dx @ g) ** 2 + (dy @ g) ** 2))
+    return dx.T @ w @ dx + dy.T @ w @ dy
 
 
 @pytest.mark.parametrize("wl, wm", [(17, 17), (13, 13), (9, 9), (17, 9),
                                     (3, 5)])
 def test_difference_operators_match_matrix_products(wl, wm):
-    """Bit for bit, signed zeros included."""
-    ops, ref = difference_operators(wl, wm), product_difference_operators(
-        wl, wm)
-    assert ops.keys() == ref.keys()
-    for key in ops:
-        assert ops[key].tobytes() == ref[key].tobytes(), key
+    """The difference operators on the centrosymmetric taps, the folded
+    :func:`difference_maps`, are the dense differences times the dense
+    expansion E of the fold, exactly: every entry is a sum of two of 0,
+    +-0.5 and +-1."""
+    e = centrosymmetric_grids(wl, wm)
+    for got, dense in zip(difference_maps(wl, wm), dense_differences(wl, wm)):
+        assert got.shape == e.shape
+        np.testing.assert_array_equal(got, dense @ e)
 
 
 def test_difference_operators_match_gradient():
-    rng = np.random.default_rng(2)
-    g = rng.random((5, 7))
-    ops = difference_operators(5, 7)
-    np.testing.assert_allclose((ops["dx"] @ g.ravel()).reshape(5, 7),
+    """The maps applied to the folded taps are np.gradient of the unfolded
+    grid."""
+    y = np.random.default_rng(2).random(18)
+    g = unfold(y, 35).reshape(5, 7)
+    dx, dy = difference_maps(5, 7)
+    np.testing.assert_allclose((dx @ y).reshape(5, 7),
                                np.gradient(g, axis=0), atol=1e-12)
-    np.testing.assert_allclose((ops["dy"] @ g.ravel()).reshape(5, 7),
+    np.testing.assert_allclose((dy @ y).reshape(5, 7),
                                np.gradient(g, axis=1), atol=1e-12)
 
 
 @pytest.mark.parametrize("wl, wm", [(1, 5), (5, 1), (1, 1)])
 def test_difference_operators_one_tap_axis_has_none(wl, wm):
-    """An axis one tap long has zero differences; the other axis keeps
+    """An axis one tap long has zero maps; the other axis keeps
     np.gradient's."""
-    g = np.random.default_rng(3).random((wl, wm))
-    ops = difference_operators(wl, wm)
-    for key, axis in (("dx", 0), ("dy", 1)):
-        got = (ops[key] @ g.ravel()).reshape(wl, wm)
+    n = wl * wm
+    y = np.random.default_rng(3).random((n + 1) // 2)
+    g = unfold(y, n).reshape(wl, wm)
+    for d, axis in zip(difference_maps(wl, wm), (0, 1)):
         ref = (np.gradient(g, axis=axis) if g.shape[axis] > 1
                else np.zeros_like(g))
-        np.testing.assert_allclose(got, ref, atol=1e-12)
-    for key in ("dxx", "dxy") if wl == 1 else ("dyy", "dxy"):
-        assert not ops[key].any()
+        np.testing.assert_allclose((d @ y).reshape(wl, wm), ref, atol=1e-12)
+        assert g.shape[axis] > 1 or not d.any()
 
 
-def test_curvature_system_zero_on_affine_interior():
-    plane = np.fromfunction(lambda i, k: 0.2 * i - 0.4 * k, (7, 7))
-    ops = difference_operators(7, 7)
-    field = (curvature_system_matrix(plane.ravel(), ops)
-             @ plane.ravel()).reshape(7, 7)
-    assert np.abs(field[1:-1, 1:-1]).max() <= 1e-12
-
-
-def test_curvature_system_matches_pointwise_operator():
-    rng = np.random.default_rng(3)
-    g = rng.random((7, 7)) * 0.1
-    ops = difference_operators(7, 7)
-    lin = (curvature_system_matrix(g.ravel(), ops) @ g.ravel()).reshape(7, 7)
-    np.testing.assert_allclose(lin, nd.curvature_operator(g), atol=1e-8)
+def test_penalty_is_the_surface_area_gradient():
+    """P(y) y is the gradient in y of the surface area of the taps E y
+    (lagged diffusivity: the weight frozen at y reproduces it), against
+    central differences of :func:`nsdeblur.surface.surface_area`."""
+    y = np.random.default_rng(3).random(25) * 0.3
+    dx, dy = difference_maps(7, 7)
+    got = surface_penalty_matrix(y, dx, dy) @ y
+    step, ref = 1e-6, np.empty(y.size)
+    for t in range(y.size):
+        e = np.zeros(y.size)
+        e[t] = step
+        ref[t] = (surface_area(unfold(y + e, 49).reshape(7, 7))
+                  - surface_area(unfold(y - e, 49).reshape(7, 7))) / (2 * step)
+    np.testing.assert_allclose(got, ref, atol=1e-7 * np.abs(ref).max())
 
 
 def test_optimize_space_one_step_matches_dense_oracle():
@@ -384,8 +394,7 @@ def test_optimize_space_one_step_matches_dense_oracle():
     g1, rep = nd.optimize_ipsf_space(g0, img, h, cfg)
     ryy, ryx, wl, wm = unridged_system(img, h)
     ryy[np.diag_indices_from(ryy)] += 1e-8 * np.trace(ryy) / ryy.shape[0]
-    ops = difference_operators(wl, wm)
-    system = ryy - 1e-3 * curvature_system_matrix(g0.ravel(), ops)
+    system = ryy + 1e-3 * dense_penalty(g0.ravel(), wl, wm)
     ref = constrained_solve(system, ryx).reshape(wl, wm)
     np.testing.assert_allclose(g1, ref, atol=1e-8)
 
@@ -406,16 +415,16 @@ def test_space_solves_return_centrosymmetric_taps(case):
         assert np.array_equal(g, g[::-1, ::-1])
 
 
-def test_curvature_matrix_is_rotation_equivariant():
-    """At centrosymmetric taps the linearized curvature matrix is
-    unchanged by the 180-degree rotation of the grid, exactly, so a
-    folded optimizer step drops no part of the curvature term; at
-    asymmetric taps it is not."""
+def test_penalty_matrix_is_rotation_equivariant():
+    """At centrosymmetric taps the full-grid penalty matrix is exactly
+    symmetric and unchanged by the 180-degree rotation of the grid, so a
+    folded optimizer step drops no part of it; at asymmetric taps it is
+    not equivariant."""
     r = np.random.default_rng(6).random((7, 5)) * 0.1
-    ops = difference_operators(7, 5)
     for g, equivariant in ((r + r[::-1, ::-1], True), (r, False)):
-        c = curvature_system_matrix(g.ravel(), ops)
-        assert np.array_equal(c, c[::-1, ::-1]) == equivariant
+        p = dense_penalty(g.ravel(), 7, 5)
+        assert np.array_equal(p, p.T)
+        assert np.array_equal(p, p[::-1, ::-1]) == equivariant
 
 
 def test_optimize_space_preserves_identity(motion_case):

@@ -169,14 +169,15 @@ def test_kernel_basis_mismatch_rejected(small_basis):
 
 
 def loop_derivative_products(basis):
-    """One null vector at a time, each grid edge-padded on its own."""
+    """One null vector at a time, each grid edge-padded on its own: V times
+    its full central difference, the derivative of V^2."""
     n, k = basis.l * basis.m, basis.null_dim
     dx, dy = np.empty((n, k)), np.empty((n, k))
     for j in range(k):
         v = basis.null_vectors[:, j].reshape(basis.l, basis.m)
         p = np.pad(v, 1, mode="edge")
-        dx[:, j] = (0.5 * (p[2:, 1:-1] - p[:-2, 1:-1]) * v).ravel()
-        dy[:, j] = (0.5 * (p[1:-1, 2:] - p[1:-1, :-2]) * v).ravel()
+        dx[:, j] = ((p[2:, 1:-1] - p[:-2, 1:-1]) * v).ravel()
+        dy[:, j] = ((p[1:-1, 2:] - p[1:-1, :-2]) * v).ravel()
     return dx, dy
 
 
