@@ -1,5 +1,5 @@
 """2D autoregressive image model: coefficient estimation and the
-block-Toeplitz operator built from the fitted stencil.
+block-Toeplitz operator of the fitted stencil, held as the stencil.
 
 The model is a P x Q stencil ``a`` with its central element pinned to 1;
 for a consistent image every stencil-weighted neighborhood sum is close
@@ -34,19 +34,32 @@ class ArModel:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Block-Toeplitz model operator: every row holds the same stencil,
-    shifted across an extended patch.
+    """Block-Toeplitz model operator A: every row holds the same stencil,
+    shifted across an extended patch.  It is kept as the stencil and the
+    l x m kernel-space shifts; the eigen/null split reads A A^T from the
+    stencil's autocorrelation (:func:`nsdeblur.nullspace.operator_gram`)
+    and never forms A.
 
-    ``matrix`` has l*m rows and (p+l-1)*(q+m-1) columns; applying it to a
-    row-major flattened (p+l-1) x (q+m-1) patch evaluates the stencil sum
-    at each of the l x m kernel-space shifts.
+    ``matrix``, built on each access, has l*m rows and (p+l-1)*(q+m-1)
+    columns; applying it to a row-major flattened (p+l-1) x (q+m-1) patch
+    evaluates the stencil sum at each of the l x m shifts.
     """
 
-    matrix: np.ndarray
+    stencil: np.ndarray     # (p, q)
     l: int
     m: int
-    p: int
-    q: int
+
+    @property
+    def p(self) -> int:
+        return self.stencil.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.stencil.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return shifted_taps(self.stencil, self.l, self.m)
 
 
 def default_fit_region(image_shape: tuple[int, int], p: int, q: int
@@ -136,7 +149,8 @@ def estimate_ar(image, p: int, q: int, region=None, *,
 
 
 def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:
-    """Assemble the l*m x (p+l-1)*(q+m-1) shifted-stencil operator.
+    """The l*m x (p+l-1)*(q+m-1) shifted-stencil operator, held as its
+    stencil: no matrix is built here.
 
     Row (s_i * m + s_k) carries the stencil placed at offset (s_i, s_k), so
     the product with a flattened patch evaluates the model sum at every
@@ -148,5 +162,4 @@ def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:
         raise DimensionError(
             f"kernel {l}x{m} must be strictly smaller than model "
             f"{model.p}x{model.q}")
-    return OperatorMatrix(matrix=shifted_taps(np.asarray(model.coeffs), l, m),
-                          l=l, m=m, p=model.p, q=model.q)
+    return OperatorMatrix(stencil=np.asarray(model.coeffs), l=l, m=m)

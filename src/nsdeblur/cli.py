@@ -140,6 +140,7 @@ def cmd_estimate(args) -> int:
         write_text(args.report,
                    "# kernel estimation\n"
                    f"null_dim = {result.basis.null_dim}\n"
+                   f"null_gap = {result.basis.null_gap:.17g}\n"
                    f"ar_residual = {result.model.residual:.17g}\n"
                    f"ar_ridge = {result.model.ridge:.17g}\n"
                    "# kernel shape optimization\n"

@@ -386,6 +386,19 @@ def rotation_pairs(n: int) -> tuple[slice, slice]:
     return slice(0, n // 2), slice(n - 1, (n - 1) // 2, -1)
 
 
+def fold_pairs(matrix: np.ndarray, out: np.ndarray, odd: bool = False
+               ) -> np.ndarray:
+    """(M[lo,lo] + M[hi,hi]) +- (M[lo,hi] + M[hi,lo]) into ``out``, over
+    the rotation pairs (lo, hi) of :func:`rotation_pairs`: the pair block
+    of E^T M E for the even fold (+) or of its odd counterpart (-), whose
+    column t is e_t - e_(n-1-t).  A symmetric M gives an exactly
+    symmetric block."""
+    lo, hi = rotation_pairs(matrix.shape[0])
+    np.add(matrix[lo, lo], matrix[hi, hi], out=out)
+    cross = matrix[lo, hi] + matrix[hi, lo]
+    return (np.subtract if odd else np.add)(out, cross, out=out)
+
+
 def fold_system(matrix: np.ndarray, rhs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(E^T matrix E, E^T rhs): an n-unknown linear system restricted to
@@ -402,8 +415,7 @@ def fold_system(matrix: np.ndarray, rhs: np.ndarray
     h = n // 2
     lo, hi = rotation_pairs(n)
     out = np.empty(((n + 1) // 2,) * 2)
-    np.add(matrix[lo, lo], matrix[hi, hi], out=out[:h, :h])
-    out[:h, :h] += matrix[lo, hi] + matrix[hi, lo]
+    fold_pairs(matrix, out[:h, :h])
     if n % 2:
         out[h, :h] = matrix[h, lo] + matrix[h, hi]
         out[:h, h] = matrix[lo, h] + matrix[hi, h]

@@ -139,13 +139,17 @@ def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
 
 
 def difference_maps(wl: int, wm: int) -> tuple[np.ndarray, np.ndarray]:
-    """(wl*wm, ceil(wl*wm/2)) derivative maps along x and y: np.gradient of
-    each unfolded basis grid of the centrosymmetric taps, built folded
-    (:func:`nsdeblur.grid.unfold`); an axis one tap long has none."""
+    """(ceil(wl*wm/2), ceil(wl*wm/2)) derivative maps along x and y on the
+    first ceil(wl*wm/2) taps: np.gradient of each unfolded basis grid of
+    the centrosymmetric taps, built folded (:func:`nsdeblur.grid.unfold`);
+    an axis one tap long has none.  The gradient of a centrosymmetric grid
+    is exactly odd, so the other rows are these negated, and the centre
+    row is zero."""
     n = wl * wm
-    grids = unfold(np.eye((n + 1) // 2), n).reshape(-1, wl, wm)
+    half = (n + 1) // 2
+    grids = unfold(np.eye(half), n).reshape(-1, wl, wm)
     return tuple((np.gradient(grids, axis=axis) if grids.shape[axis] > 1
-                  else np.zeros_like(grids)).reshape(len(grids), n).T
+                  else np.zeros_like(grids)).reshape(half, n)[:, :half].T
                  for axis in (1, 2))
 
 

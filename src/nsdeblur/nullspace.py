@@ -3,6 +3,12 @@
 The Gram matrix B = A A^T is small (l*m square); its large-eigenvalue side
 carries the image structure the stencil failed to cancel, while the
 small-eigenvalue ("null") side spans the kernels compatible with the blur.
+B is read from the stencil's autocorrelation, not from A, and it is
+unchanged by a 180-degree rotation of the tap grid, so it is diagonalised
+as two blocks of about half its size, one of even and one of odd
+eigenvectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): every
+eigenvector is exactly even or odd, and every squared grid exactly
+centrosymmetric.
 The split threshold is half the leading eigenvalue, snapped to the largest
 adjacent spectral gap below it.  Null-side dimension shrinks as blur grows,
 but it also moves with the image alone, so it is no blur-severity readout
@@ -19,7 +25,7 @@ import numpy as np
 
 from .armodel import OperatorMatrix
 from .errors import DegenerateOperatorError
-from .grid import rotation_pairs
+from .grid import correlation_lags, fold_pairs, rotation_pairs
 
 #: Cap on the null-side dimension (bounds downstream K x K solves).
 MAX_NULL_DIM = 128
@@ -61,6 +67,16 @@ class CnsBasis:
         return self.vectors[:, self.split:]
 
     @property
+    def null_gap(self) -> float:
+        """lambda[split-1] / lambda[split], both floored at a 1e-12 share of
+        lambda[0], the ratio :func:`_pick_split` reads: how decisive the
+        gap at the split is."""
+        floor = _RATIO_FLOOR * self.eigenvalues[0]
+        before, after = np.maximum(
+            self.eigenvalues[self.split - 1:self.split + 1], floor)
+        return float(before / after)
+
+    @property
     def squared_flat(self) -> np.ndarray:
         """(l*m, K) matrix whose columns are the flattened squared grids."""
         return self.squared_basis.reshape(self.null_dim, -1).T
@@ -69,11 +85,10 @@ class CnsBasis:
     def fold(self) -> np.ndarray:
         """(ceil(l*m/2), l*m) orthonormal rows: one per 180-degree rotation
         pair of flattened taps (t, l*m-1-t), adding it with weight
-        1/sqrt(2), and one keeping the centre tap.  A A^T is unchanged by
-        the rotation, so its eigenvectors are even or odd under it (Cantoni
-        & Butler, Linear Algebra Appl. 13, 1976) and the squared grids are
-        centrosymmetric: the fold keeps their norms, and its transpose
-        spans them all."""
+        1/sqrt(2), and one keeping the centre tap.  Every eigenvector is
+        exactly even or odd under the rotation (:func:`compute_cns`), so
+        the squared grids are exactly centrosymmetric: the fold keeps
+        their norms, and its transpose spans them all."""
         n = self.l * self.m
         fold = np.zeros(((n + 1) // 2, n))
         for taps in rotation_pairs(n):      # row t: taps t and n-1-t
@@ -112,20 +127,78 @@ def _pick_split(lam: np.ndarray) -> int:
     return first + int(np.argmax(zone))
 
 
+def operator_gram(op: OperatorMatrix) -> np.ndarray:
+    """B = A A^T of the shifted-stencil operator, from its stencil a alone:
+    B[s, s'] = R(s' - s), with R(d) = sum_u a[u] a[u + d] the stencil's
+    autocorrelation (a zero past its border).
+
+    The lags 0 <= d_i < l, |d_k| < m come from one FFT correlation
+    (:func:`nsdeblur.grid.correlation_lags`), so R differs from the dot
+    products of A's rows by rounding, a small multiple of eps ||a||^2.
+    The lags d_i = 0, d_k < 0 and every d_i < 0 are copied from their
+    mirror R(-d), so B is exactly symmetric and exactly unchanged by the
+    180-degree rotation of the tap grid.
+    """
+    a, l, m = op.stencil, op.l, op.m
+    p, q = a.shape
+    field = np.zeros((p + l - 1, q + m - 1))
+    field[:p, :q] = a
+    lags = correlation_lags(a, field, m - 1, rows=l)
+    r = np.empty((2 * l - 1, 2 * m - 1))    # r[l-1+d_i, m-1+d_k] = R(d)
+    r[l - 1:, m - 1:] = lags[:, :m]
+    r[l:, :m - 1] = lags[1:, lags.shape[1] - (m - 1):]
+    r[l - 1, :m - 1] = r[l - 1, m:][::-1]
+    r[:l - 1] = r[l:][::-1, ::-1]
+    i, k = np.arange(l), np.arange(m)
+    return r[(i - i[:, None])[:, None, :, None] + l - 1,
+             (k - k[:, None])[None, :, None, :] + m - 1].reshape(l * m, -1)
+
+
 def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     """Eigendecompose A A^T and locate the eigen/null split.
+
+    B = :func:`operator_gram` is folded by the orthonormal even and odd
+    rotation-pair bases (:func:`nsdeblur.grid.fold_pairs`): B[lo,lo] +
+    B[lo,hi] with the centre row and column, ceil(l*m/2) square, and
+    B[lo,lo] - B[lo,hi], floor(l*m/2) square (l*m is odd).  Each block is diagonalised
+    on its own, the eigenvalues merged in descending order, and each
+    eigenvector unfolded into an exactly even or odd column.
 
     ``force_single`` keeps only the single smallest-eigenvalue vector on
     the null side (the high-order denoising mode).
     """
-    a = op.matrix
-    n = a.shape[0]
-    # a @ a.T is exactly symmetric (numpy computes it with one triangle)
-    values, vectors = np.linalg.eigh(a @ a.T)
-    lam = values[::-1]
+    n = op.l * op.m                     # odd, as l and m are
+    h = n // 2                          # the centre tap
+    lo, hi = rotation_pairs(n)
+    gram = operator_gram(op)
+    # B is exactly centrosymmetric, so each fold is twice its block exactly
+    even, odd = np.empty((h + 1, h + 1)), np.empty((h, h))
+    fold_pairs(gram, even[:h, :h])
+    fold_pairs(gram, odd, odd=True)
+    even[:h, :h] *= 0.5
+    odd *= 0.5
+    even[h, :h] = even[:h, h] = np.sqrt(0.5) * (gram[h, lo] + gram[h, hi])
+    even[h, h] = gram[h, h]
+    del gram
+    w_even, v_even = np.linalg.eigh(even)
+    w_odd, v_odd = np.linalg.eigh(odd)
+    del even, odd
+    order = np.argsort(-np.concatenate((w_even, w_odd)), kind="stable")
+    lam = np.concatenate((w_even, w_odd))[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    at_even, at_odd = rank[:h + 1], rank[h + 1:]
     # column-major: on another layout the kernel estimate's BLAS products
     # round differently
-    vectors = np.asfortranarray(vectors[:, ::-1])
+    vectors = np.empty((n, n), order="F")
+    pair = np.sqrt(0.5) * v_even[:h]
+    vectors[lo, at_even] = pair
+    vectors[hi, at_even] = pair
+    vectors[h, at_even] = v_even[h]
+    pair = np.sqrt(0.5) * v_odd
+    vectors[lo, at_odd] = pair
+    vectors[hi, at_odd] = -pair
+    vectors[h, at_odd] = 0.0
     if lam[0] <= 1e-12:
         raise DegenerateOperatorError(
             f"operator Gram matrix is numerically zero (lambda_1={lam[0]:.3e})")

@@ -29,7 +29,7 @@ IPSF_ROUTES = ("spectral", "space")
 
 #: Bytes the dense matrices of one estimate may take (:func:`dense_bytes`).
 #: The 61 x 61 model with a 59 x 59 kernel on a 512 x 512 image counts
-#: 1.06 GB and peaks at 1.1 GB resident; the budget admits about twice
+#: 1.05 GB and peaks at 851 MB resident; the budget admits about twice
 #: that, and refuses larger models before they allocate, with a typed
 #: error instead of numpy's MemoryError part-way through a run.
 DENSE_BUDGET = 2 << 30
@@ -80,18 +80,22 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     """Bytes of the dense matrices that :func:`estimate_kernels` builds
     for an image of ``shape``, counted before any is built: for the model
     fit and, with ``denoise``, the prefilter's, the fit's window Gram with
-    its work arrays and solve copy, the operator, the eigensystem and the
-    space system; then the gradient moments."""
+    its work arrays and solve copy, the eigensystem and the inverse's
+    system (the space system, or the spectral inverse's full-convolution
+    matrix); then the gradient moments."""
     rows, cols = shape
 
     def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
         return 2 * (p * q) ** 2 + (h + w) * p * q
 
+    def eigensystem(n):         # A A^T, then the vectors; two halves
+        return n * n + 2 * (((n + 1) // 2) ** 2 + (n // 2) ** 2)
+
     def chain(p, q, l, m, space):
         *_, h, w = default_fit_region(shape, p, q)
-        return (system(p, q, h, w) + l * m * (p + l - 1) * (q + m - 1)
-                + 2 * (l * m) ** 2
-                + space * system(2 * l - 1, 2 * m - 1, rows, cols))
+        inverse = (system(2 * l - 1, 2 * m - 1, rows, cols) if space
+                   else l * m * (2 * l - 1) * (2 * m - 1))
+        return system(p, q, h, w) + eigensystem(l * m) + inverse
 
     l, m = cfg.psf_l, cfg.psf_m
     total = (chain(cfg.ar_p, cfg.ar_q, l, m, cfg.ipsf_route == "space")

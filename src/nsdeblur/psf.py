@@ -7,7 +7,10 @@ null-basis grids; the coefficients come from the diagonal of two K x K
 projections of the image-gradient statistics (a cross-flipped correlation
 matrix and an averaged-shift matrix).  Optimization re-solves a small
 K x K system per iteration, trading data fidelity against the surface
-area of the kernel.
+area of the kernel.  Every null vector is exactly even or odd under the
+180-degree rotation of the tap grid, so the derivative maps of the
+squared grids are exactly odd, and the surface penalty is computed from
+their first ceil(l*m/2) rows.
 """
 
 from __future__ import annotations
@@ -94,28 +97,36 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def basis_derivative_products(basis: CnsBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(l*m, K) maps to the x and y derivatives of the squared grids: each
-    null vector V times its replicate central full difference."""
+    """(ceil(l*m/2), K) maps to the x and y derivatives of the squared
+    grids on the first ceil(l*m/2) taps: each null vector V times its
+    replicate central full difference.  V is exactly even or odd, so the
+    map on the full grid is exactly odd: its row l*m-1-t is minus row t and
+    its centre row is zero, and :func:`surface_penalty_matrix` needs only
+    these rows."""
     n, k = basis.l * basis.m, basis.null_dim
     grids = basis.null_vectors.T.reshape(k, basis.l, basis.m)
     p = np.pad(grids, ((0, 0), (1, 1), (1, 1)), mode="edge")
     dx = (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) * grids
     dy = (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) * grids
+    half = (n + 1) // 2
     # row-major like the per-vector columns were: BLAS rounds a product
     # with a transposed operand differently
-    return (np.ascontiguousarray(dx.reshape(k, n).T),
-            np.ascontiguousarray(dy.reshape(k, n).T))
+    return (np.ascontiguousarray(dx.reshape(k, n)[:, :half].T),
+            np.ascontiguousarray(dy.reshape(k, n)[:, :half].T))
 
 
 def surface_penalty_matrix(v: np.ndarray, dx: np.ndarray, dy: np.ndarray
                            ) -> np.ndarray:
     """Lagged-diffusivity matrix of the surface area at coefficients v,
     Dx^T W Dx + Dy^T W Dy with W = (1 + hx^2 + hy^2)^(-1/2) at the taps
-    (Vogel & Oman, SIAM J. Sci. Comput. 17, 1996), ``dx`` and ``dy``
-    mapping v to hx and hy; the one penalty of every kernel optimizer."""
+    (Vogel & Oman, SIAM J. Sci. Comput. 17, 1996); the one penalty of
+    every kernel optimizer.  ``dx`` and ``dy`` are the first ceil(n/2)
+    rows of maps from v to hx and hy on an n-tap grid whose row n-1-t is
+    minus row t, and whose centre row is zero for an odd n, so the sum
+    over all n taps is twice the sum over these rows."""
     gx = dx @ v
     gy = dy @ v
-    w = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
+    w = 2.0 / np.sqrt(1.0 + gx * gx + gy * gy)
     return (dx * w[:, None]).T @ dx + (dy * w[:, None]).T @ dy
 
 

@@ -126,14 +126,30 @@ def test_oversized_model_exit_3_before_allocating(tmp_path):
 
 
 def test_dense_budget_admits_the_largest_known_run():
-    """The 61 x 61 model with a 59 x 59 kernel (1.06 GB counted, exit 0)
-    and the denoise + space defaults stay inside the budget; the space
-    route at 61/59, with its 13689-unknown system, does not."""
+    """The 61 x 61 model with a 59 x 59 kernel (1.05 GB counted, exit 0,
+    851 MB resident) and the denoise + space defaults stay inside the
+    budget; the space route at 61/59, with its 13689-unknown system, does
+    not."""
     big = PipelineConfig(ar_p=61, ar_q=61, psf_l=59, psf_m=59)
     for cfg in (big, PipelineConfig(denoise=True, ipsf_route="space")):
         assert dense_bytes(cfg, (512, 512)) <= DENSE_BUDGET
     assert dense_bytes(dataclasses.replace(big, ipsf_route="space"),
                        (512, 512)) > DENSE_BUDGET
+
+
+def test_dense_bytes_counts_no_operator_matrix():
+    """61/59 on 512^2, term by term: the fit's 3721-unknown window Gram
+    with its LU copy and (H + W) p q work arrays; A A^T, then its vectors,
+    plus the even and odd halves with theirs; the spectral inverse's
+    3481 x 117^2 full-convolution matrix; the gradient moments.  The
+    3481 x 119^2 operator is never built, and is not counted."""
+    n, half = 59 * 59, 59 * 59 // 2
+    fit = 2 * 3721 ** 2 + 1024 * 3721
+    eigensystem = n * n + 2 * ((half + 1) ** 2 + half ** 2)
+    moments = 2 * n * n + 1024 * n
+    big = PipelineConfig(ar_p=61, ar_q=61, psf_l=59, psf_m=59)
+    assert dense_bytes(big, (512, 512)) == 8 * (
+        fit + eigensystem + n * 117 ** 2 + moments)
 
 
 def test_synth_even_gaussian_size_exit_2(workdir, capsys):
@@ -197,6 +213,15 @@ def test_estimate_report_carries_ar_fit(tmp_path, corpus_texture):
     assert float(values["ar_residual"]) == model.residual
     assert float(values["ar_ridge"]) == model.ridge
     assert "space_ridge" not in values      # spectral route
+    # the floored eigenvalue ratio across the split, as _pick_split read it
+    basis = nd.compute_cns(nd.build_operator(model, 9, 9))
+    assert int(values["null_dim"]) == basis.null_dim
+    lam = np.maximum(basis.eigenvalues, 1e-12 * basis.eigenvalues[0])
+    gap = float(values["null_gap"])
+    assert gap == lam[basis.split - 1] / lam[basis.split]
+    assert gap >= 1.0
+    keys = [line.split(" = ")[0] for line in rep.read_text().splitlines()]
+    assert keys[1:5] == ["null_dim", "null_gap", "ar_residual", "ar_ridge"]
 
 
 def test_space_estimate_records_its_ridge_quietly(tmp_path):

@@ -64,18 +64,18 @@ def test_fold_has_orthonormal_rotation_pair_rows(l, m):
 
 
 def test_fold_keeps_the_norms_of_the_squared_grids(wide_basis):
-    """The grids are centrosymmetric up to rounding, which numpy's default
-    rank cutoff counts as rank on the unfolded rows but not on the folded
-    ones."""
+    """The grids are exactly centrosymmetric, so they span ceil(81/2) = 41
+    dimensions, unfolded and folded alike, with no rounding-level
+    directions for numpy's default rank cutoff to count."""
     squared = wide_basis.squared_flat
     norms = np.linalg.norm(squared, axis=0)
     rotated = wide_basis.squared_basis[:, ::-1, ::-1].reshape(
         wide_basis.null_dim, -1).T
-    assert (np.linalg.norm(squared - rotated, axis=0) <= 1e-8 * norms).all()
+    assert np.array_equal(squared, rotated)
     folded = wide_basis.fold @ squared
     np.testing.assert_allclose(np.linalg.norm(folded, axis=0), norms,
                                rtol=1e-12)
-    assert np.linalg.matrix_rank(squared) > 41
+    assert np.linalg.matrix_rank(squared) == 41
     assert np.linalg.matrix_rank(folded) == 41
 
 

@@ -8,6 +8,7 @@ small images with model orders of at most 9.
 """
 
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,30 @@ def test_drawn_command_lines_end_in_an_exit_code(cli_inputs, tmp_path,
         assert code == 0 or not any(tmp_path.iterdir()), argv
         codes.append(code)
     assert {0, 2, 3} <= set(codes), codes
+
+
+@pytest.mark.parametrize("optimizer", ["bvdr", "cs"])
+def test_overflowing_delta_t_exits_4_quietly(cli_inputs, tmp_path, capsys,
+                                             optimizer):
+    """``--delta-t 1e308`` with a forward kernel and an optimizer, a
+    combination the draws above never make: the first step overflows, and
+    each image's run exits 4 with "diverged", writes nothing and shows no
+    traceback and no RuntimeWarning."""
+    images, kernels = cli_inputs
+    out = tmp_path / "out.pgm"
+    for image in images:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["deblur", image, "--ipsf-file", kernels[0],
+                         "--psf-file", kernels[1], "--optimizer", optimizer,
+                         "--delta-t", "1e308", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert f"{optimizer} diverged" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 #: A settings file each command reads whole: every key it reads, at

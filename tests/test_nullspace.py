@@ -5,6 +5,7 @@ import nsdeblur as nd
 from conftest import ar_texture, smooth_stencil
 from nsdeblur.armodel import ArModel, OperatorMatrix
 from nsdeblur.errors import DegenerateOperatorError
+from nsdeblur.nullspace import MAX_NULL_DIM, _pick_split, operator_gram
 
 
 def test_delta_stencil_operator_is_degenerate():
@@ -26,21 +27,27 @@ def test_delta_stencil_larger_grid_degenerate():
 
 @pytest.mark.parametrize("rank", [3, 7, 15, 22])
 def test_null_dimension_matches_rank_oracle(rank):
+    """The split of a rank-deficient Gram spectrum falls at its numerical
+    rank; the spectrum is that of a random 25 x 121 product of rank
+    ``rank``, which no stencil operator has."""
     rng = np.random.default_rng(rank)
     mat = rng.standard_normal((25, rank)) @ rng.standard_normal((rank, 121))
-    op = OperatorMatrix(matrix=mat, l=5, m=5, p=7, q=7)
-    basis = nd.compute_cns(op)
+    lam = np.linalg.eigvalsh(mat @ mat.T)[::-1]
     numerical_rank = int(np.sum(np.linalg.svd(mat, compute_uv=False)
                                 > 1e-9 * np.linalg.norm(mat)))
-    assert basis.null_dim == 25 - numerical_rank
+    assert lam.size - _pick_split(lam) == 25 - numerical_rank
+
+
+def random_operator(seed, p=9, q=9, l=5, m=5):
+    """Operator of a random p x q stencil (not a fitted model)."""
+    stencil = np.random.default_rng(seed).standard_normal((p, q))
+    return OperatorMatrix(stencil=stencil, l=l, m=m)
 
 
 def test_eigenvalues_match_squared_singulars():
-    rng = np.random.default_rng(31)
-    mat = rng.standard_normal((16, 80))
-    op = OperatorMatrix(matrix=mat, l=4, m=4, p=9, q=9)  # dims unused here
+    op = random_operator(31, 9, 7, 5, 3)
     basis = nd.compute_cns(op)
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(op.matrix, compute_uv=False)
     np.testing.assert_allclose(basis.eigenvalues, sv ** 2,
                                rtol=1e-8, atol=1e-10)
 
@@ -49,9 +56,7 @@ def test_eigenvalues_match_squared_singulars():
 def test_eigenbasis_rebuilds_operator_gram(seed):
     """Eigenvalues descend, the vectors are orthonormal, and together they
     rebuild A A^T and its trace."""
-    rng = np.random.default_rng(seed)
-    op = OperatorMatrix(matrix=rng.standard_normal((25, 121)), l=5, m=5,
-                        p=7, q=7)
+    op = random_operator(seed, 7, 7)
     basis = nd.compute_cns(op)
     gram = op.matrix @ op.matrix.T
     lam, vecs = basis.eigenvalues, basis.vectors
@@ -60,6 +65,99 @@ def test_eigenbasis_rebuilds_operator_gram(seed):
     recon = vecs @ np.diag(lam) @ vecs.T
     assert np.linalg.norm(recon - gram) <= 1e-8 * np.linalg.norm(gram)
     assert np.sum(lam) == pytest.approx(np.trace(gram), rel=1e-8)
+
+
+#: (p, q, l, m) of the operators the Gram and eigensystem tests run on:
+#: square and not, a one-row kernel, the default and the prefilter sizes.
+SHAPES = [(9, 9, 5, 5), (9, 7, 5, 3), (7, 11, 1, 7), (17, 17, 9, 9),
+          (33, 33, 17, 17)]
+
+
+def fitted_operator(p, q, l, m, seed=5):
+    img = nd.convolve(nd.texture((128, 128), seed=seed),
+                      nd.gaussian_kernel(1.0, 5))
+    return nd.build_operator(nd.estimate_ar(img, p, q), l, m)
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["random", "fitted"])
+@pytest.mark.parametrize("p, q, l, m", SHAPES)
+def test_operator_gram_is_the_product(p, q, l, m, fitted):
+    """B from the stencil's autocorrelation is A A^T to 1e-14 ||B||, and
+    exactly symmetric and unchanged by the 180-degree rotation."""
+    op = fitted_operator(p, q, l, m) if fitted else random_operator(
+        p * q + l, p, q, l, m)
+    gram = operator_gram(op)
+    dense = op.matrix @ op.matrix.T
+    assert np.linalg.norm(gram - dense) <= 1e-14 * np.linalg.norm(dense)
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(gram, gram[::-1, ::-1])
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["random", "fitted"])
+@pytest.mark.parametrize("p, q, l, m", SHAPES)
+def test_eigensystem_matches_the_full_eigh(p, q, l, m, fitted):
+    """Against numpy's eigh of the dense A A^T: eigenvalues to 1e-13
+    lambda_1; the vectors are orthonormal and rebuild A A^T to 1e-13; every
+    vector is exactly even or odd under the rotation, so every squared
+    grid is exactly centrosymmetric."""
+    op = fitted_operator(p, q, l, m) if fitted else random_operator(
+        p * q + l, p, q, l, m)
+    basis = nd.compute_cns(op, force_single=True)
+    dense = op.matrix @ op.matrix.T
+    lam = np.linalg.eigh(dense)[0][::-1]
+    assert np.abs(basis.eigenvalues - lam).max() <= 1e-13 * lam[0]
+    vecs, n = basis.vectors, l * m
+    assert vecs.flags.f_contiguous
+    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-13
+    recon = (vecs * basis.eigenvalues) @ vecs.T
+    assert np.linalg.norm(recon - dense) <= 1e-13 * np.linalg.norm(dense)
+    rotated = vecs[::-1]
+    even = (vecs == rotated).all(axis=0)
+    odd = (vecs == -rotated).all(axis=0)
+    assert (even | odd).all()
+    assert even.sum() == (n + 1) // 2
+    squared = nd.compute_cns(op).squared_basis
+    assert np.array_equal(squared, squared[:, ::-1, ::-1])
+
+
+def product_split(op):
+    """The split as compute_cns took it from numpy's eigh of the dense
+    product A A^T, with its floored gap ratio and the squared smallest
+    eigenvector (the prefilter's kernel)."""
+    lam, vecs = np.linalg.eigh(op.matrix @ op.matrix.T)
+    lam = lam[::-1]
+    split = max(_pick_split(lam), lam.size - MAX_NULL_DIM)
+    floored = np.maximum(lam, 1e-12 * lam[0])
+    return split, floored[split - 1] / floored[split], vecs[:, 0] ** 2
+
+
+PROBES = [(side, blur, seed) for side in (128, 192, 256, 384, 512)
+          for blur in ("gaussian", "motion") for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("side, blur, seed", PROBES,
+                         ids=[f"{s}-{b}-{k}" for s, b, k in PROBES])
+def test_split_is_the_dense_products(side, blur, seed):
+    """On 40 probe images, the default 17 x 17 model with a 9 x 9 kernel
+    and the prefilter's centrosymmetric 33 x 33 fit of the image with 2 %
+    impulse noise and a 17 x 17 kernel: the split, and so K, is that of
+    the dense product's eigh, the gap ratio agrees to 1e-12 and the
+    prefilter's single-vector kernel to 1e-9 of its norm (observed: 2e-15
+    and 1.5e-10; K ranges 8-128)."""
+    kernel = (nd.gaussian_kernel(1.0, 5) if blur == "gaussian"
+              else nd.motion_kernel(7, 30.0))
+    image = nd.convolve(nd.texture((side, side), seed=100 + seed), kernel)
+    noisy = nd.add_impulse_noise(image, 0.02, seed=seed)
+    for op in (nd.build_operator(nd.estimate_ar(image, 17, 17), 9, 9),
+               nd.build_operator(nd.estimate_ar(noisy, 33, 33,
+                                                centrosymmetric=True),
+                                 17, 17)):
+        basis = nd.compute_cns(op)
+        split, gap, single = product_split(op)
+        assert (basis.split, basis.null_dim) == (split, op.l * op.m - split)
+        assert basis.null_gap == pytest.approx(gap, rel=1e-12)
+        got = nd.compute_cns(op, force_single=True).squared_flat[:, 0]
+        assert np.linalg.norm(got - single) <= 1e-9 * np.linalg.norm(single)
 
 
 def test_basis_orthonormal_and_squares_nonnegative():

@@ -8,7 +8,7 @@ from conftest import embed, ncc
 from nsdeblur.config import STOP_GATE, OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 from nsdeblur.psf import (_shift_average_matrix, basis_derivative_products,
-                          gradient_moments)
+                          gradient_moments, surface_penalty_matrix)
 from nsdeblur.surface import surface_area
 
 
@@ -183,13 +183,32 @@ def loop_derivative_products(basis):
 
 @pytest.mark.parametrize("l, m", [(5, 5), (5, 7), (9, 9)])
 def test_derivative_products_bit_equal_to_loop(l, m):
+    """The maps are the loop's first ceil(lm/2) rows bit for bit, and the
+    loop's full maps are exactly odd under the rotation: row lm-1-t is
+    minus row t, and the centre row is zero."""
     img = nd.texture((96, 96), seed=24)
     basis = nd.compute_cns(nd.build_operator(nd.estimate_ar(img, 11, 11), l, m))
     assert basis.null_dim > 1
+    n = l * m
     for got, ref in zip(basis_derivative_products(basis),
                         loop_derivative_products(basis)):
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, ref[:(n + 1) // 2])
         assert got.flags.c_contiguous
+        assert np.array_equal(ref[::-1], -ref)
+        assert not ref[n // 2].any()
+
+
+def test_half_row_penalty_is_the_full_row_one(small_basis):
+    """The penalty from the half maps is the one from the loop's full maps
+    to rounding (1e-14 relative)."""
+    dx, dy = basis_derivative_products(small_basis)
+    full_dx, full_dy = loop_derivative_products(small_basis)
+    v = np.random.default_rng(8).standard_normal(small_basis.null_dim)
+    got = surface_penalty_matrix(v, dx, dy)
+    gx, gy = full_dx @ v, full_dy @ v
+    w = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
+    ref = (full_dx * w[:, None]).T @ full_dx + (full_dy * w[:, None]).T @ full_dy
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("shape, l, m", [((511, 511), 9, 9),
