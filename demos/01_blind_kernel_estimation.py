@@ -26,8 +26,8 @@ def main():
 
     # 2. shifted-stencil operator and its Gram spectrum
     op = nd.build_operator(model, 9, 9)
-    print(f"[2] operator: {op.matrix.shape[0]} rows x "
-          f"{op.matrix.shape[1]} cols (9x9 kernel space)")
+    print(f"[2] operator: {op.l * op.m} rows x "
+          f"{(op.p + op.l - 1) * (op.q + op.m - 1)} cols (9x9 kernel space)")
 
     basis = nd.compute_cns(op)
     lam = basis.eigenvalues

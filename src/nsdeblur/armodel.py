@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, DimensionError,
                      InsufficientDataError)
-from .grid import as_image, fold_system, shifted_taps, unfold, window_gram
+from .grid import as_image, fold_system, unfold, window_gram
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -38,12 +38,7 @@ class OperatorMatrix:
     shifted across an extended patch.  It is kept as the stencil and the
     l x m kernel-space shifts; the eigen/null split reads A A^T from the
     stencil's autocorrelation (:func:`nsdeblur.nullspace.operator_gram`)
-    and never forms A.
-
-    ``matrix``, built on each access, has l*m rows and (p+l-1)*(q+m-1)
-    columns; applying it to a row-major flattened (p+l-1) x (q+m-1) patch
-    evaluates the stencil sum at each of the l x m shifts.
-    """
+    and never forms A."""
 
     stencil: np.ndarray     # (p, q)
     l: int
@@ -56,10 +51,6 @@ class OperatorMatrix:
     @property
     def q(self) -> int:
         return self.stencil.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return shifted_taps(self.stencil, self.l, self.m)
 
 
 def default_fit_region(image_shape: tuple[int, int], p: int, q: int

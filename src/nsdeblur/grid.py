@@ -325,6 +325,24 @@ def correlation_lags(template: np.ndarray, field: np.ndarray,
     return np.fft.irfft(spec[:rows], n=shape[1], axis=1)
 
 
+def full_convolutions(grids: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(K, (2l-1)*(2m-1)) full convolutions of a (K, l, m) stack of grids
+    with an l x m kernel, flattened row-major, as a view: with rows laid
+    out 2m-1 apart no product passes a row's end, so they are 1D full
+    convolutions, one batched FFT product at the 2·3·5-smooth length of
+    at least (2l-1)(2m-1), where nothing wraps.  Rounding error: a small
+    multiple of log2(lm) eps max|grids| sum|kernel|."""
+    k, l, m = grids.shape
+    full = (2 * l - 1) * (2 * m - 1)
+    n = _fast_len(full)
+    wide = np.zeros((k + 1, l, 2 * m - 1))
+    wide[:k, :, :m] = grids
+    wide[k, :, :m] = kernel
+    spec = np.fft.rfft(wide.reshape(k + 1, -1), n=n)
+    spec[:k] *= spec[k]
+    return np.fft.irfft(spec[:k], n=n)[:, :full]
+
+
 def _padded_rfft2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """``numpy.fft.rfft2(a, s=shape)`` in one buffer, for ``a`` no larger
     than ``shape``."""
@@ -363,20 +381,6 @@ def _first_block_row(f: np.ndarray, p: int, q: int) -> np.ndarray:
         block[:, b, 0] += cut[b - 1 - j, :, j].sum(axis=0)
         block[:, b, 1:] = block[:, b - 1, :-1] + steps[b - 1]
     return block
-
-
-def shifted_taps(taps: np.ndarray, l: int, m: int) -> np.ndarray:
-    """(l*m) x ((a+l-1)*(b+m-1)) matrix for an a x b tap block: row
-    s_i*m + s_k holds the taps placed at offset (s_i, s_k) of the
-    (a+l-1) x (b+m-1) grid, flattened row-major.  Its product with a
-    flattened grid u evaluates sum taps * u[s_i:s_i+a, s_k:s_k+b] at
-    every offset."""
-    a, b = taps.shape
-    mat = np.zeros((l, m, a + l - 1, b + m - 1))
-    for s_i in range(l):
-        for s_k in range(m):
-            mat[s_i, s_k, s_i:s_i + a, s_k:s_k + b] = taps
-    return mat.reshape(l * m, -1)
 
 
 def rotation_pairs(n: int) -> tuple[slice, slice]:

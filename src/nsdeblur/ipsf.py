@@ -19,7 +19,7 @@ import numpy as np
 from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import (as_image, as_kernel, convolve, correlation_lags,
-                   fold_system, normalize_kernel, shifted_taps, unfold,
+                   fold_system, full_convolutions, normalize_kernel, unfold,
                    window_gram)
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq, surface_penalty_matrix
@@ -42,14 +42,13 @@ def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
     if hk.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {hk.shape} does not match basis {(basis.l, basis.m)}")
-    fold = basis.fold
-    span = fold.T if basis.null_dim >= fold.shape[0] else basis.squared_flat
-    # full convolution of each column of span with h, on the (2l-1) x (2m-1)
-    # grid whose centre, N // 2 of its N taps, the delta takes
-    m0 = span.T @ shifted_taps(hk, *hk.shape)
+    # the grids g is sought over, as rows; the dense fold only if used
+    span = (basis.fold if basis.null_dim >= (hk.size + 1) // 2
+            else basis.squared_basis.reshape(-1, hk.size))
+    m0 = full_convolutions(span.reshape(-1, *hk.shape), hk)
     target = np.zeros(m0.shape[1])
     target[m0.shape[1] // 2] = 1.0
-    flat = span @ lstsq(m0.T, target)
+    flat = span.T @ lstsq(m0.T, target)
     return normalize_kernel(flat.reshape(basis.l, basis.m))
 
 
@@ -60,12 +59,11 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
     solve the K x K system with the delta-matching data term, renormalize,
     gate and stop exactly as the forward-kernel optimizer."""
     cfg = cfg or OptimizerConfig()
-    g = normalize_kernel(g0)
-    if g.shape != (basis.l, basis.m):
-        raise DimensionError(
-            f"kernel {g.shape} does not match basis {(basis.l, basis.m)}")
-    hk = as_kernel(h)
-    m0 = basis.squared_flat.T @ shifted_taps(hk, *hk.shape)
+    g, hk = normalize_kernel(g0), as_kernel(h)
+    if not g.shape == hk.shape == (basis.l, basis.m):
+        raise DimensionError(f"kernels {g.shape} and {hk.shape} do not "
+                             f"match basis {(basis.l, basis.m)}")
+    m0 = full_convolutions(basis.squared_basis, hk)
     return iterate_spectrum(g, basis, m0 @ m0.T,
                             m0[:, m0.shape[1] // 2], cfg)
 

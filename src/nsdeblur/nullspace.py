@@ -160,9 +160,9 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     B = :func:`operator_gram` is folded by the orthonormal even and odd
     rotation-pair bases (:func:`nsdeblur.grid.fold_pairs`): B[lo,lo] +
     B[lo,hi] with the centre row and column, ceil(l*m/2) square, and
-    B[lo,lo] - B[lo,hi], floor(l*m/2) square (l*m is odd).  Each block is diagonalised
-    on its own, the eigenvalues merged in descending order, and each
-    eigenvector unfolded into an exactly even or odd column.
+    B[lo,lo] - B[lo,hi], floor(l*m/2) square (l*m is odd).  Each block is
+    diagonalised on its own, the eigenvalues merged in descending order,
+    and each eigenvector unfolded into an exactly even or odd column.
 
     ``force_single`` keeps only the single smallest-eigenvalue vector on
     the null side (the high-order denoising mode).

@@ -18,10 +18,10 @@ from .armodel import ArModel, build_operator, default_fit_region, estimate_ar
 from .config import OptimizerConfig, RunReport, check_integers
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
-from .grid import _beside, as_image
+from .grid import _beside, _fast_len, as_image
 from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
                    optimize_ipsf_spectral, space_system)
-from .nullspace import CnsBasis, compute_cns
+from .nullspace import MAX_NULL_DIM, CnsBasis, compute_cns
 from .psf import estimate_psf, gradient_moments, gradient_stats, optimize_psf
 
 OPTIMIZERS = ("none", "bvdr", "cs")
@@ -29,9 +29,9 @@ IPSF_ROUTES = ("spectral", "space")
 
 #: Bytes the dense matrices of one estimate may take (:func:`dense_bytes`).
 #: The 61 x 61 model with a 59 x 59 kernel on a 512 x 512 image counts
-#: 1.05 GB and peaks at 851 MB resident; the budget admits about twice
-#: that, and refuses larger models before they allocate, with a typed
-#: error instead of numpy's MemoryError part-way through a run.
+#: 0.70 GB and peaks at 743 MB resident; the budget admits about three
+#: times that, and refuses larger models before they allocate, with a
+#: typed error instead of numpy's MemoryError part-way through a run.
 DENSE_BUDGET = 2 << 30
 
 
@@ -81,8 +81,9 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     for an image of ``shape``, counted before any is built: for the model
     fit and, with ``denoise``, the prefilter's, the fit's window Gram with
     its work arrays and solve copy, the eigensystem and the inverse's
-    system (the space system, or the spectral inverse's full-convolution
-    matrix); then the gradient moments."""
+    system (the space system, or the spectral inverse's full convolutions
+    with their transforms, and the fold when K can reach its rows); then
+    the gradient moments."""
     rows, cols = shape
 
     def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
@@ -91,10 +92,15 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     def eigensystem(n):         # A A^T, then the vectors; two halves
         return n * n + 2 * (((n + 1) // 2) ** 2 + (n // 2) ** 2)
 
+    def spectral(n, full):      # full_convolutions of K grids; the fold
+        fold = n * (n + 1) // 2 if (n + 1) // 2 <= MAX_NULL_DIM else 0
+        length = _fast_len(full)
+        return fold + min(n, MAX_NULL_DIM) * (2 * (length // 2 + 1) + length)
+
     def chain(p, q, l, m, space):
         *_, h, w = default_fit_region(shape, p, q)
         inverse = (system(2 * l - 1, 2 * m - 1, rows, cols) if space
-                   else l * m * (2 * l - 1) * (2 * m - 1))
+                   else spectral(l * m, (2 * l - 1) * (2 * m - 1)))
         return system(p, q, h, w) + eigensystem(l * m) + inverse
 
     l, m = cfg.psf_l, cfg.psf_m

@@ -103,6 +103,22 @@ def centrosymmetric_grids(l, m):
     return grids
 
 
+def shifted_taps(taps, l, m):
+    """(l*m) x ((a+l-1)*(b+m-1)) matrix for an a x b tap block: row
+    s_i*m + s_k holds the taps placed at offset (s_i, s_k) of the
+    (a+l-1) x (b+m-1) grid, flattened row-major.  Its product with a
+    flattened grid u evaluates sum taps * u[s_i:s_i+a, s_k:s_k+b] at
+    every offset; with the stencil it is the model operator A, and the
+    product of flattened l x m grids with it the full convolutions of
+    :func:`nsdeblur.grid.full_convolutions`."""
+    a, b = taps.shape
+    mat = np.zeros((l, m, a + l - 1, b + m - 1))
+    for s_i in range(l):
+        for s_k in range(m):
+            mat[s_i, s_k, s_i:s_i + a, s_k:s_k + b] = taps
+    return mat.reshape(l * m, -1)
+
+
 def embed(kernel, l, m):
     """Center a small kernel on an l x m grid."""
     out = np.zeros((l, m))

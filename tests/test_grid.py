@@ -8,11 +8,12 @@ from scipy import ndimage
 
 from nsdeblur.errors import DegenerateKernelError, DimensionError
 import nsdeblur as nd
-from conftest import is_smooth
+from conftest import is_smooth, shifted_taps
 from nsdeblur import armodel, grid, ipsf, psf
 from nsdeblur.grid import (as_image, as_kernel, convolve, correlation_lags,
-                           delta_kernel, gradient, normalize_kernel,
-                           replicate_filter, to_luminance, window_gram)
+                           delta_kernel, full_convolutions, gradient,
+                           normalize_kernel, replicate_filter, to_luminance,
+                           window_gram)
 from nsdeblur.pipeline import PipelineConfig
 
 
@@ -496,6 +497,35 @@ def test_correlation_lags_rows_are_its_first_rows(operands):
     part = correlation_lags(template, field, margin, rows=rows)
     assert part.shape == (rows, shape[1])
     assert part.tobytes() == full[:rows].tobytes()
+
+
+def test_full_convolutions_match_loop_and_shifted_taps():
+    """The batched FFT full convolutions against a direct loop over the
+    kernel taps and against the flattened grids times the shifted-taps
+    reference, to 1e-14 of the largest entry: a non-square grid, the
+    default 9 x 9 kernel size and a 31 x 31 one, whose 61^2-tap full
+    convolutions run at the length 3750.  The reference itself evaluates the tap sum at every
+    offset of a grid, as a direct loop does."""
+    rng = np.random.default_rng(0)
+    taps = rng.random((3, 5))
+    u = rng.random((5, 9))
+    ref = np.array([[np.sum(taps * u[i:i + 3, j:j + 5]) for j in range(5)]
+                    for i in range(3)])
+    mat = shifted_taps(taps, 3, 5)
+    assert mat.shape == (15, 45)
+    np.testing.assert_allclose((mat @ u.ravel()).reshape(3, 5), ref,
+                               atol=1e-12)
+    for k, l, m in [(4, 3, 5), (41, 9, 9), (6, 31, 31)]:
+        grids, kernel = rng.random((k, l, m)), rng.random((l, m))
+        out = full_convolutions(grids, kernel)
+        assert out.shape == (k, (2 * l - 1) * (2 * m - 1))
+        loop = np.zeros((k, 2 * l - 1, 2 * m - 1))
+        for i in range(l):
+            for j in range(m):
+                loop[:, i:i + l, j:j + m] += kernel[i, j] * grids
+        dense = grids.reshape(k, -1) @ shifted_taps(kernel, l, m)
+        for ref in (loop.reshape(k, -1), dense):
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("convert", [

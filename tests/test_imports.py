@@ -10,7 +10,7 @@ import inspect
 
 import pytest
 
-from conftest import SRC, run_probe
+from conftest import SRC, run_probe, run_python
 from nsdeblur.fileio import write_pgm
 from nsdeblur.synth import texture
 
@@ -157,9 +157,11 @@ def call_mismatches(fn, call: ast.Call) -> list[str]:
 @pytest.mark.parametrize("script", SCRIPTS,
                          ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
 def test_demo_and_benchmark_names_resolve(script):
-    """The demos and the benchmark are not run by this suite, so every
-    package name they use, and the keywords and number of positional
-    arguments of each call through one, is checked here."""
+    """The benchmark is not run by this suite, so every package name it
+    and the demos use, and the keywords and number of positional
+    arguments of each call through one, is checked here.  Attribute reads
+    on the objects the package returns are not names: the demos' are
+    checked by running them (:func:`test_demo_runs`)."""
     text = script.read_text()
     refs = list(package_references(ast.parse(text)))
     assert refs or "nsdeblur" not in text
@@ -172,3 +174,14 @@ def test_demo_and_benchmark_names_resolve(script):
             lost += [f"line {line}: {name}({arg})"
                      for arg in call_mismatches(target, call)]
     assert not lost, f"{script.name} uses names the package lacks: {lost}"
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script, tmp_path):
+    """Each Python demo runs to exit 0 in a fresh interpreter, so an
+    attribute it reads on an object the package returns, which
+    :func:`test_demo_and_benchmark_names_resolve` cannot see, still
+    exists."""
+    run = run_python([str(script)], cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 import nsdeblur as nd
 from conftest import (SPACE_CFG, center_share, centrosymmetric_grids,
-                      noisy_case_image)
+                      noisy_case_image, shifted_taps)
+from nsdeblur import ipsf
 from nsdeblur.config import OptimizerConfig
-from nsdeblur.errors import DegenerateKernelError, InputError
-from nsdeblur.grid import (correlation_lags, fold_system, shifted_taps,
-                           unfold, window_gram)
+from nsdeblur.errors import DegenerateKernelError, DimensionError, InputError
+from nsdeblur.grid import (correlation_lags, fold_system, full_convolutions,
+                           normalize_kernel, unfold, window_gram)
 from nsdeblur.ipsf import difference_maps, space_system
 from nsdeblur.psf import surface_penalty_matrix
 from nsdeblur.surface import surface_area
@@ -43,18 +45,96 @@ def sharp_basis(corpus_texture):
         nd.build_operator(nd.estimate_ar(corpus_texture, 13, 13), 9, 9))
 
 
-def test_convolution_matrix_realizes_full_convolution():
-    rng = np.random.default_rng(0)
-    h = rng.random((3, 5))
-    mat = shifted_taps(h, *h.shape)
-    assert mat.shape == (15, 45)
-    u = rng.random((5, 9))
-    out = (mat @ u.ravel()).reshape(3, 5)
-    ref = np.empty((3, 5))
-    for i in range(3):
-        for j in range(5):
-            ref[i, j] = np.sum(h * u[i:i + 3, j:j + 5])
-    np.testing.assert_allclose(out, ref, atol=1e-12)
+@pytest.fixture(scope="module")
+def wide_basis():
+    """33 x 33 model and 31 x 31 kernel on a blurred 128 x 128 texture:
+    K = 128, below the fold's 481 rows."""
+    x = nd.convolve(nd.texture((128, 128), seed=3), nd.gaussian_kernel(2.0, 9))
+    return nd.compute_cns(
+        nd.build_operator(nd.estimate_ar(x, 33, 33), 31, 31))
+
+
+@pytest.mark.parametrize("case", ["gaussian_case", "motion_case", "wide"])
+def test_spectral_data_are_the_dense_products(case, request, monkeypatch):
+    """The full convolutions m0 of ipsf_spectral, over the fold's rows when
+    K reaches their number and over the squared grids otherwise, and the
+    optimizer's Gram m0 m0^T and anchor m0[:, N // 2], against the
+    products with the shifted-taps reference, to 1e-14 of the largest
+    entry; the inverse kernel against the one solved from the dense m0,
+    to 100 cond(m0) eps of its largest tap, the least-squares solution's
+    sensitivity to a perturbation of m0 at rounding level."""
+    if case == "wide":
+        basis = request.getfixturevalue("wide_basis")
+        h = nd.gaussian_kernel(2.0, 31)
+    else:
+        basis = request.getfixturevalue(case).basis
+        h = request.getfixturevalue(case).psf
+    convolved, data = [], []
+
+    def recording(grids, kernel):
+        convolved.append((grids, full_convolutions(grids, kernel)))
+        return convolved[-1][1]
+
+    def captured(g, basis, gram, anchor, cfg):
+        data.append((gram, anchor))
+        return g, None
+
+    monkeypatch.setattr(ipsf, "full_convolutions", recording)
+    monkeypatch.setattr(ipsf, "iterate_spectrum", captured)
+    g = nd.ipsf_spectral(h, basis)
+    nd.optimize_ipsf_spectral(g, h, basis)
+    (grids, m0), (squared, _) = convolved
+    (gram, anchor), = data
+
+    def close(value, reference, tol=1e-14):
+        assert np.abs(value - reference).max() <= tol * np.abs(
+            reference).max()
+
+    n, k = h.size, basis.null_dim
+    span = basis.fold if k >= (n + 1) // 2 else basis.squared_flat.T
+    assert np.array_equal(grids.reshape(len(span), n), span)
+    assert np.array_equal(squared, basis.squared_basis)
+    taps = shifted_taps(h, *h.shape)
+    dense = span @ taps
+    close(m0, dense)
+    target = np.zeros(dense.shape[1])
+    target[target.size // 2] = 1.0
+    flat = span.T @ np.linalg.lstsq(dense.T, target)[0]
+    close(g, normalize_kernel(flat.reshape(h.shape)),
+          100 * np.linalg.cond(dense) * np.finfo(float).eps)
+    dense = basis.squared_flat.T @ taps
+    close(gram, dense @ dense.T)
+    close(anchor, dense[:, dense.shape[1] // 2])
+
+
+def test_spectral_inverse_builds_no_dense_matrix(wide_basis):
+    """At the 33 x 33 model with a 31 x 31 kernel, the traced peak of each
+    spectral-route call stays below 0.75 times the 961 x 61^2 shifted-taps
+    matrix (28.6 MB) the calls once built; with it they peaked at 1.26 and
+    1.13 times, and without it at 0.34."""
+    h = nd.gaussian_kernel(2.0, 31)
+    g = nd.ipsf_spectral(h, wide_basis)
+    for call in (lambda: nd.ipsf_spectral(h, wide_basis),
+                 lambda: nd.optimize_ipsf_spectral(g, h, wide_basis)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * h.size * 61 * 61 * 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, g, basis: nd.ipsf_spectral(h, basis),
+    lambda h, g, basis: nd.optimize_ipsf_spectral(g, h, basis),
+    lambda h, g, basis: nd.optimize_ipsf_spectral(h, g, basis)],
+    ids=["ipsf_spectral", "optimize-kernel", "optimize-start"])
+def test_spectral_kernels_must_match_the_basis(call, sharp_basis):
+    """A 7 x 7 kernel or start on a 9 x 9 basis is a DimensionError, not
+    a numpy error from the full convolutions."""
+    with pytest.raises(DimensionError, match="match basis"):
+        call(nd.delta_kernel(7), nd.delta_kernel(9), sharp_basis)
 
 
 def test_spectral_inverse_of_delta_is_center_dominant(sharp_basis):

@@ -212,8 +212,9 @@ def test_denoise_pipeline_path(corpus_texture):
 
 
 def test_every_fft_runs_at_a_smooth_length(monkeypatch):
-    """Every forward transform of a denoised space-route estimate and its
-    single-pass restoration on an odd-sized image runs at a 2·3·5-smooth
+    """Every forward transform of a denoised space-route estimate, of a
+    spectral-route one (its batched full convolutions) and of their
+    single-pass restorations on an odd-sized image runs at a 2·3·5-smooth
     length: numpy.fft is several times slower at lengths such as 519."""
     import numpy.fft._pocketfft as pocketfft
     image = nd.texture((131, 127), seed=31)
@@ -233,12 +234,14 @@ def test_every_fft_runs_at_a_smooth_length(monkeypatch):
     np.fft.rfft2(np.ones((7, 9)))
     assert lengths == [9, 7]
 
-    lengths.clear()
-    result = nd.estimate_kernels(
-        image, nd.PipelineConfig(denoise=True, ipsf_route="space"))
-    nd.deconvolve_once(result.prefiltered, result.ipsf)
-    assert len(lengths) > 10
-    assert [n for n in lengths if not is_smooth(n)] == []
+    for cfg in (nd.PipelineConfig(denoise=True, ipsf_route="space"),
+                nd.PipelineConfig()):
+        lengths.clear()
+        result = nd.estimate_kernels(image, cfg)
+        nd.deconvolve_once(image if result.prefiltered is None
+                           else result.prefiltered, result.ipsf)
+        assert len(lengths) > 10
+        assert [n for n in lengths if not is_smooth(n)] == []
 
 
 # --- the estimate's gradient moments on the worker thread
