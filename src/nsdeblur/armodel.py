@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, DimensionError,
                      InsufficientDataError)
-from .grid import as_image, fold_system, unfold, window_gram
+from .grid import (as_image, fold_system, statistics_region, unfold,
+                   window_gram)
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -30,6 +31,7 @@ class ArModel:
     coeffs: np.ndarray      # (p, q), center element exactly 1
     residual: float         # mean squared stencil sum over the fit region
     ridge: float            # ridge actually added to the normal equations
+    region: tuple[int, int, int, int] | None = None  # (top, left, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,15 @@ class OperatorMatrix:
         return self.stencil.shape[1]
 
 
-def default_fit_region(image_shape: tuple[int, int], p: int, q: int
+def default_fit_region(image_shape: tuple[int, int], p: int, q: int,
+                       region: tuple[int, int, int, int] | None = None
                        ) -> tuple[int, int, int, int]:
-    """Centered square window (top, left, rows, cols) used for the fit."""
-    side = min(min(image_shape), max(2 * p * q, 64))
-    top = (image_shape[0] - side) // 2
-    left = (image_shape[1] - side) // 2
-    return top, left, side, side
+    """Square window (top, left, rows, cols) used for the fit: of side
+    min(side of ``region``, max(2*p*q, 64)), centred in ``region``, the
+    whole image by default."""
+    top, left, rows, cols = region or (0, 0, *image_shape)
+    side = min(rows, cols, max(2 * p * q, 64))
+    return top + (rows - side) // 2, left + (cols - side) // 2, side, side
 
 
 def _check_order(p: int, q: int) -> None:
@@ -76,8 +80,10 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     small trace-relative ridge guarding near-singular texture; a region
     whose windows are zero off their centre gets no ridge and raises
     DegenerateOperatorError.  ``region`` is an optional (top, left, rows,
-    cols) window; the default is a centered square of side min(image
-    side, max(2*p*q, 64)).
+    cols) window; the default is a square of side min(region side,
+    max(2*p*q, 64)) centred in the image's
+    :func:`nsdeblur.grid.statistics_region`, which is the whole image up
+    to 256 x 256.
 
     ``centrosymmetric``, set by the prefilter only (folded, the default
     fit scored worse on the acceptance corpus; see the README), constrains
@@ -91,7 +97,8 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     img = as_image(image)
     _check_order(p, q)
     if region is None:
-        region = default_fit_region(img.shape, p, q)
+        region = default_fit_region(img.shape, p, q,
+                                    statistics_region(img, p, q))
     top, left, rows, cols = region
     if (top < 0 or left < 0 or top + rows > img.shape[0]
             or left + cols > img.shape[1]):
@@ -136,7 +143,8 @@ def estimate_ar(image, p: int, q: int, region=None, *,
         coeffs[c] = 1.0
     residual = float(coeffs @ gram @ coeffs) / n_eq
     return ArModel(p=p, q=q, coeffs=coeffs.reshape(p, q),
-                   residual=residual, ridge=ridge)
+                   residual=residual, ridge=ridge,
+                   region=tuple(map(int, region)))
 
 
 def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .armodel import estimate_ar, build_operator
+from .armodel import build_operator, default_fit_region, estimate_ar
 from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
 from .grid import (_beside, as_image, convolve, normalize_kernel,
-                   replicate_filter)
+                   replicate_filter, statistics_region)
 from .ipsf import ipsf_space, space_system
 from .nullspace import compute_cns
 from .surface import curvature_operator, metric_determinant
@@ -218,12 +218,17 @@ def denoise_prefilter(image, order: int = 33, size: int = 17
     of the LU work.  No free block is copied out of the fit's Gram: on a
     256 x 256 image the prefilter's traced allocations peak at about
     14.4 MiB, the 9.5 MB Gram and the folded 545 x 545 system with its
-    work copies.
+    work copies.  Both fits read one :func:`nsdeblur.grid.statistics_region`
+    of the order x order window, the whole image up to 352 x 352 at order
+    33; the filter is applied to the whole image.
     """
     x = as_image(image)
-    model = estimate_ar(x, order, order, centrosymmetric=True)
+    region = statistics_region(x, order, order)
+    model = estimate_ar(x, order, order,
+                        default_fit_region(x.shape, order, order, region),
+                        centrosymmetric=True)
     basis = compute_cns(build_operator(model, size, size), force_single=True)
     kernel = normalize_kernel(basis.squared_basis[0])
     response = ipsf_space(x, kernel, system=space_system(
-        x, kernel, ridge_relative=PREFILTER_RIDGE))
+        x, kernel, ridge_relative=PREFILTER_RIDGE, region=region))
     return convolve(x, response), response

@@ -19,8 +19,8 @@ import numpy as np
 from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
 from .grid import (as_image, as_kernel, convolve, correlation_lags,
-                   fold_system, full_convolutions, normalize_kernel, unfold,
-                   window_gram)
+                   fold_system, full_convolutions, normalize_kernel,
+                   region_with_halo, statistics_region, unfold, window_gram)
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq, surface_penalty_matrix
 
@@ -81,13 +81,18 @@ class SpaceSystem:
     wm: int
 
 
-def space_system(image, h, ridge_relative: float = SPACE_RIDGE
-                 ) -> SpaceSystem:
+def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
+                 region=None) -> SpaceSystem:
     """Build the space-route system once, for the primary solve and the
     optimizer alike; the one place its ridge is chosen.
 
     The system holds the accumulated products of re-degraded-image windows
-    against the original's window centers.  Its ridge is ``ridge_relative``
+    against the original's window centers, over ``region`` (top, left,
+    rows, cols), by default the image's
+    :func:`nsdeblur.grid.statistics_region` for the (2l-1) x (2m-1)
+    window.  The region is re-degraded with a halo of the kernel's radius,
+    so it holds the whole image's re-degraded values, to rounding.  Its
+    ridge is ``ridge_relative``
     (finite and > 0) times trace/rows of the window statistics, so the
     fitted taps do not depend on the image's scale.  It goes on the
     diagonal in place: ``ryy + ridge * I`` bit for bit.  A system with
@@ -99,10 +104,15 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE
     hk = as_kernel(h)
     l, m = hk.shape
     wl, wm = 2 * l - 1, 2 * m - 1
-    if x.shape[0] < 4 * l or x.shape[1] < 4 * m:
+    if region is None:
+        region = statistics_region(x, wl, wm)
+    if region[2] < 4 * l or region[3] < 4 * m:
         raise DimensionError(
-            f"image {x.shape} too small for a {l}x{m} space-route inverse")
-    y = convolve(x, hk)
+            f"region {region} of image {x.shape} too small for a {l}x{m} "
+            "space-route inverse")
+    view, inner = region_with_halo(x, region, (l // 2, m // 2))
+    y = convolve(view, hk)[inner]
+    x = view[inner]
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
     # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]

@@ -96,6 +96,19 @@ class CnsBasis:
         fold[n // 2:, n // 2] = 1.0          # the centre row, if n is odd
         return fold
 
+    def folded(self, a: np.ndarray) -> np.ndarray:
+        """``self.fold @ a`` for an (l*m, ...) array, without the matrix:
+        the rotation-pair sums sqrt(1/2) a[t] + sqrt(1/2) a[l*m-1-t], then
+        the centre row.  For the exactly centrosymmetric squared grids it
+        is the dense product bit for bit."""
+        n = self.l * self.m
+        lo, hi = rotation_pairs(n)
+        out = np.empty(((n + 1) // 2,) + a.shape[1:])
+        weight = np.sqrt(0.5)
+        np.add(weight * a[lo], weight * a[hi], out=out[:n // 2])
+        out[n // 2:] = a[n // 2:n // 2 + 1]     # the centre row, if n is odd
+        return out
+
 
 def _pick_split(lam: np.ndarray) -> int:
     """First null index: below half the top eigenvalue, snapped either to

@@ -18,7 +18,8 @@ from .armodel import ArModel, build_operator, default_fit_region, estimate_ar
 from .config import OptimizerConfig, RunReport, check_integers
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
-from .grid import _beside, _fast_len, as_image
+from .grid import (_beside, _fast_len, as_image, bounded_shape,
+                   statistics_region)
 from .ipsf import (ipsf_space, ipsf_spectral, optimize_ipsf_space,
                    optimize_ipsf_spectral, space_system)
 from .nullspace import MAX_NULL_DIM, CnsBasis, compute_cns
@@ -83,9 +84,10 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     its work arrays and solve copy, the eigensystem and the inverse's
     system (the space system, or the spectral inverse's full convolutions
     with their transforms, and the fold when K can reach its rows); then
-    the gradient moments."""
-    rows, cols = shape
-
+    the gradient moments.  The window statistics are counted over the
+    centred :func:`nsdeblur.grid.statistics_region` of each chain: an
+    image whose centre is flat is read whole, and its work arrays then
+    take (rows + cols - h - w) * p * q more for an h x w region."""
     def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
         return 2 * (p * q) ** 2 + (h + w) * p * q
 
@@ -98,14 +100,15 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
         return fold + min(n, MAX_NULL_DIM) * (2 * (length // 2 + 1) + length)
 
     def chain(p, q, l, m, space):
-        *_, h, w = default_fit_region(shape, p, q)
+        rows, cols = bounded_shape(shape, p, q)
+        *_, h, w = default_fit_region((rows, cols), p, q)
         inverse = (system(2 * l - 1, 2 * m - 1, rows, cols) if space
                    else spectral(l * m, (2 * l - 1) * (2 * m - 1)))
         return system(p, q, h, w) + eigensystem(l * m) + inverse
 
     l, m = cfg.psf_l, cfg.psf_m
     total = (chain(cfg.ar_p, cfg.ar_q, l, m, cfg.ipsf_route == "space")
-             + system(l, m, rows, cols))
+             + system(l, m, *bounded_shape(shape, cfg.ar_p, cfg.ar_q)))
     if cfg.denoise:
         o, k = cfg.denoise_order, cfg.denoise_size
         total += chain(o, o, k, k, True)
@@ -129,7 +132,11 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
                      ) -> EstimateResult:
     """Full estimation chain: (optional prefilter) -> model fit -> basis ->
     kernel estimate and optimization -> inverse kernel and optimization.
-    A configuration whose :func:`dense_bytes` exceed DENSE_BUDGET raises
+    Every window statistic (the model fit, the gradient moments and the
+    space system) reads one :func:`nsdeblur.grid.statistics_region`,
+    found once for the model's window; the fit reads the square of
+    :func:`nsdeblur.armodel.default_fit_region` inside it.  A
+    configuration whose :func:`dense_bytes` exceed DENSE_BUDGET raises
     DimensionError before anything is built."""
     cfg = cfg or PipelineConfig()
     x = as_image(image)
@@ -145,13 +152,17 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
                                                 cfg.denoise_size)
         prefiltered = x
 
+    # one region for every window statistic, sized for the model's window
+    region = statistics_region(x, cfg.ar_p, cfg.ar_q)
+
     def fit():
-        model = estimate_ar(x, cfg.ar_p, cfg.ar_q)
+        model = estimate_ar(x, cfg.ar_p, cfg.ar_q, region=default_fit_region(
+            x.shape, cfg.ar_p, cfg.ar_q, region))
         return model, compute_cns(build_operator(model, cfg.psf_l, cfg.psf_m))
 
     # the fit chain runs on the caller, so its error wins over the moments'
     moments, (model, basis) = _beside(
-        lambda: gradient_moments(x, cfg.psf_l, cfg.psf_m), fit)
+        lambda: gradient_moments(x, cfg.psf_l, cfg.psf_m, region), fit)
     h0 = estimate_psf(gradient_stats(x, basis, moments), basis)
     h, psf_report = optimize_psf(h0, basis, cfg.solver)
     space_ridge = None
@@ -160,7 +171,7 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
         g, ipsf_report = optimize_ipsf_spectral(g0, h, basis, cfg.solver)
     else:
         # one system, with its ridge, serves both solves
-        system = space_system(x, h)
+        system = space_system(x, h, region=region)
         space_ridge = system.ridge
         g0 = ipsf_space(x, h, system=system)
         g, ipsf_report = optimize_ipsf_space(g0, x, h, cfg.solver,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import KERNEL_SUM_TOL, gradient, normalize_kernel, window_gram
+from .grid import (KERNEL_SUM_TOL, gradient, normalize_kernel,
+                   region_with_halo, statistics_region, window_gram)
 from .nullspace import CnsBasis
 
 
@@ -45,15 +46,26 @@ def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
     return t2[ii[:, None] + ii[None, :], ll[:, None] + ll[None, :]]
 
 
-def gradient_moments(image, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def gradient_moments(image, l: int, m: int, region=None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The image-only half of :func:`gradient_stats` for an l x m kernel:
-    (window Gram, shift-average matrix) of the gradient field, both
-    (l*m) x (l*m).  It reads no basis, so it can run beside the model fit."""
+    (window Gram, shift-average matrix) of the gradient field over
+    ``region`` (top, left, rows, cols), both (l*m) x (l*m).  The gradient
+    is taken with a one-pixel halo, so it is the whole image's gradient
+    on the region; the default region is the image's
+    :func:`nsdeblur.grid.statistics_region`.  It reads no basis, so it
+    can run beside the model fit."""
     img = np.asarray(image, dtype=np.float64)
     if img.shape[0] < 2 * l + 1 or img.shape[1] < 2 * m + 1:
         raise DimensionError(
             f"image {img.shape} too small for {l}x{m} gradient statistics")
-    grad = gradient(img)
+    if region is None:
+        region = statistics_region(img, l, m)
+    if region[2] < 2 * l + 1 or region[3] < 2 * m + 1:
+        raise DimensionError(
+            f"region {region} too small for {l}x{m} gradient statistics")
+    view, inner = region_with_halo(img, region, (1, 1))
+    grad = gradient(view)[inner]
     # window positions limited to (rows-l) x (cols-m), as in the
     # extended-matrix layout
     return window_gram(grad[:-1, :-1], l, m), _shift_average_matrix(grad, l, m)
@@ -137,7 +149,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
     squared null-basis grids, shared by the spectral kernel optimizers.
 
     Starts from the least-squares spectrum of ``h``, fitted on the folded
-    taps (:attr:`CnsBasis.fold`), and per step solves
+    taps (:meth:`CnsBasis.folded`, no dense fold), and per step solves
     (system_gram + lambda/2 * penalty(v)) v_next = anchor, renormalizing the
     kernel each time; the weight is gated by :func:`gated_iterate` on the
     summed squared tap change.  If no weight passes, ``h`` is returned
@@ -160,8 +172,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
         flat_new /= s
         return (v_new / s, flat_new), float(np.sum((flat_new - flat) ** 2))
 
-    fold = basis.fold
-    v0 = lstsq(fold @ squared, fold @ h.ravel())
+    v0 = lstsq(basis.folded(squared), basis.folded(h.ravel()))
     (_, flat), report = gated_iterate((v0, squared @ v0), step, cfg)
     if report.stop_reason == STOP_GATE:
         return h, report

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
+import nsdeblur.cli as cli
 from conftest import run_python
 from nsdeblur.cli import (READS, _build_config, build_parser, main,
                           read_config_file)
@@ -139,19 +140,22 @@ def test_dense_budget_admits_the_largest_known_run():
 
 def test_dense_bytes_counts_no_operator_matrix():
     """61/59 on 512^2, term by term: the fit's 3721-unknown window Gram
-    with its LU copy and (H + W) p q work arrays; A A^T, then its vectors,
-    plus the even and odd halves with theirs; the spectral inverse's full
-    convolutions of K <= 128 grids, their complex transforms and real
-    products at the length 13824 >= 117^2; the gradient moments.  Neither the 3481 x 119^2
+    with its LU copy and (H + W) p q work arrays over the bounded
+    statistics region, 380 = 320 + 61 - 1 on a side; A A^T, then its
+    vectors, plus the even and odd halves with theirs; the spectral
+    inverse's full convolutions of K <= 128 grids, their complex
+    transforms and real products at the length 13824 >= 117^2; the
+    gradient moments over the same region.  Neither the 3481 x 119^2
     operator nor the 3481 x 117^2 shifted-taps matrix is built, and
-    neither is counted.  At the default 17/9 the fold's 41 x 81 rows are
-    counted too, as K can reach them; at 61/59 K cannot reach its
-    1741."""
+    neither is counted.  At the default 17/9 the region is 336 on a side
+    and the fold's 41 x 81 rows are counted too, as K can reach them; at
+    61/59 K cannot reach its 1741."""
     def count(p, l, grids, length, fold):
         n, half = l * l, l * l // 2
-        fit = 2 * (p * p) ** 2 + 1024 * p * p
+        side = 320 + p - 1
+        fit = 2 * (p * p) ** 2 + 2 * side * p * p
         eigensystem = n * n + 2 * ((half + 1) ** 2 + half ** 2)
-        moments = 2 * n * n + 1024 * n
+        moments = 2 * n * n + 2 * side * n
         inverse = grids * (2 * (length // 2 + 1) + length) + fold
         return 8 * (fit + eigensystem + inverse + moments)
 
@@ -231,6 +235,81 @@ def test_estimate_report_carries_ar_fit(tmp_path, corpus_texture):
     assert gap >= 1.0
     keys = [line.split(" = ")[0] for line in rep.read_text().splitlines()]
     assert keys[1:5] == ["null_dim", "null_gap", "ar_residual", "ar_ridge"]
+
+
+@pytest.mark.parametrize("size, region", [(128, "0 0 128 128"),
+                                          (512, "88 88 336 336")])
+def test_estimate_report_gives_the_fit_region(tmp_path, size, region):
+    """``fit_region = top left rows cols`` follows ``ar_ridge``: the whole
+    image up to 256 x 256, else the centred 336 x 336 statistics region of
+    the 17 x 17 model.  It is the region the fit read."""
+    image = tmp_path / "blurred.pgm"
+    write_pgm(image, nd.convolve(nd.texture((size, size), seed=4),
+                                 nd.gaussian_kernel(1.0, 5)))
+    rep = tmp_path / "report.txt"
+    rc = main(["estimate", str(image), "--out-psf", str(tmp_path / "h.kern"),
+               "--out-ipsf", str(tmp_path / "g.kern"), "--report", str(rep)])
+    assert rc == 0
+    lines = rep.read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines[1:6]] == [
+        "null_dim", "null_gap", "ar_residual", "ar_ridge", "fit_region"]
+    assert lines[5] == f"fit_region = {region}"
+    model = nd.estimate_ar(read_image(image), 17, 17)
+    assert lines[5] == "fit_region = " + " ".join(map(str, model.region))
+
+
+def test_one_process_answers_as_fresh_processes(tmp_path):
+    """The parser is built once per process: ``estimate``, then ``deblur``,
+    then a bad command line in one process give the exit codes, standard
+    error and files of three fresh processes."""
+    write_pgm(tmp_path / "in.pgm", nd.convolve(nd.texture((64, 64), seed=2),
+                                               nd.gaussian_kernel(1.0, 5)))
+    commands = [
+        ["estimate", "in.pgm", "--ar-order", "9", "9", "--psf-size", "5", "5",
+         "--out-psf", "{}h.kern", "--out-ipsf", "{}g.kern",
+         "--report", "{}report.txt"],
+        ["deblur", "in.pgm", "--ipsf-file", "{}g.kern", "--output",
+         "{}out.pgm"],
+        ["deblur", "in.pgm", "--ipsf-file", "{}g.kern", "--output",
+         "{}bad.pgm", "--theta", "2"]]
+    fresh = []
+    for argv in commands:
+        run = run_python(["-m", "nsdeblur", *(a.format("fresh_")
+                                              for a in argv)], cwd=tmp_path)
+        fresh.append((run.returncode, run.stderr))
+    in_one = [[a.format("one_") for a in argv] for argv in commands]
+    probe = ("import sys\n"
+             "from nsdeblur.cli import build_parser, main\n"
+             "parser = build_parser()\n"
+             f"for argv in {in_one}:\n"
+             "    try:\n"
+             "        code = main(argv)\n"
+             "    except SystemExit as exc:\n"
+             "        code = exc.code\n"
+             "    print(code, flush=True)\n"
+             "    print('<end>', file=sys.stderr, flush=True)\n"
+             "assert build_parser() is parser\n")
+    run = run_python(["-c", probe], cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    codes = [int(code) for code in run.stdout.split()]
+    errors = run.stderr.split("<end>\n")[:3]
+    assert list(zip(codes, errors)) == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2]
+    assert "unrecognized arguments: --theta 2" in fresh[2][1]
+    for name in ("h.kern", "g.kern", "report.txt", "out.pgm"):
+        assert ((tmp_path / f"one_{name}").read_bytes()
+                == (tmp_path / f"fresh_{name}").read_bytes())
+
+
+def test_commands_are_looked_up_per_call(monkeypatch):
+    """The cached parser binds no command function: one installed on the
+    module after the parser was built, as a tracer does, is called."""
+    build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_quality",
+                        lambda args: calls.append(args.images) or 7)
+    assert main(["quality", "x.pgm"]) == 7
+    assert calls == [["x.pgm"]]
 
 
 def test_space_estimate_records_its_ridge_quietly(tmp_path):

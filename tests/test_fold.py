@@ -79,6 +79,29 @@ def test_fold_keeps_the_norms_of_the_squared_grids(wide_basis):
     assert np.linalg.matrix_rank(folded) == 41
 
 
+@pytest.mark.parametrize("kernel, size", [
+    (nd.gaussian_kernel(1.0, 5), 9), (nd.gaussian_kernel(2.0, 9), 9),
+    (nd.gaussian_kernel(1.0, 5), 3), (nd.motion_kernel(5, 0.0), 11)])
+def test_folded_rows_are_the_dense_fold_product(kernel, size):
+    """``CnsBasis.folded`` gives ``fold @ a`` without the dense fold: bit
+    for bit on the exactly centrosymmetric squared grids, and to 1e-15 of
+    the product's largest entry for an asymmetric kernel and a stack of
+    random columns."""
+    clean = nd.texture((128, 128), seed=CORPUS_SEED, rolloff=1.4,
+                       noise_floor=0.02)
+    basis = nd.compute_cns(nd.build_operator(
+        nd.estimate_ar(nd.convolve(clean, kernel), 13, 13), size, size))
+    fold = basis.fold
+    squared = basis.squared_flat
+    assert np.array_equal(basis.folded(squared), fold @ squared)
+    rng = np.random.default_rng(size)
+    for a in (rng.random(size * size), rng.standard_normal((size * size, 7))):
+        dense = fold @ a
+        assert basis.folded(a).shape == dense.shape
+        assert (np.abs(basis.folded(a) - dense).max()
+                <= 1e-15 * np.abs(dense).max())
+
+
 def test_start_fit_of_an_asymmetric_kernel_keeps_its_minimizer(
         narrow_basis, monkeypatch):
     """The antisymmetric part of h is orthogonal to every squared grid, so
