@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, DimensionError,
                      InsufficientDataError)
-from .grid import (as_image, fold_system, statistics_region, unfold,
-                   window_gram)
+from .grid import as_image, fold_gram, statistics_region, unfold, window_gram
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -87,12 +86,13 @@ def estimate_ar(image, p: int, q: int, region=None, *,
 
     ``centrosymmetric``, set by the prefilter only (folded, the default
     fit scored worse on the acceptance corpus; see the README), constrains
-    the stencil to a[i, k] = a[p-1-i, q-1-k] and solves the folded normal
-    equations of its (p*q - 1) / 2 rotation pairs
-    (:func:`nsdeblur.grid.fold_system`), 1/8 of the LU work.  The ridge
-    and the residual keep their definitions: ridge * ||a_free||^2 is
-    2 * ridge on the folded diagonal, and the residual is a^T G a on the
-    full Gram.
+    the stencil to a = Q^T z, Q the orthonormal even fold of the taps,
+    and solves the folded normal equations of the (p*q - 1) / 2 pair
+    coordinates of z, the centre one pinned to 1
+    (:func:`nsdeblur.grid.fold_gram`), 1/8 of the LU work.  The ridge
+    and the residual keep their definitions: Q^T has orthonormal
+    columns, so ridge * ||a_free||^2 is ridge on the folded diagonal,
+    and the residual is a^T G a on the full Gram.
     """
     img = as_image(image)
     _check_order(p, q)
@@ -124,11 +124,11 @@ def estimate_ar(image, p: int, q: int, region=None, *,
         raise DegenerateOperatorError(
             "model fit is singular: the fit windows are zero off their centre")
     if centrosymmetric:
-        folded, centre = fold_system(gram, gram[:, c])
+        folded = fold_gram(gram)        # the centre row is c, last
         pairs = folded[:c, :c]
-        pairs.flat[::c + 1] += 2.0 * ridge
-        half = np.append(np.linalg.solve(pairs, -centre[:c]), 1.0)
-        coeffs = unfold(half, p * q)
+        pairs.flat[::c + 1] += ridge
+        coeffs = unfold(np.append(np.linalg.solve(pairs, -folded[:c, c]),
+                                  1.0), p * q)
     else:
         keep = np.arange(p * q) != c
         # the free block in four slice copies (np.ix_ gathers element-wise)

@@ -474,59 +474,69 @@ def _first_block_row(f: np.ndarray, p: int, q: int) -> np.ndarray:
     return block
 
 
-def rotation_pairs(n: int) -> tuple[slice, slice]:
+def _rotation_pairs(n: int) -> tuple[slice, slice]:
     """The taps a 180-degree rotation swaps in a flattened grid of n taps:
     (lo, hi) with lo[t] = t and hi[t] = n-1-t for t < n // 2.  An odd n
     leaves its centre tap n // 2 unpaired."""
     return slice(0, n // 2), slice(n - 1, (n - 1) // 2, -1)
 
 
-def fold_pairs(matrix: np.ndarray, out: np.ndarray, odd: bool = False
-               ) -> np.ndarray:
-    """(M[lo,lo] + M[hi,hi]) +- (M[lo,hi] + M[hi,lo]) into ``out``, over
-    the rotation pairs (lo, hi) of :func:`rotation_pairs`: the pair block
-    of E^T M E for the even fold (+) or of its odd counterpart (-), whose
-    column t is e_t - e_(n-1-t).  A symmetric M gives an exactly
-    symmetric block."""
-    lo, hi = rotation_pairs(matrix.shape[0])
-    np.add(matrix[lo, lo], matrix[hi, hi], out=out)
-    cross = matrix[lo, hi] + matrix[hi, lo]
-    return (np.subtract if odd else np.add)(out, cross, out=out)
+def fold(a: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Q a along axis 0, for the orthonormal fold Q of n = len(a) taps:
+    row t < n // 2 is (e_t +- e_(n-1-t)) / sqrt(2), + in the even fold and
+    - in the ``odd`` one, and the even fold of an odd n ends with the
+    centre row e_(n//2).  The rows of both folds are an orthonormal basis
+    of the taps, even and odd under the 180-degree rotation of the tap
+    grid (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  A row is
+    sqrt(1/2) a[t] +- sqrt(1/2) a[n-1-t], so a fold drops the part of
+    ``a`` of the other parity exactly."""
+    n = len(a)
+    h, centre = n // 2, n % 2 and not odd
+    lo, hi = _rotation_pairs(n)
+    out = np.empty((h + centre,) + a.shape[1:])
+    weight = np.sqrt(0.5)
+    (np.subtract if odd else np.add)(weight * a[lo], weight * a[hi],
+                                     out=out[:h])
+    if centre:
+        out[h] = a[h]
+    return out
 
 
-def fold_system(matrix: np.ndarray, rhs: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(E^T matrix E, E^T rhs): an n-unknown linear system restricted to
-    centrosymmetric solutions x = E y, x[t] = x[n-1-t].  Column t < n // 2
-    of E is e_t + e_(n-1-t) and an odd n's centre column is e_(n//2), so
-    y is the first ceil(n/2) taps of x (:func:`unfold`).
-
-    The pair block is the sum of the four rotation-paired blocks, as
-    (M[lo,lo] + M[hi,hi]) + (M[lo,hi] + M[hi,lo]): a symmetric matrix
-    folds to an exactly symmetric one.  Slices only, O(n^2); a dense
-    E^T M E would cost more than the solve it shrinks.
-    """
+def fold_gram(matrix: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Q M Q^T for the fold Q of :func:`fold`: the pair block
+    0.5 * ((M[lo,lo] + M[hi,hi]) +- (M[lo,hi] + M[hi,lo])) over the
+    rotation pairs (lo, hi), and in the even fold of an odd n the centre
+    row sqrt(1/2) (M[c,lo] + M[c,hi]), the centre column likewise and
+    M[c,c].  A symmetric M folds to an exactly symmetric block.  Slices
+    only, O(n^2); a dense Q M Q^T would cost more than the solve or
+    eigendecomposition it halves."""
     n = matrix.shape[0]
-    h = n // 2
-    lo, hi = rotation_pairs(n)
-    out = np.empty(((n + 1) // 2,) * 2)
-    fold_pairs(matrix, out[:h, :h])
-    if n % 2:
-        out[h, :h] = matrix[h, lo] + matrix[h, hi]
-        out[:h, h] = matrix[lo, h] + matrix[hi, h]
+    h, centre = n // 2, n % 2 and not odd
+    lo, hi = _rotation_pairs(n)
+    out = np.empty((h + centre,) * 2)
+    pairs = out[:h, :h]
+    np.add(matrix[lo, lo], matrix[hi, hi], out=pairs)
+    cross = matrix[lo, hi] + matrix[hi, lo]
+    (np.subtract if odd else np.add)(pairs, cross, out=pairs)
+    pairs *= 0.5
+    if centre:
+        out[h, :h] = np.sqrt(0.5) * (matrix[h, lo] + matrix[h, hi])
+        out[:h, h] = np.sqrt(0.5) * (matrix[lo, h] + matrix[hi, h])
         out[h, h] = matrix[h, h]
-    folded = rhs[:(n + 1) // 2].copy()
-    folded[:h] += rhs[hi]
-    return out, folded
+    return out
 
 
-def unfold(half: np.ndarray, n: int) -> np.ndarray:
-    """The centrosymmetric n-vectors E half of :func:`fold_system` along the
-    last axis: the first ceil(n/2) taps are ``half``, the rest mirrored."""
-    lo, hi = rotation_pairs(n)
-    out = np.empty(half.shape[:-1] + (n,))
-    out[..., :half.shape[-1]] = half
-    out[..., hi] = half[..., lo]
+def unfold(z: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
+    """Q^T z along the last axis, for the fold Q of n taps of
+    :func:`fold`: n-tap vectors that are exactly centrosymmetric, or
+    exactly antisymmetric with a zero centre tap for the ``odd`` fold."""
+    h = n // 2
+    lo, hi = _rotation_pairs(n)
+    out = np.empty(z.shape[:-1] + (n,))
+    np.multiply(np.sqrt(0.5), z[..., :h], out=out[..., lo])
+    (np.negative if odd else np.positive)(out[..., lo], out=out[..., hi])
+    if n % 2:
+        out[..., h] = 0.0 if odd else z[..., h]
     return out
 
 

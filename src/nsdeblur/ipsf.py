@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import OptimizerConfig, RunReport, check_setting, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import (as_image, as_kernel, convolve, correlation_lags,
-                   fold_system, full_convolutions, normalize_kernel,
+from .grid import (as_image, as_kernel, convolve, correlation_lags, fold,
+                   fold_gram, full_convolutions, normalize_kernel,
                    region_with_halo, statistics_region, unfold, window_gram)
 from .nullspace import CnsBasis
 from .psf import iterate_spectrum, lstsq, surface_penalty_matrix
@@ -35,15 +35,17 @@ def ipsf_spectral(h, basis: CnsBasis) -> np.ndarray:
     Least-squares kernel g, in the span of the squared grids, whose full
     convolution with h is a delta at the center of the full-convolution
     grid, normalized to unit tap sum.  K >= ceil(l*m/2) grids span every
-    centrosymmetric grid, so g is then sought over the fold's basis of
-    them; the delta rows stay unfolded, so any h is fitted.
+    centrosymmetric grid, so g is then sought over the orthonormal basis
+    of them that unfolds the even fold (:func:`nsdeblur.grid.unfold`);
+    the delta rows stay unfolded, so any h is fitted.
     """
     hk = as_kernel(h)
     if hk.shape != (basis.l, basis.m):
         raise DimensionError(
             f"kernel {hk.shape} does not match basis {(basis.l, basis.m)}")
-    # the grids g is sought over, as rows; the dense fold only if used
-    span = (basis.fold if basis.null_dim >= (hk.size + 1) // 2
+    # the grids g is sought over, as rows
+    half = (hk.size + 1) // 2
+    span = (unfold(np.eye(half), hk.size) if basis.null_dim >= half
             else basis.squared_basis.reshape(-1, hk.size))
     m0 = full_convolutions(span.reshape(-1, *hk.shape), hk)
     target = np.zeros(m0.shape[1])
@@ -133,26 +135,27 @@ def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
 
     Degrades the observed image once more with h, then fits the
     centrosymmetric taps, g[i, k] = g[wl-1-i, wm-1-k], that map
-    re-degraded windows back to the observed centers: one LU solve of the
-    ridged normal equations folded onto their ceil(wl*wm/2) rotation pairs
-    (:func:`nsdeblur.grid.fold_system`), on which the ridge * I is the
-    same penalty ridge * ||g||^2.  ``system``, the :func:`space_system` of
-    (image, h) that carries the ridge, skips the build; without it the
-    default ridge applies.
+    re-degraded windows back to the observed centers: g = Q^T z for the
+    orthonormal even fold Q of the taps, with z one LU solve of the
+    folded normal equations Q R_YY Q^T z = Q r_YX
+    (:func:`nsdeblur.grid.fold_gram`, :func:`nsdeblur.grid.fold`),
+    ceil(wl*wm/2) unknowns, on which the ridge * I is the same penalty
+    ridge * ||g||^2.  ``system``, the :func:`space_system` of (image, h)
+    that carries the ridge, skips the build; without it the default
+    ridge applies.
     """
     system = system or space_system(image, h)
-    g = unfold(np.linalg.solve(*fold_system(system.ryy, system.ryx)),
-               system.ryx.size)
-    return g.reshape(system.wl, system.wm)
+    z = np.linalg.solve(fold_gram(system.ryy), fold(system.ryx))
+    return unfold(z, system.ryx.size).reshape(system.wl, system.wm)
 
 
 def difference_maps(wl: int, wm: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ceil(wl*wm/2), ceil(wl*wm/2)) derivative maps along x and y on the
-    first ceil(wl*wm/2) taps: np.gradient of each unfolded basis grid of
-    the centrosymmetric taps, built folded (:func:`nsdeblur.grid.unfold`);
-    an axis one tap long has none.  The gradient of a centrosymmetric grid
-    is exactly odd, so the other rows are these negated, and the centre
-    row is zero."""
+    """(ceil(wl*wm/2), ceil(wl*wm/2)) derivative maps along x and y from
+    the folded taps z to the first ceil(wl*wm/2) taps: np.gradient of
+    each grid Q^T e_j of the unfolded even fold
+    (:func:`nsdeblur.grid.unfold`); an axis one tap long has none.  The
+    gradient of a centrosymmetric grid is exactly odd, so the other rows
+    are these negated, and the centre row is zero."""
     n = wl * wm
     half = (n + 1) // 2
     grids = unfold(np.eye(half), n).reshape(-1, wl, wm)
@@ -165,14 +168,17 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
                         system: SpaceSystem | None = None
                         ) -> tuple[np.ndarray, RunReport]:
     """Surface-regularized refinement of the space-route inverse over
-    centrosymmetric taps g = E y, from g0's centrosymmetric part.  The
-    system is folded once per call, as in :func:`ipsf_space`, and each
-    step solves (E^T R_YY E + lambda * P(y)) y_next = E^T r_YX, with
-    R_YY carrying the system's ridge and P the spectral optimizers'
+    centrosymmetric taps g = Q^T z, from the fold z = Q g0, the fold of
+    g0's centrosymmetric part.  The system is folded once per call, as
+    in :func:`ipsf_space`, and each step solves
+    (Q R_YY Q^T + lambda * P(z)) z_next = Q r_YX, with R_YY carrying the
+    system's ridge and P the spectral optimizers'
     :func:`nsdeblur.psf.surface_penalty_matrix` on the
-    :func:`difference_maps`; ``system`` is as there.  The weight is gated
-    and halved as in the spectral optimizers; if no weight passes, the
-    start is returned with a gate-failed report."""
+    :func:`difference_maps`; ``system`` is as there.  Q^T has orthonormal
+    columns, so the gate reads the summed squared tap change as
+    sum (z_next - z)^2.  The weight is gated and halved as in the
+    spectral optimizers; if no weight passes, the start is returned with
+    a gate-failed report."""
     cfg = cfg or OptimizerConfig()
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
     system = system or space_system(image, h)
@@ -180,20 +186,18 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
     if g_init.shape != (wl, wm):
         raise DimensionError(
             f"initial taps {g_init.shape} do not match system {(wl, wm)}")
-    ryy, ryx = fold_system(system.ryy, system.ryx)
+    ryy, ryx = fold_gram(system.ryy), fold(system.ryx)
     dx, dy = difference_maps(wl, wm)
 
-    def step(y, lam):
+    def step(z, lam):
         try:
-            y_new = np.linalg.solve(
-                ryy + lam * surface_penalty_matrix(y, dx, dy), ryx)
+            z_new = np.linalg.solve(
+                ryy + lam * surface_penalty_matrix(z, dx, dy), ryx)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(y_new)):
+        if not np.all(np.isfinite(z_new)):
             return None
-        return y_new, float(np.sum(unfold(y_new - y, n) ** 2))
+        return z_new, float(np.sum((z_new - z) ** 2))
 
-    flat = g_init.ravel()
-    y, report = gated_iterate((0.5 * (flat + flat[::-1]))[:ryx.size], step,
-                              cfg)
-    return unfold(y, n).reshape(wl, wm), report
+    z, report = gated_iterate(fold(g_init.ravel()), step, cfg)
+    return unfold(z, n).reshape(wl, wm), report

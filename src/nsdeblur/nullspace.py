@@ -5,8 +5,8 @@ carries the image structure the stencil failed to cancel, while the
 small-eigenvalue ("null") side spans the kernels compatible with the blur.
 B is read from the stencil's autocorrelation, not from A, and it is
 unchanged by a 180-degree rotation of the tap grid, so it is diagonalised
-as two blocks of about half its size, one of even and one of odd
-eigenvectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): every
+as its even and odd folds (:func:`nsdeblur.grid.fold_gram`), two blocks
+of about half its size, one of even and one of odd eigenvectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): every
 eigenvector is exactly even or odd, and every squared grid exactly
 centrosymmetric.
 The split threshold is half the leading eigenvalue, snapped to the largest
@@ -25,7 +25,7 @@ import numpy as np
 
 from .armodel import OperatorMatrix
 from .errors import DegenerateOperatorError
-from .grid import correlation_lags, fold_pairs, rotation_pairs
+from .grid import correlation_lags, fold_gram, unfold
 
 #: Cap on the null-side dimension (bounds downstream K x K solves).
 MAX_NULL_DIM = 128
@@ -80,34 +80,6 @@ class CnsBasis:
     def squared_flat(self) -> np.ndarray:
         """(l*m, K) matrix whose columns are the flattened squared grids."""
         return self.squared_basis.reshape(self.null_dim, -1).T
-
-    @property
-    def fold(self) -> np.ndarray:
-        """(ceil(l*m/2), l*m) orthonormal rows: one per 180-degree rotation
-        pair of flattened taps (t, l*m-1-t), adding it with weight
-        1/sqrt(2), and one keeping the centre tap.  Every eigenvector is
-        exactly even or odd under the rotation (:func:`compute_cns`), so
-        the squared grids are exactly centrosymmetric: the fold keeps
-        their norms, and its transpose spans them all."""
-        n = self.l * self.m
-        fold = np.zeros(((n + 1) // 2, n))
-        for taps in rotation_pairs(n):      # row t: taps t and n-1-t
-            np.fill_diagonal(fold[:, taps], np.sqrt(0.5))
-        fold[n // 2:, n // 2] = 1.0          # the centre row, if n is odd
-        return fold
-
-    def folded(self, a: np.ndarray) -> np.ndarray:
-        """``self.fold @ a`` for an (l*m, ...) array, without the matrix:
-        the rotation-pair sums sqrt(1/2) a[t] + sqrt(1/2) a[l*m-1-t], then
-        the centre row.  For the exactly centrosymmetric squared grids it
-        is the dense product bit for bit."""
-        n = self.l * self.m
-        lo, hi = rotation_pairs(n)
-        out = np.empty(((n + 1) // 2,) + a.shape[1:])
-        weight = np.sqrt(0.5)
-        np.add(weight * a[lo], weight * a[hi], out=out[:n // 2])
-        out[n // 2:] = a[n // 2:n // 2 + 1]     # the centre row, if n is odd
-        return out
 
 
 def _pick_split(lam: np.ndarray) -> int:
@@ -171,27 +143,18 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     """Eigendecompose A A^T and locate the eigen/null split.
 
     B = :func:`operator_gram` is folded by the orthonormal even and odd
-    rotation-pair bases (:func:`nsdeblur.grid.fold_pairs`): B[lo,lo] +
-    B[lo,hi] with the centre row and column, ceil(l*m/2) square, and
-    B[lo,lo] - B[lo,hi], floor(l*m/2) square (l*m is odd).  Each block is
-    diagonalised on its own, the eigenvalues merged in descending order,
-    and each eigenvector unfolded into an exactly even or odd column.
+    folds of the tap grid (:func:`nsdeblur.grid.fold_gram`), ceil(l*m/2)
+    and floor(l*m/2) square (l*m is odd).  Each block is diagonalised on
+    its own, the eigenvalues merged in descending order, and each
+    eigenvector unfolded (:func:`nsdeblur.grid.unfold`) into an exactly
+    even or odd column.
 
     ``force_single`` keeps only the single smallest-eigenvalue vector on
     the null side (the high-order denoising mode).
     """
     n = op.l * op.m                     # odd, as l and m are
-    h = n // 2                          # the centre tap
-    lo, hi = rotation_pairs(n)
     gram = operator_gram(op)
-    # B is exactly centrosymmetric, so each fold is twice its block exactly
-    even, odd = np.empty((h + 1, h + 1)), np.empty((h, h))
-    fold_pairs(gram, even[:h, :h])
-    fold_pairs(gram, odd, odd=True)
-    even[:h, :h] *= 0.5
-    odd *= 0.5
-    even[h, :h] = even[:h, h] = np.sqrt(0.5) * (gram[h, lo] + gram[h, hi])
-    even[h, h] = gram[h, h]
+    even, odd = fold_gram(gram), fold_gram(gram, odd=True)
     del gram
     w_even, v_even = np.linalg.eigh(even)
     w_odd, v_odd = np.linalg.eigh(odd)
@@ -200,18 +163,12 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     lam = np.concatenate((w_even, w_odd))[order]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    at_even, at_odd = rank[:h + 1], rank[h + 1:]
+    at_even, at_odd = rank[:w_even.size], rank[w_even.size:]
     # column-major: on another layout the kernel estimate's BLAS products
     # round differently
     vectors = np.empty((n, n), order="F")
-    pair = np.sqrt(0.5) * v_even[:h]
-    vectors[lo, at_even] = pair
-    vectors[hi, at_even] = pair
-    vectors[h, at_even] = v_even[h]
-    pair = np.sqrt(0.5) * v_odd
-    vectors[lo, at_odd] = pair
-    vectors[hi, at_odd] = -pair
-    vectors[h, at_odd] = 0.0
+    vectors[:, at_even] = unfold(v_even.T, n).T
+    vectors[:, at_odd] = unfold(v_odd.T, n, odd=True).T
     if lam[0] <= 1e-12:
         raise DegenerateOperatorError(
             f"operator Gram matrix is numerically zero (lambda_1={lam[0]:.3e})")

@@ -29,10 +29,13 @@ OPTIMIZERS = ("none", "bvdr", "cs")
 IPSF_ROUTES = ("spectral", "space")
 
 #: Bytes the dense matrices of one estimate may take (:func:`dense_bytes`).
-#: The 61 x 61 model with a 59 x 59 kernel on a 512 x 512 image counts
-#: 0.70 GB and peaks at 743 MB resident; the budget admits about three
-#: times that, and refuses larger models before they allocate, with a
-#: typed error instead of numpy's MemoryError part-way through a run.
+#: On a blurred 512 x 512 texture the 61 x 61 model with a 59 x 59 kernel
+#: counts 0.68 GB and peaks at 585 MB resident, and the 73 x 73 model with
+#: a 71 x 71 kernel 1.37 GB and 1.14 GB (a fresh interpreter, one BLAS
+#: thread): the peak is 0.83-0.86 of the count, and every array live at
+#: the traced peak is counted.  The budget refuses larger models before
+#: they allocate, with a typed error instead of numpy's MemoryError
+#: part-way through a run.
 DENSE_BUDGET = 2 << 30
 
 
@@ -83,11 +86,12 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     fit and, with ``denoise``, the prefilter's, the fit's window Gram with
     its work arrays and solve copy, the eigensystem and the inverse's
     system (the space system, or the spectral inverse's full convolutions
-    with their transforms, and the fold when K can reach its rows); then
-    the gradient moments.  The window statistics are counted over the
-    centred :func:`nsdeblur.grid.statistics_region` of each chain: an
-    image whose centre is flat is read whole, and its work arrays then
-    take (rows + cols - h - w) * p * q more for an h x w region."""
+    with their transforms, and the rows of the unfolded even fold when K
+    can reach their number); then the gradient moments.  The window
+    statistics are counted over the centred
+    :func:`nsdeblur.grid.statistics_region` of each chain: an image whose
+    centre is flat is read whole, and its work arrays then take
+    (rows + cols - h - w) * p * q more for an h x w region."""
     def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
         return 2 * (p * q) ** 2 + (h + w) * p * q
 

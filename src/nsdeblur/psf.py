@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import STOP_GATE, OptimizerConfig, RunReport, gated_iterate
 from .errors import DegenerateKernelError, DimensionError
-from .grid import (KERNEL_SUM_TOL, gradient, normalize_kernel,
+from .grid import (KERNEL_SUM_TOL, fold, gradient, normalize_kernel,
                    region_with_halo, statistics_region, window_gram)
 from .nullspace import CnsBasis
 
@@ -41,9 +41,11 @@ def _shift_average_matrix(field: np.ndarray, l: int, m: int) -> np.ndarray:
     for b in range(1, 2 * m - 1):
         box[:, b] = box[:, b - 1] + (band[:, b + ky] - band[:, b])
     t2 = box / (kx * ky)
-    ii = np.repeat(np.arange(l), m)
-    ll = np.tile(np.arange(m), l)
-    return t2[ii[:, None] + ii[None, :], ll[:, None] + ll[None, :]]
+    # gathered through (l, 1, l, 1) and (1, m, 1, m) index grids: two
+    # (l*m)^2 index matrices took twice the result's memory
+    i, k = np.arange(l), np.arange(m)
+    return t2[(i[:, None] + i)[:, None, :, None],
+              (k[:, None] + k)[None, :, None, :]].reshape(l * m, -1)
 
 
 def gradient_moments(image, l: int, m: int, region=None
@@ -148,8 +150,10 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
     """Surface-penalty smoothing of a kernel in the spectrum space of the
     squared null-basis grids, shared by the spectral kernel optimizers.
 
-    Starts from the least-squares spectrum of ``h``, fitted on the folded
-    taps (:meth:`CnsBasis.folded`, no dense fold), and per step solves
+    Starts from the least-squares spectrum of ``h``, fitted on the even
+    fold of the taps (:func:`nsdeblur.grid.fold`, no dense fold), which
+    keeps the minimizer: the squared grids are exactly centrosymmetric.
+    Per step it solves
     (system_gram + lambda/2 * penalty(v)) v_next = anchor, renormalizing the
     kernel each time; the weight is gated by :func:`gated_iterate` on the
     summed squared tap change.  If no weight passes, ``h`` is returned
@@ -172,7 +176,7 @@ def iterate_spectrum(h: np.ndarray, basis: CnsBasis, system_gram: np.ndarray,
         flat_new /= s
         return (v_new / s, flat_new), float(np.sum((flat_new - flat) ** 2))
 
-    v0 = lstsq(basis.folded(squared), basis.folded(h.ravel()))
+    v0 = lstsq(fold(squared), fold(h.ravel()))
     (_, flat), report = gated_iterate((v0, squared @ v0), step, cfg)
     if report.stop_reason == STOP_GATE:
         return h, report

@@ -95,12 +95,49 @@ def noisy_case_image(case):
 def centrosymmetric_grids(l, m):
     """Columns e_t + e_(n-1-t) and the centre tap: a basis of every
     centrosymmetric l x m grid, built apart from the fold.  It is the
-    dense expansion E of :func:`nsdeblur.grid.fold_system`."""
+    unnormalised expansion E the folded solves used before the fold was
+    orthonormal; its columns are those of Q^T (:func:`orthonormal_fold`)
+    times sqrt(2), the centre column times 1."""
     n = l * m
     grids = np.zeros((n, (n + 1) // 2))
     for t in range((n + 1) // 2):
         grids[t, t] = grids[n - 1 - t, t] = 1.0
     return grids
+
+
+def orthonormal_fold(n, odd=False):
+    """The dense orthonormal fold Q of n taps, built apart from
+    :func:`nsdeblur.grid.fold`: row t < n // 2 is (e_t + e_(n-1-t)) /
+    sqrt(2), or (e_t - e_(n-1-t)) / sqrt(2) when ``odd``, and the even
+    fold of an odd n ends with the centre row e_(n//2)."""
+    rows = []
+    for t in range(n // 2):
+        row = np.zeros(n)
+        row[t] = np.sqrt(0.5)
+        row[n - 1 - t] = -np.sqrt(0.5) if odd else np.sqrt(0.5)
+        rows.append(row)
+    if n % 2 and not odd:
+        rows.append(np.eye(n)[n // 2])
+    return np.array(rows).reshape(-1, n)
+
+
+def fold_pairs_blocks(gram):
+    """The even and odd blocks ``compute_cns`` diagonalised before the
+    fold had its own function, assembled as it did: the rotation-pair
+    sums (B[lo,lo] + B[hi,hi]) +- (B[lo,hi] + B[hi,lo]) times 0.5, and
+    the centre row and column sqrt(1/2) (B[c,lo] + B[c,hi])."""
+    n = gram.shape[0]
+    h = n // 2
+    lo, hi = slice(0, h), slice(n - 1, (n - 1) // 2, -1)
+    even, odd = np.empty((h + 1, h + 1)), np.empty((h, h))
+    for out, sign in ((even[:h, :h], np.add), (odd, np.subtract)):
+        np.add(gram[lo, lo], gram[hi, hi], out=out)
+        sign(out, gram[lo, hi] + gram[hi, lo], out=out)
+    even[:h, :h] *= 0.5
+    odd *= 0.5
+    even[h, :h] = even[:h, h] = np.sqrt(0.5) * (gram[h, lo] + gram[h, hi])
+    even[h, h] = gram[h, h]
+    return even, odd
 
 
 def shifted_taps(taps, l, m):

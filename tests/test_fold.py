@@ -1,10 +1,12 @@
-"""The centrosymmetric fold of the squared null grids and the two spectral
-solves that use it: their results, their stability under rounding-level
-changes of the model fit, and numpy's least squares on images where
-LAPACK's divide-and-conquer SVD did not converge on the unfolded rows.
-Also the folded normal equations of the prefilter's model fit and of
-the space-route response, against the constraint written out as a dense
-expansion."""
+"""The orthonormal fold of the tap grid (``grid.fold``, ``fold_gram`` and
+``unfold``) against the dense fold Q, and its users: the eigen split's
+blocks, the start fit and spectral inverse on the squared null grids,
+with their stability under rounding-level changes of the model fit and
+numpy's least squares on images where LAPACK's divide-and-conquer SVD
+did not converge on the unfolded rows; and the folded normal equations
+of the prefilter's model fit and of the space-route response, against
+the constraint written out as a dense expansion and against the solves
+over the unnormalised expansion E that the orthonormal fold replaced."""
 
 import dataclasses
 
@@ -16,13 +18,16 @@ from scipy.signal import convolve2d
 import nsdeblur as nd
 import nsdeblur.deconv as deconv
 import nsdeblur.psf as psf
-from conftest import CORPUS_SEED, centrosymmetric_grids
+from conftest import (CORPUS_SEED, SPACE_CFG, centrosymmetric_grids,
+                      fold_pairs_blocks, orthonormal_fold)
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
-from nsdeblur.config import OptimizerConfig
+from nsdeblur.config import OptimizerConfig, gated_iterate
 from nsdeblur.fileio import quantize
-from nsdeblur.grid import fold_system, unfold, window_gram
-from nsdeblur.ipsf import optimize_ipsf_spectral, space_system
-from nsdeblur.psf import gradient_moments
+from nsdeblur.grid import fold, fold_gram, unfold, window_gram
+from nsdeblur.ipsf import (SPACE_RIDGE, optimize_ipsf_spectral,
+                           space_system)
+from nsdeblur.nullspace import operator_gram
+from nsdeblur.psf import gradient_moments, surface_penalty_matrix
 
 
 def basis_of(kernel):
@@ -52,54 +57,84 @@ def narrow_basis():
 
 @pytest.mark.parametrize("l, m", [(1, 1), (3, 5), (9, 9), (7, 3)])
 def test_fold_has_orthonormal_rotation_pair_rows(l, m):
+    """The even and odd folds of the l*m taps are the dense Q's rows, bit
+    for bit; together they are an orthonormal basis of the taps, and a
+    180-degree rotation of the grid keeps each even row and negates each
+    odd one."""
     n = l * m
-    fold = nd.CnsBasis(l=l, m=m, eigenvalues=np.ones(n), vectors=np.eye(n),
-                       split=n, squared_basis=np.zeros((0, l, m))).fold
-    assert fold.shape == ((n + 1) // 2, n)
-    np.testing.assert_allclose(fold @ fold.T, np.eye((n + 1) // 2),
-                               rtol=0, atol=1e-15)
-    # the rows are unchanged by a 180-degree rotation of the grid
-    rotated = fold.reshape(-1, l, m)[:, ::-1, ::-1].reshape(-1, n)
-    np.testing.assert_array_equal(rotated, fold)
+    rows = []
+    for odd in (False, True):
+        q = fold(np.eye(n), odd)
+        assert q.shape == ((n + 1) // 2 if not odd else n // 2, n)
+        assert np.array_equal(q, orthonormal_fold(n, odd))
+        rotated = q.reshape(-1, l, m)[:, ::-1, ::-1].reshape(-1, n)
+        np.testing.assert_array_equal(rotated, -q if odd else q)
+        rows.append(q)
+    both = np.concatenate(rows)
+    np.testing.assert_allclose(both @ both.T, np.eye(n), rtol=0, atol=1e-15)
 
 
 def test_fold_keeps_the_norms_of_the_squared_grids(wide_basis):
     """The grids are exactly centrosymmetric, so they span ceil(81/2) = 41
     dimensions, unfolded and folded alike, with no rounding-level
-    directions for numpy's default rank cutoff to count."""
+    directions for numpy's default rank cutoff to count; their odd fold
+    is exactly zero."""
     squared = wide_basis.squared_flat
     norms = np.linalg.norm(squared, axis=0)
     rotated = wide_basis.squared_basis[:, ::-1, ::-1].reshape(
         wide_basis.null_dim, -1).T
     assert np.array_equal(squared, rotated)
-    folded = wide_basis.fold @ squared
+    folded = fold(squared)
     np.testing.assert_allclose(np.linalg.norm(folded, axis=0), norms,
                                rtol=1e-12)
     assert np.linalg.matrix_rank(squared) == 41
     assert np.linalg.matrix_rank(folded) == 41
+    assert not fold(squared, odd=True).any()
 
 
 @pytest.mark.parametrize("kernel, size", [
     (nd.gaussian_kernel(1.0, 5), 9), (nd.gaussian_kernel(2.0, 9), 9),
     (nd.gaussian_kernel(1.0, 5), 3), (nd.motion_kernel(5, 0.0), 11)])
 def test_folded_rows_are_the_dense_fold_product(kernel, size):
-    """``CnsBasis.folded`` gives ``fold @ a`` without the dense fold: bit
-    for bit on the exactly centrosymmetric squared grids, and to 1e-15 of
-    the product's largest entry for an asymmetric kernel and a stack of
-    random columns."""
+    """``grid.fold`` gives Q @ a without the dense Q: bit for bit on the
+    exactly centrosymmetric squared grids, and to 1e-15 of the product's
+    largest entry for an asymmetric kernel and a stack of random
+    columns, in the even and the odd fold."""
     clean = nd.texture((128, 128), seed=CORPUS_SEED, rolloff=1.4,
                        noise_floor=0.02)
     basis = nd.compute_cns(nd.build_operator(
         nd.estimate_ar(nd.convolve(clean, kernel), 13, 13), size, size))
-    fold = basis.fold
     squared = basis.squared_flat
-    assert np.array_equal(basis.folded(squared), fold @ squared)
+    assert np.array_equal(fold(squared), orthonormal_fold(size * size)
+                          @ squared)
     rng = np.random.default_rng(size)
     for a in (rng.random(size * size), rng.standard_normal((size * size, 7))):
-        dense = fold @ a
-        assert basis.folded(a).shape == dense.shape
-        assert (np.abs(basis.folded(a) - dense).max()
-                <= 1e-15 * np.abs(dense).max())
+        for odd in (False, True):
+            dense = orthonormal_fold(size * size, odd) @ a
+            assert fold(a, odd).shape == dense.shape
+            assert (np.abs(fold(a, odd) - dense).max()
+                    <= 1e-15 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("size", [3, 9])
+def test_eigen_split_blocks_are_the_pair_sums(size, monkeypatch):
+    """``compute_cns`` diagonalises the even and odd blocks of the
+    ``0.5 * fold_pairs`` assembly it used before ``grid.fold_gram``, bit
+    for bit: the folds keep its sums."""
+    clean = nd.texture((128, 128), seed=CORPUS_SEED, rolloff=1.4,
+                       noise_floor=0.02)
+    op = nd.build_operator(nd.estimate_ar(clean, 13, 13), size, size)
+    eigh, blocks = np.linalg.eigh, []
+
+    def recording(a, *args, **kwargs):
+        blocks.append(a.copy())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    nd.compute_cns(op)
+    for got, expected in zip(blocks, fold_pairs_blocks(operator_gram(op)),
+                             strict=True):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_start_fit_of_an_asymmetric_kernel_keeps_its_minimizer(
@@ -250,18 +285,31 @@ def assert_near(actual, expected):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 81])
 def test_fold_system_is_the_dense_expansion(n):
-    """E^T M E and E^T r from slices, for odd and even n; a symmetric M
-    folds to an exactly symmetric matrix, and unfold is E y exactly."""
+    """Q M Q^T, Q r and Q^T z from slices, against the dense fold Q, for
+    odd and even n and both parities.  A symmetric M folds to an exactly
+    symmetric matrix; an antisymmetric vector has an exactly zero even
+    fold and a centrosymmetric one an exactly zero odd fold; and unfold
+    returns a vector of the fold's parity from its fold to 2 ulp."""
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     sym, rhs = a @ a.T, rng.standard_normal(n)
-    e = centrosymmetric_grids(1, n)
-    folded, folded_rhs = fold_system(sym, rhs)
-    np.testing.assert_allclose(folded, e.T @ sym @ e, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(folded_rhs, e.T @ rhs, rtol=1e-13, atol=0)
-    assert np.array_equal(folded, folded.T)
-    half = rng.standard_normal(e.shape[1])
-    assert np.array_equal(unfold(half, n), e @ half)
+    even_part, odd_part = rhs + rhs[::-1], rhs - rhs[::-1]
+    for odd in (False, True):
+        q = orthonormal_fold(n, odd)
+        folded = fold_gram(sym, odd)
+        np.testing.assert_allclose(folded, q @ sym @ q.T, rtol=1e-13,
+                                   atol=1e-13)
+        assert np.array_equal(folded, folded.T)
+        np.testing.assert_allclose(fold(rhs, odd), q @ rhs, rtol=1e-13,
+                                   atol=1e-15)
+        z = rng.standard_normal(len(q))
+        np.testing.assert_allclose(unfold(z, n, odd), q.T @ z, rtol=1e-15,
+                                   atol=0)
+        kept, dropped = (odd_part, even_part) if odd else (even_part,
+                                                           odd_part)
+        assert not fold(dropped, odd).any()
+        assert np.all(np.abs(unfold(fold(kept, odd), n, odd) - kept)
+                      <= 2 * np.spacing(np.abs(kept)))
 
 
 @pytest.mark.parametrize("order", [13, 33])
@@ -298,6 +346,112 @@ def test_folded_response_is_the_constrained_solve(size):
     e = centrosymmetric_grids(2 * size - 1, 2 * size - 1)
     expected = e @ np.linalg.solve(e.T @ system.ryy @ e, e.T @ system.ryx)
     assert_near(g.ravel(), expected)
+
+
+def expansion_system(matrix, rhs):
+    """(E^T M E, E^T r) for the unnormalised expansion E of
+    :func:`centrosymmetric_grids`, from slices, as the folded solves
+    formed it before the fold was orthonormal: the pair block
+    (M[lo,lo] + M[hi,hi]) + (M[lo,hi] + M[hi,lo]), the centre row
+    M[c,lo] + M[c,hi], and the rotation-pair sums of r."""
+    n = matrix.shape[0]
+    h = n // 2
+    lo, hi = slice(0, h), slice(n - 1, (n - 1) // 2, -1)
+    out = np.empty(((n + 1) // 2,) * 2)
+    np.add(matrix[lo, lo], matrix[hi, hi], out=out[:h, :h])
+    out[:h, :h] += matrix[lo, hi] + matrix[hi, lo]
+    if n % 2:
+        out[h, :h] = matrix[h, lo] + matrix[h, hi]
+        out[:h, h] = matrix[lo, h] + matrix[hi, h]
+        out[h, h] = matrix[h, h]
+    folded = rhs[:(n + 1) // 2].copy()
+    folded[:h] += rhs[hi]
+    return out, folded
+
+
+def expansion_unfold(half, n):
+    """E half along the last axis: the first ceil(n/2) taps are ``half``,
+    the rest mirrored."""
+    return np.concatenate((half, half[..., :n // 2][..., ::-1]), axis=-1)
+
+
+def expansion_model_fit(image, order):
+    """The centrosymmetric model fit over E: 2 * ridge on the folded
+    diagonal is the penalty ridge * ||a_free||^2."""
+    top, left, rows, cols = default_fit_region(image.shape, order, order)
+    gram = window_gram(image[top:top + rows, left:left + cols], order, order)
+    n = order * order
+    c = n // 2
+    folded, centre = expansion_system(gram, gram[:, c])
+    pairs = folded[:c, :c]
+    pairs.flat[::c + 1] += 2.0 * nd.estimate_ar(image, order, order).ridge
+    half = np.append(np.linalg.solve(pairs, -centre[:c]), 1.0)
+    return expansion_unfold(half, n).reshape(order, order)
+
+
+def expansion_space_optimizer(g0, system, cfg):
+    """The space-route optimizer over the first ceil(n/2) taps y of
+    g = E y: its system and derivative maps folded by E, its start the
+    first taps of g0's centrosymmetric part, its gate reading the summed
+    squared change of the unfolded taps."""
+    wl, wm, n = system.wl, system.wm, system.ryx.size
+    half = (n + 1) // 2
+    ryy, ryx = expansion_system(system.ryy, system.ryx)
+    grids = expansion_unfold(np.eye(half), n).reshape(-1, wl, wm)
+    dx, dy = ((np.gradient(grids, axis=axis) if grids.shape[axis] > 1
+               else np.zeros_like(grids)).reshape(half, n)[:, :half].T
+              for axis in (1, 2))
+
+    def step(y, lam):
+        y_new = np.linalg.solve(
+            ryy + lam * surface_penalty_matrix(y, dx, dy), ryx)
+        return y_new, float(np.sum(expansion_unfold(y_new - y, n) ** 2))
+
+    flat = g0.ravel()
+    y, report = gated_iterate((0.5 * (flat + flat[::-1]))[:half], step, cfg)
+    return expansion_unfold(y, n).reshape(wl, wm), report
+
+
+@pytest.mark.parametrize("order", [13, 33])
+def test_folded_model_fit_is_the_expansion_fit(order):
+    """The orthonormal fold moves the prefilter's model fit from the fit
+    over E by rounding: FOLD_RTOL."""
+    x = prefilter_input()
+    model = nd.estimate_ar(x, order, order, centrosymmetric=True)
+    assert_near(model.coeffs, expansion_model_fit(x, order))
+
+
+@pytest.mark.parametrize("ridge", [deconv.PREFILTER_RIDGE, SPACE_RIDGE],
+                         ids=["prefilter-ridge", "default-ridge"])
+@pytest.mark.parametrize("size", [5, 9])
+def test_space_solves_are_the_expansion_solves(size, ridge):
+    """Both space solves over the orthonormal fold against their solves
+    over E.  At the prefilter's ridge the systems are well conditioned,
+    and they agree to FOLD_RTOL; at the default ridge the condition
+    number of the folded system reaches 3e10, and they agree to cond *
+    eps, the least-squares solution's sensitivity to rounding (observed:
+    up to 0.08 of it).  The optimizer takes the same steps, reads the
+    same summed squared tap changes at its gate to 1e-4 of the largest
+    (observed: up to 2.3e-6), and stops for the same reason."""
+    x = prefilter_input()
+    h = nd.gaussian_kernel(2.0, size)
+    system = space_system(x, h, ridge)
+    tol = (FOLD_RTOL if ridge == deconv.PREFILTER_RIDGE else
+           np.linalg.cond(fold_gram(system.ryy)) * np.finfo(float).eps)
+    g0 = nd.ipsf_space(x, h, system=system)
+    n = system.ryx.size
+    expected = expansion_unfold(
+        np.linalg.solve(*expansion_system(system.ryy, system.ryx)), n)
+    assert (np.linalg.norm(g0.ravel() - expected)
+            <= tol * np.linalg.norm(expected))
+    g1, report = nd.optimize_ipsf_space(g0, x, h, SPACE_CFG, system=system)
+    g_ref, ref_report = expansion_space_optimizer(g0, system, SPACE_CFG)
+    assert report.iterations >= 1
+    assert (report.iterations, report.stop_reason) == (
+        ref_report.iterations, ref_report.stop_reason)
+    sizes, ref_sizes = report.residual_trace, ref_report.residual_trace
+    assert np.abs(sizes - ref_sizes).max() <= 1e-4 * ref_sizes.max()
+    assert np.linalg.norm(g1 - g_ref) <= tol * np.linalg.norm(g_ref)
 
 
 def test_prefilter_stencil_and_response_are_centrosymmetric(monkeypatch):

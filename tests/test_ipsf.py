@@ -8,12 +8,13 @@ import pytest
 
 import nsdeblur as nd
 from conftest import (SPACE_CFG, center_share, centrosymmetric_grids,
-                      noisy_case_image, shifted_taps)
+                      noisy_case_image, orthonormal_fold, shifted_taps)
 from nsdeblur import ipsf
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, DimensionError, InputError
-from nsdeblur.grid import (correlation_lags, fold_system, full_convolutions,
-                           normalize_kernel, unfold, window_gram)
+from nsdeblur.grid import (correlation_lags, fold, fold_gram,
+                           full_convolutions, normalize_kernel, unfold,
+                           window_gram)
 from nsdeblur.ipsf import difference_maps, space_system
 from nsdeblur.psf import surface_penalty_matrix
 from nsdeblur.surface import surface_area
@@ -21,7 +22,8 @@ from nsdeblur.surface import surface_area
 
 def constrained_solve(matrix, rhs):
     """E (E^T A E)^-1 E^T b: the solve over centrosymmetric taps, with E
-    the dense expansion rather than the fold's slices."""
+    the dense expansion rather than the fold's slices or its orthonormal
+    rows."""
     e = centrosymmetric_grids(1, len(rhs))
     return e @ np.linalg.solve(e.T @ matrix @ e, e.T @ rhs)
 
@@ -56,8 +58,9 @@ def wide_basis():
 
 @pytest.mark.parametrize("case", ["gaussian_case", "motion_case", "wide"])
 def test_spectral_data_are_the_dense_products(case, request, monkeypatch):
-    """The full convolutions m0 of ipsf_spectral, over the fold's rows when
-    K reaches their number and over the squared grids otherwise, and the
+    """The full convolutions m0 of ipsf_spectral, over the rows of the
+    dense even fold Q when K reaches their number and over the squared
+    grids otherwise, and the
     optimizer's Gram m0 m0^T and anchor m0[:, N // 2], against the
     products with the shifted-taps reference, to 1e-14 of the largest
     entry; the inverse kernel against the one solved from the dense m0,
@@ -91,7 +94,7 @@ def test_spectral_data_are_the_dense_products(case, request, monkeypatch):
             reference).max()
 
     n, k = h.size, basis.null_dim
-    span = basis.fold if k >= (n + 1) // 2 else basis.squared_flat.T
+    span = orthonormal_fold(n) if k >= (n + 1) // 2 else basis.squared_flat.T
     assert np.array_equal(grids.reshape(len(span), n), span)
     assert np.array_equal(squared, basis.squared_basis)
     taps = shifted_taps(h, *h.shape)
@@ -242,7 +245,7 @@ def test_ipsf_space_takes_no_centrosymmetric_switch(gaussian_case):
 def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
     each solve used to build for itself, and ipsf_space solves it folded
-    (grid.fold_system, checked against the dense expansion in
+    (grid.fold_gram and grid.fold, checked against the dense fold in
     test_fold).  The "ridge" case is as large as the mean diagonal
     entry.  The "pinv" case is a noisy, well-conditioned image, once
     solved by pseudo-inverse: it takes the default ridge too."""
@@ -260,7 +263,7 @@ def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
     assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
     assert system.ryy.tobytes() == summed.tobytes()
     assert system.ryx.tobytes() == ryx.tobytes()
-    folded = unfold(np.linalg.solve(*fold_system(summed, ryx)), n)
+    folded = unfold(np.linalg.solve(fold_gram(summed), fold(ryx)), n)
     assert g.tobytes() == folded.reshape(wl, wm).tobytes()
 
 
@@ -415,12 +418,13 @@ def dense_penalty(g, wl, wm):
 @pytest.mark.parametrize("wl, wm", [(17, 17), (13, 13), (9, 9), (17, 9),
                                     (3, 5)])
 def test_difference_operators_match_matrix_products(wl, wm):
-    """The difference operators on the centrosymmetric taps, the folded
+    """The difference operators on the folded taps, the
     :func:`difference_maps`, are the first ceil(wl*wm/2) rows of the dense
-    differences times the dense expansion E of the fold, exactly: every
-    entry is a sum of two of 0, +-0.5 and +-1.  The dense rows are exactly
-    odd under the rotation, with a zero centre row."""
-    e = centrosymmetric_grids(wl, wm)
+    differences times Q^T, for the dense even fold Q, exactly: every
+    entry is a sum of two of 0, +-0.5 and +-1 times one of sqrt(1/2) and
+    1.  The dense rows are exactly odd under the rotation, with a zero
+    centre row."""
+    e = orthonormal_fold(wl * wm).T
     half = e.shape[1]
     for got, dense in zip(difference_maps(wl, wm), dense_differences(wl, wm)):
         full = dense @ e
@@ -432,9 +436,9 @@ def test_difference_operators_match_matrix_products(wl, wm):
 
 def test_difference_operators_match_gradient():
     """The maps applied to the folded taps are np.gradient of the unfolded
-    grid, on its first ceil(35/2) taps."""
+    grid Q^T y, on its first ceil(35/2) taps."""
     y = np.random.default_rng(2).random(18)
-    g = unfold(y, 35).reshape(5, 7)
+    g = (orthonormal_fold(35).T @ y).reshape(5, 7)
     dx, dy = difference_maps(5, 7)
     np.testing.assert_allclose(dx @ y, np.gradient(g, axis=0).ravel()[:18],
                                atol=1e-12)
@@ -499,6 +503,28 @@ def test_space_solves_return_centrosymmetric_taps(case):
     assert rep.iterations >= 1
     for g in (g0, g1):
         assert np.array_equal(g, g[::-1, ::-1])
+
+
+@pytest.mark.parametrize("case", ["estimated", "random"])
+def test_optimize_space_reads_the_centrosymmetric_part_of_its_start(case):
+    """The optimizer starts from the fold of g0, which drops g0's
+    antisymmetric part exactly: from an asymmetric g0 it returns, to
+    1e-14 relative, what it returns from g0's centrosymmetric part, with
+    the same steps and stop reason."""
+    img, h = (estimated_case(nd.texture((40, 40), seed=0))
+              if case == "estimated" else random_case())
+    system = space_system(img, h)
+    g0 = nd.ipsf_space(img, h, system=system)
+    noise = np.random.default_rng(8).standard_normal(g0.shape)
+    g0 = g0 + 0.1 * np.abs(g0).max() * noise
+    assert not np.allclose(g0, g0[::-1, ::-1])
+    runs = [nd.optimize_ipsf_space(start, img, h, SPACE_CFG, system=system)
+            for start in (g0, 0.5 * (g0 + g0[::-1, ::-1]))]
+    (g1, rep1), (g2, rep2) = runs
+    assert rep1.iterations >= 1
+    assert (rep1.iterations, rep1.stop_reason) == (rep2.iterations,
+                                                   rep2.stop_reason)
+    assert np.linalg.norm(g1 - g2) <= 1e-14 * np.linalg.norm(g2)
 
 
 def test_penalty_matrix_is_rotation_equivariant():
