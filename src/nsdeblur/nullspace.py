@@ -6,9 +6,9 @@ small-eigenvalue ("null") side spans the kernels compatible with the blur.
 B is read from the stencil's autocorrelation, not from A, and it is
 unchanged by a 180-degree rotation of the tap grid, so it is diagonalised
 as its even and odd folds (:func:`nsdeblur.grid.fold_gram`), two blocks
-of about half its size, one of even and one of odd eigenvectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): every
-eigenvector is exactly even or odd, and every squared grid exactly
-centrosymmetric.
+of about half its size (Cantoni & Butler, Linear Algebra Appl. 13, 1976):
+every eigenvector is exactly even or odd, and every squared grid exactly
+centrosymmetric.  Only the null side, where the PSF is sought, is kept.
 The split threshold is half the leading eigenvalue, snapped to the largest
 adjacent spectral gap below it.  Null-side dimension shrinks as blur grows,
 but it also moves with the image alone, so it is no blur-severity readout
@@ -42,29 +42,24 @@ _RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CnsBasis:
-    """Orthonormal eigenbasis of the operator Gram matrix with the
-    eigen/null split index.
+    """Null side of the operator Gram matrix's eigensystem: every
+    eigenvalue, the eigen/null split index and the K eigenvectors past it.
 
-    ``vectors[:, split:]`` span the null side; ``squared_basis[j]`` is the
-    elementwise square of null vector j reshaped to the l x m kernel grid
-    (the building blocks every kernel estimate is expanded in).
+    ``squared_basis[j]`` is the elementwise square of null vector j
+    reshaped to the l x m kernel grid (the building blocks every kernel
+    estimate is expanded in).
     """
 
     l: int
     m: int
     eigenvalues: np.ndarray   # (l*m,), descending
-    vectors: np.ndarray       # (l*m, l*m), orthonormal columns
     split: int
+    null_vectors: np.ndarray   # (l*m, K), orthonormal columns, column-major
     squared_basis: np.ndarray  # (K, l, m), K = l*m - split
 
     @property
     def null_dim(self) -> int:
         return self.eigenvalues.size - self.split
-
-    @property
-    def null_vectors(self) -> np.ndarray:
-        """(l*m, K) eigenvector columns spanning the null side."""
-        return self.vectors[:, self.split:]
 
     @property
     def null_gap(self) -> float:
@@ -140,14 +135,14 @@ def operator_gram(op: OperatorMatrix) -> np.ndarray:
 
 
 def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
-    """Eigendecompose A A^T and locate the eigen/null split.
+    """Eigendecompose A A^T, locate the eigen/null split, keep the null side.
 
     B = :func:`operator_gram` is folded by the orthonormal even and odd
     folds of the tap grid (:func:`nsdeblur.grid.fold_gram`), ceil(l*m/2)
     and floor(l*m/2) square (l*m is odd).  Each block is diagonalised on
-    its own, the eigenvalues merged in descending order, and each
-    eigenvector unfolded (:func:`nsdeblur.grid.unfold`) into an exactly
-    even or odd column.
+    its own, the eigenvalues merged in descending order, and only the
+    eigenvectors past the split unfolded (:func:`nsdeblur.grid.unfold`),
+    each into an exactly even or odd column.
 
     ``force_single`` keeps only the single smallest-eigenvalue vector on
     the null side (the high-order denoising mode).
@@ -159,21 +154,21 @@ def compute_cns(op: OperatorMatrix, force_single: bool = False) -> CnsBasis:
     w_even, v_even = np.linalg.eigh(even)
     w_odd, v_odd = np.linalg.eigh(odd)
     del even, odd
-    order = np.argsort(-np.concatenate((w_even, w_odd)), kind="stable")
-    lam = np.concatenate((w_even, w_odd))[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    at_even, at_odd = rank[:w_even.size], rank[w_even.size:]
-    # column-major: on another layout the kernel estimate's BLAS products
-    # round differently
-    vectors = np.empty((n, n), order="F")
-    vectors[:, at_even] = unfold(v_even.T, n).T
-    vectors[:, at_odd] = unfold(v_odd.T, n, odd=True).T
+    lam = np.concatenate((w_even, w_odd))
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
     if lam[0] <= 1e-12:
         raise DegenerateOperatorError(
             f"operator Gram matrix is numerically zero (lambda_1={lam[0]:.3e})")
     split = n - 1 if force_single else max(_pick_split(lam), n - MAX_NULL_DIM)
-    null = vectors[:, split:].T             # C-ordered (K, l*m)
-    squared = (null * null).reshape(n - split, op.l, op.m)
-    return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, vectors=vectors,
-                    split=split, squared_basis=squared)
+    picks = order[split:]
+    from_even = picks < w_even.size
+    # column-major: on another layout the kernel estimate's BLAS products
+    # round differently
+    null = np.empty((n, n - split), order="F")
+    null[:, from_even] = unfold(v_even[:, picks[from_even]].T, n).T
+    null[:, ~from_even] = unfold(
+        v_odd[:, picks[~from_even] - w_even.size].T, n, odd=True).T
+    squared = (null * null).T.reshape(n - split, op.l, op.m)
+    return CnsBasis(l=op.l, m=op.m, eigenvalues=lam, split=split,
+                    null_vectors=null, squared_basis=squared)

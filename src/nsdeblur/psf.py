@@ -55,8 +55,9 @@ def gradient_moments(image, l: int, m: int, region=None
     ``region`` (top, left, rows, cols), both (l*m) x (l*m).  The gradient
     is taken with a one-pixel halo, so it is the whole image's gradient
     on the region; the default region is the image's
-    :func:`nsdeblur.grid.statistics_region`.  It reads no basis, so it
-    can run beside the model fit."""
+    :func:`nsdeblur.grid.statistics_region` for the l x m window, not the
+    model's region that :func:`nsdeblur.pipeline.estimate_kernels`
+    passes.  It reads no basis, so it can run beside the model fit."""
     img = np.asarray(image, dtype=np.float64)
     if img.shape[0] < 2 * l + 1 or img.shape[1] < 2 * m + 1:
         raise DimensionError(
@@ -80,7 +81,8 @@ def gradient_stats(image, basis: CnsBasis,
     diag(V^T (Gram . J) V) + diag(V^T S V)^2, with V the null vectors and
     S the shift-average matrix of the gradient field (sign(0) is +1).
     ``moments`` is ``gradient_moments(image, basis.l, basis.m)``, computed
-    here when not given."""
+    here when not given: over the kernel's default region, not the
+    model's region the pipeline passes."""
     if moments is None:
         moments = gradient_moments(image, basis.l, basis.m)
     gram, shift_average = moments

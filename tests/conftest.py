@@ -17,7 +17,8 @@ from scipy.signal import convolve2d
 
 import nsdeblur as nd
 from nsdeblur.config import OptimizerConfig, format_report
-from nsdeblur.grid import as_kernel
+from nsdeblur.grid import as_kernel, fold_gram, unfold
+from nsdeblur.nullspace import MAX_NULL_DIM, _pick_split, operator_gram
 from nsdeblur.synth import _LUMA_EPS
 
 
@@ -154,6 +155,36 @@ def shifted_taps(taps, l, m):
         for s_k in range(m):
             mat[s_i, s_k, s_i:s_i + a, s_k:s_k + b] = taps
     return mat.reshape(l * m, -1)
+
+
+def dense_eigensystem(op):
+    """numpy's eigh of the dense product A A^T, built from
+    :func:`shifted_taps`: eigenvalues ascending, eigenvectors in columns."""
+    mat = shifted_taps(op.stencil, op.l, op.m)
+    return np.linalg.eigh(mat @ mat.T)
+
+
+def full_unfold_null_side(op, force_single=False):
+    """(null vectors, squared grids) as ``compute_cns`` assembled them
+    when it unfolded every eigenvector: the blocks' eigenvalues merged in
+    descending order, each eigenvector unfolded into the column of its
+    rank of an l*m x l*m column-major matrix, and the columns past the
+    split sliced off it."""
+    n = op.l * op.m
+    gram = operator_gram(op)
+    w_even, v_even = np.linalg.eigh(fold_gram(gram))
+    w_odd, v_odd = np.linalg.eigh(fold_gram(gram, odd=True))
+    order = np.argsort(-np.concatenate((w_even, w_odd)), kind="stable")
+    lam = np.concatenate((w_even, w_odd))[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    vectors = np.empty((n, n), order="F")
+    vectors[:, rank[:w_even.size]] = unfold(v_even.T, n).T
+    vectors[:, rank[w_even.size:]] = unfold(v_odd.T, n, odd=True).T
+    split = n - 1 if force_single else max(_pick_split(lam),
+                                           n - MAX_NULL_DIM)
+    null = vectors[:, split:].T
+    return vectors[:, split:], (null * null).reshape(n - split, op.l, op.m)
 
 
 def embed(kernel, l, m):

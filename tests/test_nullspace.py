@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nsdeblur as nd
-from conftest import ar_texture, shifted_taps, smooth_stencil
+from conftest import (ar_texture, dense_eigensystem, full_unfold_null_side,
+                      shifted_taps, smooth_stencil)
 from nsdeblur.armodel import ArModel, OperatorMatrix
 from nsdeblur.errors import DegenerateOperatorError
 from nsdeblur.nullspace import MAX_NULL_DIM, _pick_split, operator_gram
@@ -53,20 +54,30 @@ def test_eigenvalues_match_squared_singulars():
                                rtol=1e-8, atol=1e-10)
 
 
+def assert_null_side_eigenpairs(basis, gram, tol):
+    """The null vectors are orthonormal to ``tol`` and are eigenvectors
+    of ``gram`` with the eigenvalues past the split:
+    ||B V - V Lambda|| <= tol ||B||."""
+    vecs, lam = basis.null_vectors, basis.eigenvalues[basis.split:]
+    assert vecs.shape == (gram.shape[0], basis.null_dim)
+    assert np.abs(vecs.T @ vecs - np.eye(basis.null_dim)).max() <= tol
+    assert (np.linalg.norm(gram @ vecs - vecs * lam)
+            <= tol * np.linalg.norm(gram))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_eigenbasis_rebuilds_operator_gram(seed):
-    """Eigenvalues descend, the vectors are orthonormal, and together they
-    rebuild A A^T and its trace."""
+    """Eigenvalues descend and sum to the trace of A A^T, and the null
+    vectors are orthonormal eigenvectors of A A^T with the eigenvalues
+    past the split."""
     op = random_operator(seed, 7, 7)
     basis = nd.compute_cns(op)
     mat = shifted_taps(op.stencil, op.l, op.m)
     gram = mat @ mat.T
-    lam, vecs = basis.eigenvalues, basis.vectors
+    lam = basis.eigenvalues
     assert np.all(np.diff(lam) <= 0.0)
-    assert np.abs(vecs.T @ vecs - np.eye(25)).max() < 1e-10
-    recon = vecs @ np.diag(lam) @ vecs.T
-    assert np.linalg.norm(recon - gram) <= 1e-8 * np.linalg.norm(gram)
     assert np.sum(lam) == pytest.approx(np.trace(gram), rel=1e-8)
+    assert_null_side_eigenpairs(basis, gram, 1e-10)
 
 
 #: (p, q, l, m) of the operators the Gram and eigensystem tests run on:
@@ -100,36 +111,48 @@ def test_operator_gram_is_the_product(p, q, l, m, fitted):
 @pytest.mark.parametrize("p, q, l, m", SHAPES)
 def test_eigensystem_matches_the_full_eigh(p, q, l, m, fitted):
     """Against numpy's eigh of the dense A A^T: eigenvalues to 1e-13
-    lambda_1; the vectors are orthonormal and rebuild A A^T to 1e-13; every
-    vector is exactly even or odd under the rotation, so every squared
-    grid is exactly centrosymmetric."""
+    lambda_1; the null vectors are column-major, orthonormal to 1e-13 and
+    eigenvectors of A A^T to 1e-13 ||A A^T||; every null vector is exactly
+    even or odd under the rotation, so every squared grid is exactly
+    centrosymmetric."""
     op = fitted_operator(p, q, l, m) if fitted else random_operator(
         p * q + l, p, q, l, m)
-    basis = nd.compute_cns(op, force_single=True)
+    basis = nd.compute_cns(op)
     mat = shifted_taps(op.stencil, op.l, op.m)
-    dense = mat @ mat.T
-    lam = np.linalg.eigh(dense)[0][::-1]
+    lam = dense_eigensystem(op)[0][::-1]
     assert np.abs(basis.eigenvalues - lam).max() <= 1e-13 * lam[0]
-    vecs, n = basis.vectors, l * m
+    vecs = basis.null_vectors
     assert vecs.flags.f_contiguous
-    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-13
-    recon = (vecs * basis.eigenvalues) @ vecs.T
-    assert np.linalg.norm(recon - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert_null_side_eigenpairs(basis, mat @ mat.T, 1e-13)
     rotated = vecs[::-1]
     even = (vecs == rotated).all(axis=0)
     odd = (vecs == -rotated).all(axis=0)
     assert (even | odd).all()
-    assert even.sum() == (n + 1) // 2
-    squared = nd.compute_cns(op).squared_basis
+    squared = basis.squared_basis
     assert np.array_equal(squared, squared[:, ::-1, ::-1])
+
+
+@pytest.mark.parametrize("force_single", [False, True],
+                         ids=["split", "single"])
+@pytest.mark.parametrize("fitted", [False, True], ids=["random", "fitted"])
+@pytest.mark.parametrize("p, q, l, m", SHAPES)
+def test_null_side_is_the_full_unfold(p, q, l, m, fitted, force_single):
+    """The null vectors and squared grids are bit for bit those sliced off
+    the full unfolded eigenvector matrix, and as column-major."""
+    op = fitted_operator(p, q, l, m) if fitted else random_operator(
+        p * q + l, p, q, l, m)
+    basis = nd.compute_cns(op, force_single=force_single)
+    null, squared = full_unfold_null_side(op, force_single)
+    assert basis.null_vectors.flags.f_contiguous
+    assert np.array_equal(basis.null_vectors, null)
+    assert np.array_equal(basis.squared_basis, squared)
 
 
 def product_split(op):
     """The split as compute_cns took it from numpy's eigh of the dense
     product A A^T, with its floored gap ratio and the squared smallest
     eigenvector (the prefilter's kernel)."""
-    mat = shifted_taps(op.stencil, op.l, op.m)
-    lam, vecs = np.linalg.eigh(mat @ mat.T)
+    lam, vecs = dense_eigensystem(op)
     lam = lam[::-1]
     split = max(_pick_split(lam), lam.size - MAX_NULL_DIM)
     floored = np.maximum(lam, 1e-12 * lam[0])
@@ -169,8 +192,9 @@ def test_basis_orthonormal_and_squares_nonnegative():
     img = nd.texture((96, 96), seed=17)
     basis = nd.compute_cns(
         nd.build_operator(nd.estimate_ar(img, 9, 9), 5, 5))
-    ortho = basis.vectors.T @ basis.vectors
-    assert np.abs(ortho - np.eye(25)).max() < 1e-10
+    vecs = basis.null_vectors
+    assert vecs.shape == (25, basis.null_dim)
+    assert np.abs(vecs.T @ vecs - np.eye(basis.null_dim)).max() < 1e-10
     assert basis.squared_basis.min() >= 0.0
     assert 1 <= basis.split < 25
 
@@ -207,8 +231,7 @@ def test_true_kernel_in_left_null_side():
     hvec = h_true.ravel()
     resid = np.linalg.norm(hvec @ mat)
     assert resid <= 0.05 * np.linalg.norm(hvec) * np.linalg.norm(mat)
-    # the eigen-side projection carries little of the kernel's energy
-    basis = nd.compute_cns(op)
-    eigen_side = basis.vectors[:, :basis.split]
-    proj = eigen_side.T @ hvec
-    assert np.sum(proj ** 2) <= 0.10 * np.sum(hvec ** 2)
+    # the null-side projection carries most of the kernel's energy (the
+    # basis is orthonormal, so the eigen side carries at most a tenth)
+    proj = nd.compute_cns(op).null_vectors.T @ hvec
+    assert np.sum(proj ** 2) >= 0.90 * np.sum(hvec ** 2)
