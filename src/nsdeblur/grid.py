@@ -10,14 +10,15 @@ cached-spectrum FFT path, and an exact shift for a one-tap kernel.
 The package's one worker thread lives here too.  :func:`_beside` runs one
 task on it while the calling thread runs another: the kernel estimate
 computes the gradient moments beside the AR fit and its null basis, and
-the image optimizers run half of each iterate's independent work beside
-the other half.  numpy's FFTs, ufuncs and BLAS calls release the GIL, so
-on two cores the halves overlap.  Every stage that ``pipeline`` and
-``deconv`` call through their own namespaces runs on the calling thread,
-so a tracer wrapping those names sees one call stack; the worker runs
-only plain array work, none of which submits to the worker.  Every result
-is bit for bit that of serial evaluation: each half is the same sequence
-of operations on its own buffers, wherever it runs.
+the image optimizers run each iterate on the lower rows of the image
+beside the upper rows.  numpy's FFTs, ufuncs and BLAS calls release the
+GIL, so on two cores the halves overlap.  Every stage that a tracer
+wraps at ``pipeline``'s and ``deconv``'s names runs on the calling thread,
+so the tracer sees one call stack; the worker runs only plain array work
+(the gradient moments, and the optimizers' filters and curvature passes),
+none of which submits to the worker.  Every result is bit for bit that of
+serial evaluation: each half is the same sequence of operations on its
+own buffers, wherever it runs.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ def replicate_filter(kernel, shape: tuple[int, int]
     returns the image unchanged.
 
     The returned function reuses its work buffers between calls (it is
-    not reentrant) and returns a new array each time.  Its argument is not
-    validated: validate once where the image enters.
+    not reentrant) and returns a new array each time, or writes into
+    ``out`` and returns it; ``out`` may be the image itself.  Its argument
+    is not validated: validate once where the image enters.
     """
     k = as_kernel(kernel)
     check_fits(k.shape, shape)
@@ -170,7 +172,7 @@ def replicate_filter(kernel, shape: tuple[int, int]
         w = float(k[a, b])
         source = np.ix_(np.clip(np.arange(a - rl, a - rl + rows), 0, rows - 1),
                         np.clip(np.arange(b - rm, b - rm + cols), 0, cols - 1))
-        return lambda image: image[source] * w
+        return lambda image, out=None: np.multiply(image[source], w, out=out)
     pad_r, pad_c = rows + 2 * rl, cols + 2 * rm
     size = (_fast_len(pad_r), _fast_len(pad_c))
     spectrum = _padded_rfft2(k[::-1, ::-1], size)
@@ -182,7 +184,8 @@ def replicate_filter(kernel, shape: tuple[int, int]
     body = padded[:pad_r, :pad_c]           # the edge-padded image
     work = np.empty(spectrum.shape, dtype=complex)
 
-    def apply(image: np.ndarray) -> np.ndarray:
+    def apply(image: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
         body[rl:rl + rows, rm:rm + cols] = image
         body[:rl, rm:rm + cols] = image[0]
         body[rl + rows:, rm:rm + cols] = image[-1]
@@ -195,10 +198,14 @@ def replicate_filter(kernel, shape: tuple[int, int]
         np.multiply(work, spectrum, out=work)
         np.fft.ifft(work, axis=0, out=work)
         np.fft.irfft(work, n=size[1], axis=1, out=padded)
-        result = padded[2 * rl:2 * rl + rows, 2 * rm:2 * rm + cols].copy()
+        crop = padded[2 * rl:2 * rl + rows, 2 * rm:2 * rm + cols]
+        if out is None:
+            out = crop.copy()
+        else:
+            out[...] = crop
         padded[pad_r:] = 0.0
         padded[:pad_r, pad_c:] = 0.0
-        return result
+        return out
 
     return apply
 

@@ -10,12 +10,12 @@ affine grids have exact slopes everywhere, quadratics have exact second
 derivatives, and the pointwise curvature tracks the true gradient of the
 discrete functional on smooth grids ("x" is the row axis).
 
-The pointwise operators run over row slabs of about :data:`SLAB_BYTES` per
-array (64 rows at 512 columns), so that each slab's intermediate fields
-stay in cache.  Each slab is evaluated with a halo of the rows its
-differences reach (two for the curvature, one for the metric) and its own
-rows are kept, so the result is bit for bit that of the whole field at
-once.
+The curvature runs over row slabs of about :data:`SLAB_BYTES` per array
+(64 rows at 512 columns), so that each slab's intermediate fields stay in
+cache.  Each slab is evaluated with a halo of the two rows its differences
+reach and its own rows are kept, so the result is bit for bit that of the
+whole field at once.  The same pass gives the metric determinant from the
+same derivative fields (:func:`curvature_fields`).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import DimensionError
 from .grid import as_image
 
-#: Bytes of one float64 row slab of the pointwise operators.  The
-#: curvature keeps five slab fields live; at 256 KB each they fit a 2 MB
-#: L2 cache, where whole 512 x 512 fields (2 MB each) do not.
+#: Bytes of one float64 row slab of the curvature, which keeps five slab
+#: fields live; at 256 KB each they fit a 2 MB L2 cache, where whole
+#: 512 x 512 fields (2 MB each) do not.
 SLAB_BYTES = 1 << 18
 
 
@@ -53,17 +53,19 @@ def _first_derivatives(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _diff(grid, 0), _diff(grid, 1)
 
 
-def _by_slabs(block, g: np.ndarray, halo: int) -> np.ndarray:
-    """``block(g)``, evaluated slab by slab: ``block`` applied to each slab
-    with ``halo`` rows on either side (fewer at the field's edges), and
-    the slab's own rows kept."""
+def _by_slabs(block, g: np.ndarray, halo: int, count: int
+              ) -> tuple[np.ndarray, ...]:
+    """The ``count`` fields of ``block(g)``, evaluated slab by slab:
+    ``block`` applied to each slab with ``halo`` rows on either side
+    (fewer at the field's edges), and the slab's own rows kept."""
     rows = g.shape[0]
     step = _slab_rows(g.shape[1])
-    out = np.empty(g.shape)
+    out = tuple(np.empty(g.shape) for _ in range(count))
     for a in range(0, rows, step):
         b = min(a + step, rows)
         lo, hi = max(a - halo, 0), min(b + halo, rows)
-        out[a:b] = block(g[lo:hi])[a - lo:b - lo]
+        for whole, part in zip(out, block(g[lo:hi])):
+            whole[a:b] = part[a - lo:b - lo]
     return out
 
 
@@ -76,12 +78,12 @@ def surface_area(grid) -> float:
 
 
 def metric_determinant(grid) -> np.ndarray:
-    """Pointwise 1 + Sx^2 + Sy^2 (always >= 1), by row slabs."""
+    """Pointwise 1 + Sx^2 + Sy^2 (always >= 1)."""
     g = as_image(grid)
     if g.shape[0] < 2 or g.shape[1] < 2:
         raise DimensionError(
             f"metric_determinant needs a >=2x2 grid, got {g.shape}")
-    return _by_slabs(_metric_block, g, 1)
+    return _metric_block(g)
 
 
 def _metric_block(g: np.ndarray) -> np.ndarray:
@@ -104,10 +106,20 @@ def curvature_operator(grid) -> np.ndarray:
     if g.shape[0] < 3 or g.shape[1] < 3:
         raise DimensionError(
             f"curvature_operator needs a >=3x3 grid, got {g.shape}")
-    return _by_slabs(_curvature_block, g, 2)
+    return curvature_fields(g)[0]
 
 
-def _curvature_block(g: np.ndarray) -> np.ndarray:
+def curvature_fields(g: np.ndarray, metric: bool = False
+                     ) -> tuple[np.ndarray, ...]:
+    """(:func:`curvature_operator`,) of ``g``, by row slabs, and with
+    ``metric`` its :func:`metric_determinant` after it, bit for bit, from
+    the same derivative fields.  Unchecked: ``g`` must be a finite 2D
+    float64 array of at least 3 x 3; validate once where it enters."""
+    return _by_slabs(lambda slab: _curvature_block(slab, metric), g, 2,
+                     1 + metric)
+
+
+def _curvature_block(g: np.ndarray, metric: bool) -> tuple[np.ndarray, ...]:
     sx, sy = _first_derivatives(g)
     sxx, syy, sxy = _diff(sx, 0), _diff(sy, 1), _diff(sy, 0)
     sxy *= sx
@@ -116,6 +128,8 @@ def _curvature_block(g: np.ndarray) -> np.ndarray:
     sx *= sx
     sx += 1.0                           # 1 + Sx^2
     sy *= sy
+    # (1 + Sx^2) + Sy^2, as metric_determinant rounds it
+    fields = (sx + sy,) if metric else ()
     sy += 1.0                           # 1 + Sy^2
     sxx *= sy
     syy *= sx
@@ -126,4 +140,4 @@ def _curvature_block(g: np.ndarray) -> np.ndarray:
     root = np.sqrt(sigma, out=sxy)
     root *= sigma                       # sigma^(3/2)
     sxx /= root
-    return sxx
+    return (sxx,) + fields

@@ -254,6 +254,23 @@ def test_one_tap_kernel_is_the_shifted_image(image_shape, kshape, tap):
     assert not np.shares_memory(first, apply(image))
 
 
+@pytest.mark.parametrize("taps", [1, 81], ids=["one-tap", "dense"])
+def test_filter_writes_into_out(taps):
+    """With ``out``, a filter returns ``out`` holding the bits it returns
+    without, also when ``out`` is the image itself."""
+    rng = np.random.default_rng(45)
+    image = rng.random((30, 41))
+    kernel = np.zeros((9, 9))
+    kernel.flat[rng.choice(81, taps, replace=False)] = rng.random(taps)
+    apply = replicate_filter(kernel, image.shape)
+    expected = apply(image)
+    out = np.empty(image.shape)
+    assert apply(image, out) is out
+    np.testing.assert_array_equal(out, expected)
+    assert apply(image, image) is image
+    np.testing.assert_array_equal(image, expected)
+
+
 def test_gradient_of_constant_is_zero():
     out = gradient(np.full((6, 6), 3.0))
     np.testing.assert_array_equal(out, np.zeros((6, 6)))

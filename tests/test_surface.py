@@ -170,3 +170,16 @@ def slab_cases():
 def test_slabs_match_whole_field(name, g):
     np.testing.assert_array_equal(curvature_operator(g), whole_curvature(g))
     np.testing.assert_array_equal(metric_determinant(g), whole_metric(g))
+
+
+@pytest.mark.parametrize("shape", [(3, 512), (4, 512), (65, 512), (130, 512),
+                                   (517, 300)])
+def test_one_pass_gives_curvature_and_metric(shape):
+    """The curvature pass's metric determinant and curvature are those of
+    the two operators bit for bit, across slab boundaries (64 rows at 512
+    columns, 109 at 300)."""
+    g = np.random.default_rng(shape[0]).standard_normal(shape)
+    curv, metric = surface.curvature_fields(g, metric=True)
+    np.testing.assert_array_equal(curv, curvature_operator(g))
+    np.testing.assert_array_equal(metric, metric_determinant(g))
+    np.testing.assert_array_equal(surface.curvature_fields(g)[0], curv)
