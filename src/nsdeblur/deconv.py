@@ -34,7 +34,7 @@ from .grid import (_beside, as_image, as_kernel, check_fits, convolve,
                    normalize_kernel, replicate_filter, statistics_region)
 from .ipsf import ipsf_space, space_system
 from .nullspace import compute_cns
-from .surface import curvature_fields
+from .surface import CURVATURE_REACH, curvature_fields
 # perfbench's tracer wraps these two at this module, so they stay bound
 # (tests/test_benchmark_contract.py); the optimizers call neither
 from .surface import curvature_operator, metric_determinant  # noqa: F401
@@ -53,14 +53,12 @@ def deconvolve_once(image, kernel) -> np.ndarray:
 class _Part:
     """The image rows ``rows`` of an image optimizer's iterate, evaluated
     on the ``slab`` of rows that reaches a halo past each cut: ``own``
-    are its rows within the slab, ``shape`` the slab's shape, and
-    ``filters`` the :func:`replicate_filter` of h and of g, built for
-    that shape."""
+    are its rows within the slab, and ``filters`` the
+    :func:`replicate_filter` of h and of g, built for the slab's shape."""
 
     rows: slice
     slab: slice
     own: slice
-    shape: tuple[int, int]
     filters: tuple
 
 
@@ -83,7 +81,7 @@ def _parts(x: np.ndarray, h, g, halo) -> list[_Part]:
         lo, hi = max(top - reach, 0), min(bottom + reach, rows)
         shape = (hi - lo, cols)
         parts.append(_Part(slice(top, bottom), slice(lo, hi),
-                           slice(top - lo, bottom - lo), shape,
+                           slice(top - lo, bottom - lo),
                            tuple(replicate_filter(k, shape)
                                  for k in kernels)))
     return parts
@@ -199,16 +197,16 @@ def bvdr_optimize(image, h, g, cfg: OptimizerConfig | None = None
     Every convolution goes through one :func:`replicate_filter` per kernel
     and part.
 
-    Per iterate each row part (:func:`_parts`; halo max(rh, rg + 2)
-    rows, for the curvature's two rows under g, or for h) filters its
-    slab and takes its curvature and its partial sums of the weight; the
-    caller forms the weight, and each part then takes its rows of the
-    step.
+    Per iterate each row part (:func:`_parts`; halo max(rh, rg + reach)
+    rows, for the curvature's :data:`CURVATURE_REACH` under g, or for h)
+    filters its slab and takes its curvature and its partial sums of the
+    weight; the caller forms the weight, and each part then takes its
+    rows of the step.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
     bound = float(np.mean(x ** 2))
-    parts = _parts(x, h, g, lambda rh, rg: max(rh, rg + 2))
+    parts = _parts(x, h, g, lambda rh, rg: max(rh, rg + CURVATURE_REACH))
 
     def filtered(part, s):
         """(conv(s, h), conv(reg, g), conv(|reg|, g)) on the part's rows,
@@ -270,21 +268,23 @@ def cs_optimize(image, h, g, cfg: OptimizerConfig | None = None
     optimizer does.  Every convolution goes through one
     :func:`replicate_filter` per kernel and part.
 
-    Each row part (:func:`_parts`; halo rg + max(rh, 2) rows, as g
-    reads the residual under h and the curvature, two rows deep) runs the
-    whole iterate on its slab, the curvature and metric determinant from
-    one pass (:func:`curvature_fields`), and returns its partial sums of
-    the step size, the dt bound and the mean weight.
+    Each row part (:func:`_parts`; halo rg + max(rh, reach) rows, as g
+    reads the residual under h and the curvature, whose reach is
+    :data:`CURVATURE_REACH` rows) runs the whole iterate on its slab, the
+    curvature and metric determinant from one pass
+    (:func:`curvature_fields`), and returns its partial sums of the step
+    size, the dt bound and the mean weight.
     """
     cfg = cfg or OptimizerConfig()
     x = as_image(image)
     bound = float(np.mean(x ** 2))
-    parts = _parts(x, h, g, lambda rh, rg: rg + max(rh, 2))
+    parts = _parts(x, h, g, lambda rh, rg: rg + max(rh, CURVATURE_REACH))
     lambdas: list[float] = []
     dt_bounds: list[float] = []
 
     # per part, the residual and the weight: each iterate reuses them
-    work = [(np.empty(part.shape), np.empty(part.shape)) for part in parts]
+    work = [(np.empty_like(x[part.slab]), np.empty_like(x[part.slab]))
+            for part in parts]
 
     def advance(part, buffers, s, out):
         h_filter, g_filter = part.filters

@@ -72,12 +72,12 @@ def optimize_ipsf_spectral(g0, h, basis: CnsBasis,
 
 @dataclass(frozen=True)
 class SpaceSystem:
-    """Space-route regression system on the wl x wm tap grid, with its
-    stabilizing ridge already on the diagonal of ``ryy``.  Both arrays are
-    read-only, so one system can serve several solves."""
+    """Space-route regression system on the even fold Q of the wl x wm tap
+    grid (:func:`nsdeblur.grid.fold`), its ridge already on the diagonal.
+    Both arrays are read-only, so one system can serve several solves."""
 
-    ryy: np.ndarray     # (wl*wm, wl*wm) window statistics + ridge * I
-    ryx: np.ndarray     # (wl*wm,) products with the window centers
+    ryy: np.ndarray     # Q (window statistics + ridge * I) Q^T
+    ryx: np.ndarray     # Q (products with the window centers)
     ridge: float        # the ridge on the diagonal, always > 0
     wl: int
     wm: int
@@ -85,8 +85,8 @@ class SpaceSystem:
 
 def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
                  region=None) -> SpaceSystem:
-    """Build the space-route system once, for the primary solve and the
-    optimizer alike; the one place its ridge is chosen.
+    """Build and fold the space-route system once, for the primary solve
+    and the optimizer alike; the one place its ridge is chosen.
 
     The system holds the accumulated products of re-degraded-image windows
     against the original's window centers, over ``region`` (top, left,
@@ -97,7 +97,9 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
     ridge is ``ridge_relative``
     (finite and > 0) times trace/rows of the window statistics, so the
     fitted taps do not depend on the image's scale.  It goes on the
-    diagonal in place: ``ryy + ridge * I`` bit for bit.  A system with
+    diagonal in place: ``ryy + ridge * I`` bit for bit.  Only the fold
+    (:func:`nsdeblur.grid.fold_gram`) is kept, taken once the region's
+    arrays are released.  A system with
     zero trace (an all-zero image) has no usable ridge and raises
     DegenerateKernelError.
     """
@@ -114,18 +116,19 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
             "space-route inverse")
     view, inner = region_with_halo(x, region, (l // 2, m // 2))
     y = convolve(view, hk)[inner]
-    x = view[inner]
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
-    centers = x[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
+    centers = view[inner][l - 1:l - 1 + ni, m - 1:m - 1 + nk]
     # ryx[a, b] = sum_{i,k} centers[i, k] y[i+a, k+b]
     ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
     ryy = window_gram(y, wl, wm)
+    del view, x, y, centers
     n, trace = ryy.shape[0], float(np.trace(ryy))
     if not trace > 0.0:
         raise DegenerateKernelError(
             "space-route system has zero trace: all-zero image")
     ridge = ridge_relative * trace / n
     ryy.flat[::n + 1] += ridge
+    ryy, ryx = fold_gram(ryy), fold(ryx)
     ryy.flags.writeable = ryx.flags.writeable = False
     return SpaceSystem(ryy=ryy, ryx=ryx, ridge=ridge, wl=wl, wm=wm)
 
@@ -137,16 +140,28 @@ def ipsf_space(image, h, system: SpaceSystem | None = None) -> np.ndarray:
     centrosymmetric taps, g[i, k] = g[wl-1-i, wm-1-k], that map
     re-degraded windows back to the observed centers: g = Q^T z for the
     orthonormal even fold Q of the taps, with z one LU solve of the
-    folded normal equations Q R_YY Q^T z = Q r_YX
-    (:func:`nsdeblur.grid.fold_gram`, :func:`nsdeblur.grid.fold`),
-    ceil(wl*wm/2) unknowns, on which the ridge * I is the same penalty
-    ridge * ||g||^2.  ``system``, the :func:`space_system` of (image, h)
-    that carries the ridge, skips the build; without it the default
-    ridge applies.
+    folded normal equations Q R_YY Q^T z = Q r_YX, the system as
+    :func:`space_system` folded it, ceil(wl*wm/2) unknowns, on which the
+    ridge * I is the same penalty ridge * ||g||^2.  ``system``, the
+    :func:`space_system` of (image, h) that carries the ridge, skips the
+    build; without it the default ridge applies.  A system built for
+    another kernel size raises DimensionError.
     """
-    system = system or space_system(image, h)
-    z = np.linalg.solve(fold_gram(system.ryy), fold(system.ryx))
-    return unfold(z, system.ryx.size).reshape(system.wl, system.wm)
+    system = _system_for(image, h, system)
+    z = np.linalg.solve(system.ryy, system.ryx)
+    return unfold(z, system.wl * system.wm).reshape(system.wl, system.wm)
+
+
+def _system_for(image, h, system: SpaceSystem | None) -> SpaceSystem:
+    """``system`` if it was built for h's size, else DimensionError; the
+    :func:`space_system` of (image, h) when none is given."""
+    if system is None:
+        return space_system(image, h)
+    l, m = as_kernel(h).shape
+    if (system.wl, system.wm) != (2 * l - 1, 2 * m - 1):
+        raise DimensionError(f"system {(system.wl, system.wm)} was built "
+                             f"for another kernel than {(l, m)}")
+    return system
 
 
 def difference_maps(wl: int, wm: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,24 +184,23 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
                         ) -> tuple[np.ndarray, RunReport]:
     """Surface-regularized refinement of the space-route inverse over
     centrosymmetric taps g = Q^T z, from the fold z = Q g0, the fold of
-    g0's centrosymmetric part.  The system is folded once per call, as
-    in :func:`ipsf_space`, and each step solves
-    (Q R_YY Q^T + lambda * P(z)) z_next = Q r_YX, with R_YY carrying the
-    system's ridge and P the spectral optimizers'
+    g0's centrosymmetric part.  Each step solves
+    (Q R_YY Q^T + lambda * P(z)) z_next = Q r_YX on the system as
+    :func:`space_system` folded it, with R_YY carrying the system's ridge
+    and P the spectral optimizers'
     :func:`nsdeblur.psf.surface_penalty_matrix` on the
-    :func:`difference_maps`; ``system`` is as there.  Q^T has orthonormal
-    columns, so the gate reads the summed squared tap change as
-    sum (z_next - z)^2.  The weight is gated and halved as in the
-    spectral optimizers; if no weight passes, the start is returned with
-    a gate-failed report."""
+    :func:`difference_maps`; ``system`` is as in :func:`ipsf_space`.
+    Q^T has orthonormal columns, so the gate reads the summed squared tap
+    change as sum (z_next - z)^2.  The weight is gated and halved as in
+    the spectral optimizers; if no weight passes, the start is returned
+    with a gate-failed report."""
     cfg = cfg or OptimizerConfig()
     g_init = as_image(g0)          # (2l-1) x (2m-1) tap grid, any sign
-    system = system or space_system(image, h)
-    wl, wm, n = system.wl, system.wm, system.ryx.size
+    system = _system_for(image, h, system)
+    wl, wm, ryy, ryx = system.wl, system.wm, system.ryy, system.ryx
     if g_init.shape != (wl, wm):
         raise DimensionError(
             f"initial taps {g_init.shape} do not match system {(wl, wm)}")
-    ryy, ryx = fold_gram(system.ryy), fold(system.ryx)
     dx, dy = difference_maps(wl, wm)
 
     def step(z, lam):
@@ -200,4 +214,4 @@ def optimize_ipsf_space(g0, image, h, cfg: OptimizerConfig | None = None,
         return z_new, float(np.sum((z_new - z) ** 2))
 
     z, report = gated_iterate(fold(g_init.ravel()), step, cfg)
-    return unfold(z, n).reshape(wl, wm), report
+    return unfold(z, wl * wm).reshape(wl, wm), report

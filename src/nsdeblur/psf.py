@@ -82,10 +82,15 @@ def gradient_stats(image, basis: CnsBasis,
     S the shift-average matrix of the gradient field (sign(0) is +1).
     ``moments`` is ``gradient_moments(image, basis.l, basis.m)``, computed
     here when not given: over the kernel's default region, not the
-    model's region the pipeline passes."""
+    model's region the pipeline passes.  Moments that are not (l*m) x
+    (l*m) for the basis raise DimensionError."""
     if moments is None:
         moments = gradient_moments(image, basis.l, basis.m)
     gram, shift_average = moments
+    n = basis.l * basis.m
+    if not np.shape(gram) == np.shape(shift_average) == (n, n):
+        raise DimensionError(f"moments are not {n} x {n}, as basis "
+                             f"{(basis.l, basis.m)} needs")
     cross = gram[:, ::-1]                      # columns reversed: Gram . J
     v_ns = basis.null_vectors
     d = (np.diag(v_ns.T @ cross @ v_ns)

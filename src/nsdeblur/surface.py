@@ -12,10 +12,10 @@ discrete functional on smooth grids ("x" is the row axis).
 
 The curvature runs over row slabs of about :data:`SLAB_BYTES` per array
 (64 rows at 512 columns), so that each slab's intermediate fields stay in
-cache.  Each slab is evaluated with a halo of the two rows its differences
-reach and its own rows are kept, so the result is bit for bit that of the
-whole field at once.  The same pass gives the metric determinant from the
-same derivative fields (:func:`curvature_fields`).
+cache.  Each slab is evaluated with a halo of the :data:`CURVATURE_REACH`
+rows its differences reach and its own rows are kept, so the result is bit
+for bit that of the whole field at once.  The same pass gives the metric
+determinant from the same derivative fields (:func:`curvature_fields`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .grid import as_image
+
+#: Rows on either side of a point that its curvature reads: the second
+#: differences are central differences of central differences.
+CURVATURE_REACH = 2
 
 #: Bytes of one float64 row slab of the curvature, which keeps five slab
 #: fields live; at 256 KB each they fit a 2 MB L2 cache, where whole
@@ -115,8 +119,8 @@ def curvature_fields(g: np.ndarray, metric: bool = False
     ``metric`` its :func:`metric_determinant` after it, bit for bit, from
     the same derivative fields.  Unchecked: ``g`` must be a finite 2D
     float64 array of at least 3 x 3; validate once where it enters."""
-    return _by_slabs(lambda slab: _curvature_block(slab, metric), g, 2,
-                     1 + metric)
+    return _by_slabs(lambda slab: _curvature_block(slab, metric), g,
+                     CURVATURE_REACH, 1 + metric)
 
 
 def _curvature_block(g: np.ndarray, metric: bool) -> tuple[np.ndarray, ...]:

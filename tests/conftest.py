@@ -17,7 +17,8 @@ from scipy.signal import convolve2d
 
 import nsdeblur as nd
 from nsdeblur.config import OptimizerConfig, format_report
-from nsdeblur.grid import as_kernel, fold_gram, unfold
+from nsdeblur.grid import (as_kernel, correlation_lags, fold_gram, unfold,
+                           window_gram)
 from nsdeblur.nullspace import MAX_NULL_DIM, _pick_split, operator_gram
 from nsdeblur.synth import _LUMA_EPS
 
@@ -91,6 +92,25 @@ def noisy_case_image(case):
     is well conditioned, yet takes the default ridge like any other."""
     rng = np.random.default_rng(5)
     return case.blurred + 0.1 * rng.standard_normal(case.blurred.shape)
+
+
+def unfolded_space_system(image, h, ridge=0.0, region=None):
+    """The space-route system before ``ipsf.space_system`` folds it,
+    rebuilt from the grid primitives: the Gram of the (2l-1) x (2m-1)
+    windows of the image re-degraded by h and cut to ``region`` (top,
+    left, rows, cols; by default the whole image), with ``ridge`` added to
+    its diagonal in place, and those windows' products with the
+    original's window centres."""
+    l, m = h.shape
+    wl, wm = 2 * l - 1, 2 * m - 1
+    top, left, rows, cols = region or (0, 0, *image.shape)
+    cut = (slice(top, top + rows), slice(left, left + cols))
+    y = nd.convolve(image, h)[cut]
+    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
+    centers = image[cut][l - 1:l - 1 + ni, m - 1:m - 1 + nk]
+    ryy = window_gram(y, wl, wm)
+    ryy.flat[::ryy.shape[0] + 1] += ridge
+    return ryy, correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
 
 
 def centrosymmetric_grids(l, m):

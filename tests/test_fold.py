@@ -19,7 +19,8 @@ import nsdeblur as nd
 import nsdeblur.deconv as deconv
 import nsdeblur.psf as psf
 from conftest import (CORPUS_SEED, SPACE_CFG, centrosymmetric_grids,
-                      fold_pairs_blocks, orthonormal_fold)
+                      fold_pairs_blocks, orthonormal_fold,
+                      unfolded_space_system)
 from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
 from nsdeblur.config import OptimizerConfig, gated_iterate
 from nsdeblur.fileio import quantize
@@ -338,13 +339,17 @@ def test_folded_model_fit_is_the_constrained_solve(order):
 @pytest.mark.parametrize("size", [7, 17], ids=["13x13", "33x33"])
 def test_folded_response_is_the_constrained_solve(size):
     """The response over g[t] = g[n-1-t], from the dense expansion of the
-    ridged system; its ridge * I needs no change to fold."""
+    unfolded ridged system, whose fold the system is bit for bit; its
+    ridge * I needs no change to fold."""
     x = prefilter_input()
     kernel = nd.gaussian_kernel(2.0, size)
     system = space_system(x, kernel, ridge_relative=deconv.PREFILTER_RIDGE)
+    ryy, ryx = unfolded_space_system(x, kernel, system.ridge)
+    assert system.ryy.tobytes() == fold_gram(ryy).tobytes()
+    assert system.ryx.tobytes() == fold(ryx).tobytes()
     g = nd.ipsf_space(x, kernel, system=system)
     e = centrosymmetric_grids(2 * size - 1, 2 * size - 1)
-    expected = e @ np.linalg.solve(e.T @ system.ryy @ e, e.T @ system.ryx)
+    expected = e @ np.linalg.solve(e.T @ ryy @ e, e.T @ ryx)
     assert_near(g.ravel(), expected)
 
 
@@ -389,14 +394,15 @@ def expansion_model_fit(image, order):
     return expansion_unfold(half, n).reshape(order, order)
 
 
-def expansion_space_optimizer(g0, system, cfg):
+def expansion_space_optimizer(g0, matrix, rhs, cfg):
     """The space-route optimizer over the first ceil(n/2) taps y of
-    g = E y: its system and derivative maps folded by E, its start the
-    first taps of g0's centrosymmetric part, its gate reading the summed
-    squared change of the unfolded taps."""
-    wl, wm, n = system.wl, system.wm, system.ryx.size
+    g = E y: the unfolded system (``matrix``, ``rhs``) and the derivative
+    maps folded by E, its start the first taps of g0's centrosymmetric
+    part, its gate reading the summed squared change of the unfolded
+    taps."""
+    (wl, wm), n = g0.shape, rhs.size
     half = (n + 1) // 2
-    ryy, ryx = expansion_system(system.ryy, system.ryx)
+    ryy, ryx = expansion_system(matrix, rhs)
     grids = expansion_unfold(np.eye(half), n).reshape(-1, wl, wm)
     dx, dy = ((np.gradient(grids, axis=axis) if grids.shape[axis] > 1
                else np.zeros_like(grids)).reshape(half, n)[:, :half].T
@@ -432,20 +438,23 @@ def test_space_solves_are_the_expansion_solves(size, ridge):
     eps, the least-squares solution's sensitivity to rounding (observed:
     up to 0.08 of it).  The optimizer takes the same steps, reads the
     same summed squared tap changes at its gate to 1e-4 of the largest
-    (observed: up to 2.3e-6), and stops for the same reason."""
+    (observed: up to 2.3e-6), and stops for the same reason.  The
+    system is the fold of the unfolded reference bit for bit."""
     x = prefilter_input()
     h = nd.gaussian_kernel(2.0, size)
     system = space_system(x, h, ridge)
+    ryy, ryx = unfolded_space_system(x, h, system.ridge)
+    assert system.ryy.tobytes() == fold_gram(ryy).tobytes()
+    assert system.ryx.tobytes() == fold(ryx).tobytes()
     tol = (FOLD_RTOL if ridge == deconv.PREFILTER_RIDGE else
-           np.linalg.cond(fold_gram(system.ryy)) * np.finfo(float).eps)
+           np.linalg.cond(system.ryy) * np.finfo(float).eps)
     g0 = nd.ipsf_space(x, h, system=system)
-    n = system.ryx.size
     expected = expansion_unfold(
-        np.linalg.solve(*expansion_system(system.ryy, system.ryx)), n)
+        np.linalg.solve(*expansion_system(ryy, ryx)), ryx.size)
     assert (np.linalg.norm(g0.ravel() - expected)
             <= tol * np.linalg.norm(expected))
     g1, report = nd.optimize_ipsf_space(g0, x, h, SPACE_CFG, system=system)
-    g_ref, ref_report = expansion_space_optimizer(g0, system, SPACE_CFG)
+    g_ref, ref_report = expansion_space_optimizer(g0, ryy, ryx, SPACE_CFG)
     assert report.iterations >= 1
     assert (report.iterations, report.stop_reason) == (
         ref_report.iterations, ref_report.stop_reason)

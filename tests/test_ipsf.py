@@ -8,13 +8,13 @@ import pytest
 
 import nsdeblur as nd
 from conftest import (SPACE_CFG, center_share, centrosymmetric_grids,
-                      noisy_case_image, orthonormal_fold, shifted_taps)
+                      noisy_case_image, orthonormal_fold, shifted_taps,
+                      unfolded_space_system)
 from nsdeblur import ipsf
 from nsdeblur.config import OptimizerConfig
 from nsdeblur.errors import DegenerateKernelError, DimensionError, InputError
-from nsdeblur.grid import (correlation_lags, fold, fold_gram,
-                           full_convolutions, normalize_kernel, unfold,
-                           window_gram)
+from nsdeblur.grid import (fold, fold_gram, full_convolutions,
+                           normalize_kernel, unfold)
 from nsdeblur.ipsf import difference_maps, space_system
 from nsdeblur.psf import surface_penalty_matrix
 from nsdeblur.surface import surface_area
@@ -26,19 +26,6 @@ def constrained_solve(matrix, rhs):
     rows."""
     e = centrosymmetric_grids(1, len(rhs))
     return e @ np.linalg.solve(e.T @ matrix @ e, e.T @ rhs)
-
-
-def unridged_system(image, h):
-    """The space-route statistics before the ridge, rebuilt from the grid
-    primitives: the Gram of the re-degraded image's (2l-1) x (2m-1)
-    windows and their products with the original's window centers."""
-    l, m = h.shape
-    wl, wm = 2 * l - 1, 2 * m - 1
-    y = nd.convolve(image, h)
-    ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
-    centers = image[l - 1:l - 1 + ni, m - 1:m - 1 + nk]
-    ryx = correlation_lags(centers, y, rows=wl)[:, :wm].ravel()
-    return window_gram(y, wl, wm), ryx, wl, wm
 
 
 @pytest.fixture(scope="module")
@@ -243,28 +230,63 @@ def test_ipsf_space_takes_no_centrosymmetric_switch(gaussian_case):
     ("default-ridge", {}), ("ridge", {"ridge_relative": 1.0}),
     ("relative-ridge", {"ridge_relative": 1e-2}), ("pinv", {})])
 def test_space_system_adds_the_ridge_in_place(path, kwargs, gaussian_case):
-    """The shared system is ``ryy + ridge * I`` bit for bit, the matrix
-    each solve used to build for itself, and ipsf_space solves it folded
-    (grid.fold_gram and grid.fold, checked against the dense fold in
-    test_fold).  The "ridge" case is as large as the mean diagonal
-    entry.  The "pinv" case is a noisy, well-conditioned image, once
-    solved by pseudo-inverse: it takes the default ridge too."""
+    """The shared system is the fold (grid.fold_gram and grid.fold,
+    checked against the dense fold in test_fold) of ``ryy + ridge * I``,
+    the matrix each solve used to build for itself, bit for bit, and
+    ipsf_space solves it.  The "ridge" case is as large as the mean
+    diagonal entry.  The "pinv" case is a noisy, well-conditioned image,
+    once solved by pseudo-inverse: it takes the default ridge too."""
     h = gaussian_case.psf
     x = (noisy_case_image(gaussian_case) if path == "pinv"
          else gaussian_case.blurred)
-    ryy, ryx, wl, wm = unridged_system(x, h)
+    ryy, ryx = unfolded_space_system(x, h)
     trace, n = float(np.trace(ryy)), ryy.shape[0]
+    wl, wm = 2 * h.shape[0] - 1, 2 * h.shape[1] - 1
     ridge = {"default-ridge": 1e-8 * trace / n, "ridge": trace / n,
              "relative-ridge": 1e-2 * trace / n,
              "pinv": 1e-8 * trace / n}[path]
     system = space_system(x, h, **kwargs)
     g = nd.ipsf_space(x, h, system=system)
-    summed = ryy + ridge * np.eye(n)
+    summed = fold_gram(ryy + ridge * np.eye(n))
     assert system.ridge == ridge and (system.wl, system.wm) == (wl, wm)
     assert system.ryy.tobytes() == summed.tobytes()
-    assert system.ryx.tobytes() == ryx.tobytes()
-    folded = unfold(np.linalg.solve(fold_gram(summed), fold(ryx)), n)
+    assert system.ryx.tobytes() == fold(ryx).tobytes()
+    folded = unfold(np.linalg.solve(summed, fold(ryx)), n)
     assert g.tobytes() == folded.reshape(wl, wm).tobytes()
+
+
+@pytest.mark.parametrize("size", [5, 9])
+def test_space_system_holds_only_its_fold(size, gaussian_case):
+    """Every array reachable from a SpaceSystem, through its fields and
+    their bases, holds at most ceil(n/2)^2 + ceil(n/2) floats for the
+    n = (2l-1)(2m-1) taps: the fold, and no n x n Gram."""
+    system = space_system(gaussian_case.blurred, nd.gaussian_kernel(1.0, size))
+    half = (system.wl * system.wm + 1) // 2
+    owners = {}
+    for field in dataclasses.fields(system):
+        a = getattr(system, field.name)
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            owners[id(a)] = a.size
+    assert system.ryy.shape == (half, half) and system.ryx.shape == (half,)
+    assert sum(owners.values()) <= half * half + half
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, h, g0, system: nd.ipsf_space(x, h, system=system),
+    lambda x, h, g0, system: nd.optimize_ipsf_space(g0, x, h,
+                                                    system=system),
+], ids=["ipsf_space", "optimize_ipsf_space"])
+def test_space_solves_refuse_a_system_for_another_kernel(solve,
+                                                         gaussian_case):
+    """A system built for a 5 x 5 kernel, given with a 9 x 9 one, is a
+    DimensionError, not a 9 x 9 inverse of the wrong statistics."""
+    x, h5 = gaussian_case.blurred, nd.gaussian_kernel(1.0, 5)
+    system = space_system(x, h5)
+    g0 = nd.ipsf_space(x, h5, system=system)
+    with pytest.raises(DimensionError, match="another kernel"):
+        solve(x, nd.gaussian_kernel(1.0, 9), g0, system)
 
 
 def test_space_system_is_read_only(gaussian_case):
@@ -317,7 +339,8 @@ def pinv_space_inverse(image, h):
     system's smallest eigenvalue was above 1e-8 of its largest.  It is
     taken of the system folded by the dense expansion E, as the inverse
     is now sought over centrosymmetric taps."""
-    ryy, ryx, wl, wm = unridged_system(image, h)
+    ryy, ryx = unfolded_space_system(image, h)
+    wl, wm = 2 * h.shape[0] - 1, 2 * h.shape[1] - 1
     eigvals = np.linalg.eigvalsh(ryy)
     assert eigvals[0] > 1e-8 * eigvals[-1], "case never took the pinv path"
     e = centrosymmetric_grids(wl, wm)
@@ -362,9 +385,12 @@ def test_default_ridge_matches_the_pseudo_inverse(case, request):
 
 def check_space_cross_correlation(image, h):
     """The FFT cross-correlation against the window centers equals the
-    accumulated window-times-center products."""
+    accumulated window-times-center products, and the system holds its
+    fold bit for bit."""
     system = space_system(image, h)
-    ryx, wl, wm = system.ryx, system.wl, system.wm
+    _, ryx = unfolded_space_system(image, h)
+    assert system.ryx.tobytes() == fold(ryx).tobytes()
+    wl, wm = system.wl, system.wm
     y = nd.convolve(image, h)
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = image[h.shape[0] - 1:h.shape[0] - 1 + ni,
@@ -482,10 +508,10 @@ def test_optimize_space_one_step_matches_dense_oracle():
     g0 = nd.ipsf_space(img, h)
     cfg = OptimizerConfig(lambda0=1e-3, max_iters=1, eps=1e-300, theta=1.0)
     g1, rep = nd.optimize_ipsf_space(g0, img, h, cfg)
-    ryy, ryx, wl, wm = unridged_system(img, h)
+    ryy, ryx = unfolded_space_system(img, h)
     ryy[np.diag_indices_from(ryy)] += 1e-8 * np.trace(ryy) / ryy.shape[0]
-    system = ryy + 1e-3 * dense_penalty(g0.ravel(), wl, wm)
-    ref = constrained_solve(system, ryx).reshape(wl, wm)
+    system = ryy + 1e-3 * dense_penalty(g0.ravel(), *g0.shape)
+    ref = constrained_solve(system, ryx).reshape(g0.shape)
     np.testing.assert_allclose(g1, ref, atol=1e-8)
 
 

@@ -66,6 +66,14 @@ def test_image_too_small_rejected(small_basis):
         nd.gradient_stats(np.ones((8, 8)), small_basis)
 
 
+def test_gradient_stats_refuses_moments_of_another_size(small_basis):
+    """Moments for a 3 x 3 kernel, given with a 5 x 5 basis, are a
+    DimensionError, not numpy's untyped ValueError."""
+    img = nd.texture((96, 96), seed=22)
+    with pytest.raises(DimensionError, match="moments"):
+        nd.gradient_stats(img, small_basis, gradient_moments(img, 3, 3))
+
+
 def test_estimate_is_normalized_and_in_span(small_basis):
     img = nd.texture((96, 96), seed=24)
     h = nd.estimate_psf(nd.gradient_stats(img, small_basis), small_basis)

@@ -11,9 +11,9 @@ import pytest
 import nsdeblur as nd
 import nsdeblur.grid as grid
 import nsdeblur.psf as psf
-from conftest import embed, estimate_bits, ncc
-from nsdeblur.grid import (WINDOW_BUDGET, gradient, region_with_halo,
-                           statistics_region, window_gram)
+from conftest import embed, estimate_bits, ncc, unfolded_space_system
+from nsdeblur.grid import (WINDOW_BUDGET, fold_gram, gradient,
+                           region_with_halo, statistics_region, window_gram)
 from nsdeblur.ipsf import space_system
 
 BLURS = {"gaussian": nd.gaussian_kernel(1.0, 5),
@@ -83,16 +83,14 @@ def test_gradient_moments_take_the_whole_image_gradient():
 def test_space_system_re_degrades_the_region_with_its_halo():
     """The region's re-degraded values are the whole image's, to rounding:
     the system over a region matches the one built from the whole image's
-    re-degraded copy cut to that region."""
+    re-degraded copy cut to that region, folded."""
     image = nd.texture((300, 300), seed=4)
     h = embed(nd.gaussian_kernel(1.0, 5), 7, 7)
     region = (14, 0, 256, 290)
     system = space_system(image, h, region=region)
-    top, left, rows, cols = region
-    y = nd.convolve(image, h)[top:top + rows, left:left + cols]
-    expected = window_gram(y, 13, 13)
-    ryy = system.ryy - system.ridge * np.eye(169)
-    np.testing.assert_allclose(ryy, expected, rtol=0,
+    expected = fold_gram(
+        unfolded_space_system(image, h, system.ridge, region)[0])
+    np.testing.assert_allclose(system.ryy, expected, rtol=0,
                                atol=1e-12 * np.abs(expected).max())
 
 
