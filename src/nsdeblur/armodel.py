@@ -54,17 +54,6 @@ class OperatorMatrix:
         return self.stencil.shape[1]
 
 
-def default_fit_region(image_shape: tuple[int, int], p: int, q: int,
-                       region: tuple[int, int, int, int] | None = None
-                       ) -> tuple[int, int, int, int]:
-    """Square window (top, left, rows, cols) used for the fit: of side
-    min(side of ``region``, max(2*p*q, 64)), centred in ``region``, the
-    whole image by default."""
-    top, left, rows, cols = region or (0, 0, *image_shape)
-    side = min(rows, cols, max(2 * p * q, 64))
-    return top + (rows - side) // 2, left + (cols - side) // 2, side, side
-
-
 def _check_order(p: int, q: int) -> None:
     if p < 1 or q < 1 or p % 2 == 0 or q % 2 == 0:
         raise DimensionError(f"model orders must be odd and >= 1, got {p}x{q}")
@@ -78,11 +67,10 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     p*q - 1 coefficients solve the resulting normal equations, with a
     small trace-relative ridge guarding near-singular texture; a region
     whose windows are zero off their centre gets no ridge and raises
-    DegenerateOperatorError.  ``region`` is an optional (top, left, rows,
-    cols) window; the default is a square of side min(region side,
-    max(2*p*q, 64)) centred in the image's
+    DegenerateOperatorError.  The fit reads every window of ``region``
+    (top, left, rows, cols), by default the image's
     :func:`nsdeblur.grid.statistics_region`, which is the whole image up
-    to 256 x 256.
+    to 336 x 336.
 
     ``centrosymmetric``, set by the prefilter only (folded, the default
     fit scored worse on the acceptance corpus; see the README), constrains
@@ -97,8 +85,7 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     img = as_image(image)
     _check_order(p, q)
     if region is None:
-        region = default_fit_region(img.shape, p, q,
-                                    statistics_region(img, p, q))
+        region = statistics_region(img)
     top, left, rows, cols = region
     if (top < 0 or left < 0 or top + rows > img.shape[0]
             or left + cols > img.shape[1]):

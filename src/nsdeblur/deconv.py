@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armodel import build_operator, default_fit_region, estimate_ar
+from .armodel import build_operator, estimate_ar
 from .config import OptimizerConfig, RunReport, iterate, make_report
 from .errors import DeblurError
 from .grid import (_beside, as_image, as_kernel, check_fits, convolve,
@@ -338,15 +338,13 @@ def denoise_prefilter(image, order: int = 33, size: int = 17
     of the LU work.  No free block is copied out of the fit's Gram: on a
     256 x 256 image the prefilter's traced allocations peak at about
     14.4 MiB, the 9.5 MB Gram and the folded 545 x 545 system with its
-    work copies.  Both fits read one :func:`nsdeblur.grid.statistics_region`
-    of the order x order window, the whole image up to 352 x 352 at order
-    33; the filter is applied to the whole image.
+    work copies.  Both fits read all of one
+    :func:`nsdeblur.grid.statistics_region`, the whole image up to
+    336 x 336; the filter is applied to the whole image.
     """
     x = as_image(image)
-    region = statistics_region(x, order, order)
-    model = estimate_ar(x, order, order,
-                        default_fit_region(x.shape, order, order, region),
-                        centrosymmetric=True)
+    region = statistics_region(x)
+    model = estimate_ar(x, order, order, region, centrosymmetric=True)
     basis = compute_cns(build_operator(model, size, size), force_single=True)
     kernel = normalize_kernel(basis.squared_basis[0])
     response = ipsf_space(x, kernel, system=space_system(

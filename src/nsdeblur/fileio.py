@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 
 import numpy as np
 
@@ -18,22 +19,17 @@ from .errors import DimensionError, InputError
 from .grid import to_luminance
 
 
+#: A PGM header token, or a # comment to the end of its line.  Bytes
+#: ``\s`` matches the six characters ``bytes.isspace`` does.
+_TOKEN = re.compile(rb"#[^\r\n]*|\S+")
+
+
 def _tokens(data: bytes):
-    """PGM header tokenizer: whitespace-separated, # comments to EOL."""
-    pos = 0
-    n = len(data)
-    while pos < n:
-        if data[pos:pos + 1].isspace():
-            pos += 1
-            continue
-        if data[pos:pos + 1] == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace():
-            pos += 1
-        yield data[start:pos], pos
+    """PGM header tokenizer: (token, end offset) pairs, whitespace
+    separated, # comments to EOL skipped."""
+    for match in _TOKEN.finditer(data):
+        if not match.group().startswith(b"#"):
+            yield match.group(), match.end()
 
 
 def _number(tok: bytes) -> int:

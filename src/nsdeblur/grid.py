@@ -221,9 +221,10 @@ def gradient(image) -> np.ndarray:
     return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1] + p[1:-1, 2:] - p[1:-1, :-2])
 
 
-#: Window positions that a window statistic of the kernel estimate reads
-#: at most (:func:`statistics_region`).
-WINDOW_BUDGET = 320 * 320
+#: Side of the centred square over which the kernel estimate reads every
+#: window statistic (:func:`statistics_region`): 320 x 320 windows of the
+#: default 17 x 17 model.
+REGION_SIDE = 336
 
 #: Share of the whole image's median tile gradient energy below which a
 #: bounded region's median tile counts as flat (:func:`statistics_region`).
@@ -245,19 +246,20 @@ def _tile_energies(x: np.ndarray, stride: int = 1) -> np.ndarray:
     return bands[:, :tw * t].reshape(th, tw, t).sum(axis=2) / (t * t)
 
 
-def bounded_shape(shape: tuple[int, int], p: int, q: int) -> tuple[int, int]:
+def bounded_shape(shape: tuple[int, int]) -> tuple[int, int]:
     """(rows, cols) of a centred :func:`statistics_region` of an image of
-    ``shape``: each side at most sqrt(WINDOW_BUDGET) + max(p, q) - 1."""
-    side = math.isqrt(WINDOW_BUDGET) + max(p, q) - 1
-    return min(shape[0], side), min(shape[1], side)
+    ``shape``: each side at most REGION_SIDE."""
+    return min(shape[0], REGION_SIDE), min(shape[1], REGION_SIDE)
 
 
-def statistics_region(image, p: int, q: int) -> tuple[int, int, int, int]:
+def statistics_region(image) -> tuple[int, int, int, int]:
     """Region (top, left, rows, cols) over which the kernel estimate reads
-    the window statistics of a p x q window: the whole image when each
-    side is at most sqrt(WINDOW_BUDGET) + max(p, q) - 1 (336 at 17 x 17),
-    so any image of at most 256 x 256; else the centred rectangle of that
-    side (the image's own where shorter).
+    every window statistic, whatever its window: the model fit, the
+    gradient moments and the space system.  It is the whole image when
+    each side is at most REGION_SIDE (336), so any image of at most
+    336 x 336; else the centred rectangle of that side (the image's own
+    where shorter), which holds 320 x 320 windows of the default 17 x 17
+    model.
 
     A least-squares statistic converges with its number of windows, not
     the image's area: linear prediction's covariance method fits over a
@@ -265,8 +267,8 @@ def statistics_region(image, p: int, q: int) -> tuple[int, int, int, int]:
     estimates read one patch (Fergus et al., SIGGRAPH 2006).  On 48
     blurred 512 x 512 textures, against the whole image, the mean kernel
     NCC changed by -0.0042, -0.0003 and -0.0006 at 256^2, 320^2 and 384^2
-    windows, and the mean one-shot PSNR change rose by 2.8, 2.3 and
-    1.3 dB (CHANGES.md).
+    windows of 17 x 17, and the mean one-shot PSNR change rose by 2.8,
+    2.3 and 1.3 dB (CHANGES.md).
 
     The centred region is checked against the image's content: when the
     median of its 16 x 16 tiles' mean squared gradients is below
@@ -279,7 +281,7 @@ def statistics_region(image, p: int, q: int) -> tuple[int, int, int, int]:
     gave K = 3-5 and NCC -0.71 to 0.54."""
     x = np.asarray(image)
     rows, cols = x.shape
-    h, w = bounded_shape(x.shape, p, q)
+    h, w = bounded_shape(x.shape)
     if (h, w) == (rows, cols):
         return 0, 0, rows, cols
     top, left = (rows - h) // 2, (cols - w) // 2

@@ -91,10 +91,10 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
     The system holds the accumulated products of re-degraded-image windows
     against the original's window centers, over ``region`` (top, left,
     rows, cols), by default the image's
-    :func:`nsdeblur.grid.statistics_region` for the (2l-1) x (2m-1)
-    window.  The region is re-degraded with a halo of the kernel's radius,
-    so it holds the whole image's re-degraded values, to rounding.  Its
-    ridge is ``ridge_relative``
+    :func:`nsdeblur.grid.statistics_region`, the one the model fit reads.
+    The region is re-degraded with a halo of the kernel's radius, so it
+    holds the whole image's re-degraded values, to rounding.  Its ridge
+    is ``ridge_relative``
     (finite and > 0) times trace/rows of the window statistics, so the
     fitted taps do not depend on the image's scale.  It goes on the
     diagonal in place: ``ryy + ridge * I`` bit for bit.  Only the fold
@@ -109,7 +109,7 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
     l, m = hk.shape
     wl, wm = 2 * l - 1, 2 * m - 1
     if region is None:
-        region = statistics_region(x, wl, wm)
+        region = statistics_region(x)
     if region[2] < 4 * l or region[3] < 4 * m:
         raise DimensionError(
             f"region {region} of image {x.shape} too small for a {l}x{m} "

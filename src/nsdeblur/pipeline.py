@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .armodel import ArModel, build_operator, default_fit_region, estimate_ar
+from .armodel import ArModel, build_operator, estimate_ar
 from .config import OptimizerConfig, RunReport, check_integers
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
@@ -30,15 +30,16 @@ IPSF_ROUTES = ("spectral", "space")
 
 #: Bytes the dense matrices of one estimate may take (:func:`dense_bytes`).
 #: On a blurred 512 x 512 texture the 61 x 61 model with a 59 x 59 kernel
-#: counts 0.68 GB and peaks at 585 MB resident, and the 73 x 73 model with
-#: a 71 x 71 kernel 1.37 GB and 1.14 GB (a fresh interpreter, one BLAS
-#: thread): the peak is 0.83-0.86 of the count, and every array live at
+#: counts 0.68 GB and peaks at 610 MB resident, and the 73 x 73 model with
+#: a 71 x 71 kernel 1.36 GB and 1.19 GB (a fresh interpreter, one BLAS
+#: thread): the peak is 0.87-0.90 of the count, and every array live at
 #: the traced peak is counted.  On the space route, which keeps only the
 #: even fold of its system, the traced peak is 51.8 MiB against a count
-#: of 63.7 MiB at 23 x 23 / 21 x 21 on a blurred 256 x 256 texture, and
-#: 106.0 against 140.1 MiB at 33 x 33 / 25 x 25 on 512 x 512.  The
-#: budget refuses larger models before they allocate, with a typed error
-#: instead of numpy's MemoryError part-way through a run.
+#: of 58.3 MiB (0.89) at 23 x 23 / 21 x 21 on a blurred 256 x 256
+#: texture, and 106.4 against 128.1 MiB (0.83) at 33 x 33 / 25 x 25 on
+#: 512 x 512.  The budget refuses larger models before they allocate,
+#: with a typed error instead of numpy's MemoryError part-way through a
+#: run.
 DENSE_BUDGET = 2 << 30
 
 
@@ -88,14 +89,17 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     for an image of ``shape``, counted before any is built: for the model
     fit and, with ``denoise``, the prefilter's, the fit's window Gram with
     its work arrays and solve copy, the eigensystem and the inverse's
-    system (the space system, or the spectral inverse's full convolutions
-    with their transforms, and the rows of the unfolded even fold when K
-    can reach their number); then the gradient moments.  The window
-    statistics are counted over the centred
-    :func:`nsdeblur.grid.statistics_region` of each chain: an image whose
+    system (the space system's window Gram with its work arrays, its even
+    fold with the fold's temporary and the fold's solve copy; or the
+    spectral inverse's full convolutions with their transforms, and the
+    rows of the unfolded even fold when K can reach their number); then
+    the gradient moments.  Every window statistic is counted over the
+    centred :func:`nsdeblur.grid.statistics_region`: an image whose
     centre is flat is read whole, and its work arrays then take
     (rows + cols - h - w) * p * q more for an h x w region."""
-    def system(p, q, h, w):     # p x q window Gram over h x w, LU copy
+    h, w = bounded_shape(shape)
+
+    def system(p, q):           # p x q window Gram, its LU copy
         return 2 * (p * q) ** 2 + (h + w) * p * q
 
     # A A^T and twice its two halves: compute_cns's traced peak, while it
@@ -103,21 +107,22 @@ def dense_bytes(cfg: PipelineConfig, shape: tuple[int, int]) -> int:
     def eigensystem(n):
         return n * n + 2 * (((n + 1) // 2) ** 2 + (n // 2) ** 2)
 
+    def space(n):               # Gram; fold, its temporary, its LU copy
+        return n * n + (h + w) * n + 2 * ((n + 1) // 2) ** 2 + (n // 2) ** 2
+
     def spectral(n, full):      # full_convolutions of K grids; the fold
         fold = n * (n + 1) // 2 if (n + 1) // 2 <= MAX_NULL_DIM else 0
         length = _fast_len(full)
         return fold + min(n, MAX_NULL_DIM) * (2 * (length // 2 + 1) + length)
 
-    def chain(p, q, l, m, space):
-        rows, cols = bounded_shape(shape, p, q)
-        *_, h, w = default_fit_region((rows, cols), p, q)
-        inverse = (system(2 * l - 1, 2 * m - 1, rows, cols) if space
+    def chain(p, q, l, m, space_route):
+        inverse = (space((2 * l - 1) * (2 * m - 1)) if space_route
                    else spectral(l * m, (2 * l - 1) * (2 * m - 1)))
-        return system(p, q, h, w) + eigensystem(l * m) + inverse
+        return system(p, q) + eigensystem(l * m) + inverse
 
     l, m = cfg.psf_l, cfg.psf_m
     total = (chain(cfg.ar_p, cfg.ar_q, l, m, cfg.ipsf_route == "space")
-             + system(l, m, *bounded_shape(shape, cfg.ar_p, cfg.ar_q)))
+             + system(l, m))
     if cfg.denoise:
         o, k = cfg.denoise_order, cfg.denoise_size
         total += chain(o, o, k, k, True)
@@ -142,11 +147,12 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
     """Full estimation chain: (optional prefilter) -> model fit -> basis ->
     kernel estimate and optimization -> inverse kernel and optimization.
     Every window statistic (the model fit, the gradient moments and the
-    space system) reads one :func:`nsdeblur.grid.statistics_region`,
-    found once for the model's window; the fit reads the square of
-    :func:`nsdeblur.armodel.default_fit_region` inside it.  A
-    configuration whose :func:`dense_bytes` exceed DENSE_BUDGET raises
-    DimensionError before anything is built."""
+    space system) reads all of one
+    :func:`nsdeblur.grid.statistics_region`, found once, the region each
+    stage reads by default, so the stages composed with their defaults
+    give this result bit for bit.  A configuration whose
+    :func:`dense_bytes` exceed DENSE_BUDGET raises DimensionError before
+    anything is built."""
     cfg = cfg or PipelineConfig()
     x = as_image(image)
     need = dense_bytes(cfg, x.shape)
@@ -161,12 +167,10 @@ def estimate_kernels(image, cfg: PipelineConfig | None = None
                                                 cfg.denoise_size)
         prefiltered = x
 
-    # one region for every window statistic, sized for the model's window
-    region = statistics_region(x, cfg.ar_p, cfg.ar_q)
+    region = statistics_region(x)
 
     def fit():
-        model = estimate_ar(x, cfg.ar_p, cfg.ar_q, region=default_fit_region(
-            x.shape, cfg.ar_p, cfg.ar_q, region))
+        model = estimate_ar(x, cfg.ar_p, cfg.ar_q, region=region)
         return model, compute_cns(build_operator(model, cfg.psf_l, cfg.psf_m))
 
     # the fit chain runs on the caller, so its error wins over the moments'

@@ -5,10 +5,10 @@ import nsdeblur as nd
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import ar_texture, shifted_taps, smooth_stencil, stencil_sums
-from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
+from nsdeblur.armodel import RIDGE_SCALE
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InsufficientDataError)
-from nsdeblur.grid import window_gram
+from nsdeblur.grid import statistics_region, window_gram
 
 
 def test_white_noise_1x1_model():
@@ -16,7 +16,7 @@ def test_white_noise_1x1_model():
     img = rng.random((64, 64))
     model = nd.estimate_ar(img, 1, 1)
     np.testing.assert_array_equal(model.coeffs, [[1.0]])
-    top, left, side, _ = default_fit_region(img.shape, 1, 1)
+    top, left, side, _ = statistics_region(img)
     region = img[top:top + side, left:left + side]
     assert model.residual == pytest.approx(np.mean(region * region))
 
@@ -25,7 +25,7 @@ def two_pass_fit(image, p, q):
     """Reference fit: normal equations from the free and center columns of
     every window of the default region, then a second pass for the
     residual."""
-    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    top, left, rows, cols = statistics_region(image)
     windows = sliding_window_view(image[top:top + rows, left:left + cols],
                                   (p, q)).reshape(-1, p * q)
     center = (p // 2) * q + q // 2
@@ -54,7 +54,7 @@ def test_one_pass_fit_matches_two_pass_reference(seed, shape, p, q):
 def gathered_fit(image, p, q):
     """The fit with its free block gathered by ``np.ix_`` and the ridge
     added as a separate ``ridge * I``: (coeffs, residual, ridge)."""
-    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    top, left, rows, cols = statistics_region(image)
     gram = window_gram(image[top:top + rows, left:left + cols], p, q)
     center = (p // 2) * q + q // 2
     keep = np.arange(p * q) != center

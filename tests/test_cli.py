@@ -127,8 +127,8 @@ def test_oversized_model_exit_3_before_allocating(tmp_path):
 
 
 def test_dense_budget_admits_the_largest_known_run():
-    """The 61 x 61 model with a 59 x 59 kernel (0.70 GB counted, exit 0,
-    724-743 MB resident) and the denoise + space defaults stay inside the
+    """The 61 x 61 model with a 59 x 59 kernel (0.68 GB counted, exit 0,
+    610 MB resident) and the denoise + space defaults stay inside the
     budget; the space route at 61/59, with its 13689-unknown system, does
     not."""
     big = PipelineConfig(ar_p=61, ar_q=61, psf_l=59, psf_m=59)
@@ -141,28 +141,37 @@ def test_dense_budget_admits_the_largest_known_run():
 def test_dense_bytes_counts_no_operator_matrix():
     """61/59 on 512^2, term by term: the fit's 3721-unknown window Gram
     with its LU copy and (H + W) p q work arrays over the bounded
-    statistics region, 380 = 320 + 61 - 1 on a side; A A^T, then its
+    statistics region, 336 on a side for every model; A A^T, then its
     vectors, plus the even and odd halves with theirs; the spectral
     inverse's full convolutions of K <= 128 grids, their complex
     transforms and real products at the length 13824 >= 117^2; the
     gradient moments over the same region.  Neither the 3481 x 119^2
     operator nor the 3481 x 117^2 shifted-taps matrix is built, and
-    neither is counted.  At the default 17/9 the region is 336 on a side
-    and the fold's 41 x 81 rows are counted too, as K can reach them; at
-    61/59 K cannot reach its 1741."""
-    def count(p, l, grids, length, fold):
+    neither is counted.  At the default 17/9 the fold's 41 x 81 rows are
+    counted too, as K can reach them; at 61/59 K cannot reach its
+    1741.  On the space route the inverse is the 289-tap system's window
+    Gram with its work arrays, its 145-square even fold with the fold's
+    144-square temporary, and the fold's LU copy."""
+    side = 336
+
+    def count(p, l, inverse):
         n, half = l * l, l * l // 2
-        side = 320 + p - 1
         fit = 2 * (p * p) ** 2 + 2 * side * p * p
         eigensystem = n * n + 2 * ((half + 1) ** 2 + half ** 2)
         moments = 2 * n * n + 2 * side * n
-        inverse = grids * (2 * (length // 2 + 1) + length) + fold
         return 8 * (fit + eigensystem + inverse + moments)
 
+    def spectral(grids, length, fold):
+        return grids * (2 * (length // 2 + 1) + length) + fold
+
     big = PipelineConfig(ar_p=61, ar_q=61, psf_l=59, psf_m=59)
-    assert dense_bytes(big, (512, 512)) == count(61, 59, 128, 13824, 0)
+    assert dense_bytes(big, (512, 512)) == count(
+        61, 59, spectral(128, 13824, 0))
     assert dense_bytes(PipelineConfig(), (512, 512)) == count(
-        17, 9, 81, 300, 41 * 81)
+        17, 9, spectral(81, 300, 41 * 81))
+    space = 289 ** 2 + 2 * side * 289 + 2 * 145 ** 2 + 144 ** 2
+    assert dense_bytes(PipelineConfig(ipsf_route="space"),
+                       (512, 512)) == count(17, 9, space)
 
 
 def test_synth_even_gaussian_size_exit_2(workdir, capsys):

@@ -7,8 +7,8 @@ import nsdeblur as nd
 from conftest import byte_mutants
 from nsdeblur.config import format_report, make_report
 from nsdeblur.errors import InputError
-from nsdeblur.fileio import (quantize, read_image, read_kernel, read_pgm,
-                             write_image, write_kernel, write_pgm)
+from nsdeblur.fileio import (_tokens, quantize, read_image, read_kernel,
+                             read_pgm, write_image, write_kernel, write_pgm)
 
 
 def test_pgm_binary_round_trip(tmp_path):
@@ -142,6 +142,35 @@ def test_mutated_pgm_is_read_or_rejected(tmp_path):
             assert 0.0 <= image.min() and image.max() <= 1.0, data
             outcomes["read"] += 1
     assert min(outcomes.values()) >= 300, outcomes
+
+
+def scanned_tokens(data: bytes):
+    """The byte-by-byte PGM header scanner that the compiled pattern
+    replaced: whitespace-separated tokens, # comments to EOL."""
+    pos = 0
+    n = len(data)
+    while pos < n:
+        if data[pos:pos + 1].isspace():
+            pos += 1
+            continue
+        if data[pos:pos + 1] == b"#":
+            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+            continue
+        start = pos
+        while pos < n and not data[pos:pos + 1].isspace():
+            pos += 1
+        yield data[start:pos], pos
+
+
+def test_tokens_match_the_scanner():
+    """Seeded random byte strings over digits, P, #, the six whitespace
+    bytes and a few other characters give the scanner's token stream."""
+    rng = random.Random(39)
+    alphabet = b"0123456789P# \t\n\r\x0b\x0c_+-"
+    for _ in range(20000):
+        data = bytes(rng.choices(alphabet, k=rng.randrange(24)))
+        assert list(_tokens(data)) == list(scanned_tokens(data)), data
 
 
 def test_quantize_rounds_half_to_even():

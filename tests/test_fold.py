@@ -21,10 +21,11 @@ import nsdeblur.psf as psf
 from conftest import (CORPUS_SEED, SPACE_CFG, centrosymmetric_grids,
                       fold_pairs_blocks, orthonormal_fold,
                       unfolded_space_system)
-from nsdeblur.armodel import RIDGE_SCALE, default_fit_region
+from nsdeblur.armodel import RIDGE_SCALE
 from nsdeblur.config import OptimizerConfig, gated_iterate
 from nsdeblur.fileio import quantize
-from nsdeblur.grid import fold, fold_gram, unfold, window_gram
+from nsdeblur.grid import (fold, fold_gram, statistics_region, unfold,
+                           window_gram)
 from nsdeblur.ipsf import (SPACE_RIDGE, optimize_ipsf_spectral,
                            space_system)
 from nsdeblur.nullspace import operator_gram
@@ -321,7 +322,7 @@ def test_folded_model_fit_is_the_constrained_solve(order):
     bit, and the residual a^T G a / n_eq on the full Gram."""
     x = prefilter_input()
     model = nd.estimate_ar(x, order, order, centrosymmetric=True)
-    top, left, rows, cols = default_fit_region(x.shape, order, order)
+    top, left, rows, cols = statistics_region(x)
     gram = window_gram(x[top:top + rows, left:left + cols], order, order)
     n = order * order
     c, e = n // 2, centrosymmetric_grids(order, order)
@@ -383,7 +384,7 @@ def expansion_unfold(half, n):
 def expansion_model_fit(image, order):
     """The centrosymmetric model fit over E: 2 * ridge on the folded
     diagonal is the penalty ridge * ||a_free||^2."""
-    top, left, rows, cols = default_fit_region(image.shape, order, order)
+    top, left, rows, cols = statistics_region(image)
     gram = window_gram(image[top:top + rows, left:left + cols], order, order)
     n = order * order
     c = n // 2
@@ -481,7 +482,7 @@ def test_prefilter_stencil_and_response_are_centrosymmetric(monkeypatch):
 def unfolded_fit(image, p, q):
     """estimate_ar's solve before the fold, line for line: the free block
     in four slice copies, its ridge added in place, one LU solve."""
-    top, left, rows, cols = default_fit_region(image.shape, p, q)
+    top, left, rows, cols = statistics_region(image)
     gram = window_gram(image[top:top + rows, left:left + cols], p, q)
     c, n_unknown = (p // 2) * q + (q // 2), p * q - 1
     keep = np.arange(p * q) != c

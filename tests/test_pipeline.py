@@ -7,12 +7,11 @@ import pytest
 import nsdeblur as nd
 from conftest import estimate_bits, is_smooth, noisy_case_image
 from nsdeblur import cli, ipsf, pipeline
-from nsdeblur.psf import gradient_moments
 from nsdeblur.config import OptimizerConfig, format_report
 from nsdeblur.errors import (DegenerateOperatorError, DimensionError,
                              InputError)
 from nsdeblur.fileio import write_pgm
-from nsdeblur.grid import statistics_region, window_gram
+from nsdeblur.grid import window_gram
 
 
 def test_config_validation():
@@ -142,7 +141,7 @@ def test_space_estimate_peaks_within_its_count():
     """On a blurred 256 x 256 texture the space-route estimate with a
     23 x 23 model and a 21 x 21 kernel allocates at most its dense_bytes
     at its traced peak: its space system keeps only the even fold (51.8
-    MiB against a count of 63.7 MiB; 73.4 MiB while the unfolded Gram
+    MiB against a count of 58.3 MiB; 73.4 MiB while the unfolded Gram
     lived through both solves)."""
     x = nd.convolve(nd.texture((256, 256), seed=7), nd.gaussian_kernel(1.5, 7))
     cfg = nd.PipelineConfig(ar_p=23, ar_q=23, psf_l=21, psf_m=21,
@@ -367,12 +366,15 @@ def test_estimate_holds_no_full_eigensystem():
 
 
 def test_stages_compose_to_the_pipeline_psf():
-    """The lower-level stages give estimate_kernels' kernel bit for bit
-    when the gradient moments read the model's statistics region, not the
-    kernel's default one."""
+    """The lower-level stages, each with its defaults, give
+    estimate_kernels' kernel pair bit for bit on both inverse routes:
+    every window statistic reads the image's one statistics region."""
     x = nd.convolve(nd.texture((512, 512), seed=7), nd.gaussian_kernel(1.0, 5))
     basis = nd.compute_cns(nd.build_operator(nd.estimate_ar(x, 17, 17), 9, 9))
-    moments = gradient_moments(x, 9, 9, statistics_region(x, 17, 17))
-    h0 = nd.estimate_psf(nd.gradient_stats(x, basis, moments), basis)
+    h0 = nd.estimate_psf(nd.gradient_stats(x, basis), basis)
     h, _ = nd.optimize_psf(h0, basis)
     assert np.array_equal(h, nd.estimate_kernels(x).psf)
+    g, _ = nd.optimize_ipsf_space(nd.ipsf_space(x, h), x, h)
+    space = nd.estimate_kernels(x, nd.PipelineConfig(ipsf_route="space"))
+    assert np.array_equal(h, space.psf)
+    assert np.array_equal(g, space.ipsf)

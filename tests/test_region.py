@@ -1,9 +1,8 @@
 """The one bounded statistics region of the kernel estimate: its size and
 placement, the whole-image equivalence of every image of at most 256 x
-256, the halos of the gradient and of the re-degraded image, and the
-fall-back to the whole image on a flat centre."""
-
-import math
+256, the one region every window statistic reads by default, the halos
+of the gradient and of the re-degraded image, and the fall-back to the
+whole image on a flat centre."""
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import nsdeblur as nd
 import nsdeblur.grid as grid
 import nsdeblur.psf as psf
 from conftest import embed, estimate_bits, ncc, unfolded_space_system
-from nsdeblur.grid import (WINDOW_BUDGET, fold_gram, gradient,
+from nsdeblur.grid import (REGION_SIDE, fold_gram, gradient,
                            region_with_halo, statistics_region, window_gram)
 from nsdeblur.ipsf import space_system
 
@@ -20,7 +19,7 @@ BLURS = {"gaussian": nd.gaussian_kernel(1.0, 5),
          "motion": nd.motion_kernel(7, 30.0)}
 
 
-def whole(image, p, q):
+def whole(image):
     return 0, 0, *np.shape(image)
 
 
@@ -28,23 +27,44 @@ def whole(image, p, q):
                                    (40, 256)])
 @pytest.mark.parametrize("p, q", [(1, 1), (3, 41), (17, 17), (33, 33)])
 def test_images_up_to_256_are_read_whole(shape, p, q):
+    """The region is the whole image, and a p x q fit reads all of it."""
     image = nd.texture(shape, seed=1)
-    assert statistics_region(image, p, q) == (0, 0, *shape)
+    assert statistics_region(image) == (0, 0, *shape)
+    assert nd.estimate_ar(image, p, q).region == (0, 0, *shape)
 
 
 @pytest.mark.parametrize("shape, p, region", [
     ((512, 512), 17, (88, 88, 336, 336)),
-    ((512, 512), 33, (80, 80, 352, 352)),
+    ((512, 512), 33, (88, 88, 336, 336)),
     ((1000, 200), 17, (332, 0, 336, 200)),
     ((400, 350), 17, (32, 7, 336, 336))])
 def test_larger_images_get_the_centred_budget(shape, p, region):
-    """Each side at most sqrt(WINDOW_BUDGET) + p - 1, so WINDOW_BUDGET
-    windows of p x p where both sides are cut."""
+    """Each side at most REGION_SIDE for every window, so 320 x 320
+    windows of 17 x 17 (304 x 304 of 33 x 33) where both sides are cut."""
     image = nd.texture(shape, seed=2)
-    assert statistics_region(image, p, p) == region
+    assert statistics_region(image) == region
     rows, cols = region[2:]
-    if min(shape) >= math.isqrt(WINDOW_BUDGET) + p - 1:
-        assert (rows - p + 1) * (cols - p + 1) == WINDOW_BUDGET
+    if min(shape) >= REGION_SIDE:
+        assert (rows - p + 1) * (cols - p + 1) == {17: 320, 33: 304}[p] ** 2
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (1000, 200)])
+@pytest.mark.parametrize("p, q", [(9, 9), (17, 17), (33, 33)])
+def test_every_statistic_reads_the_one_region(shape, p, q):
+    """The model fit, the gradient moments and the space system each read
+    statistics_region(x) by default, whatever their window: a p x q
+    model, a 7 x 7 kernel's moments and its 13 x 13 space system."""
+    x = nd.convolve(nd.texture(shape, seed=6), BLURS["gaussian"])
+    region = statistics_region(x)
+    assert region != whole(x)
+    assert nd.estimate_ar(x, p, q).region == region
+    for own, given in zip(psf.gradient_moments(x, 7, 7),
+                          psf.gradient_moments(x, 7, 7, region)):
+        assert np.array_equal(own, given)
+    h = embed(BLURS["gaussian"], 7, 7)
+    own, given = space_system(x, h), space_system(x, h, region=region)
+    assert np.array_equal(own.ryy, given.ryy)
+    assert np.array_equal(own.ryx, given.ryx)
 
 
 @pytest.mark.parametrize("route, denoise", [("spectral", False),
@@ -119,7 +139,7 @@ def test_a_flat_centre_estimates_as_the_whole_image(monkeypatch, blur, side):
     NCC -0.71 to 0.54 with a 328 square, although its mean squared
     gradient, edges of the square included, was 0.31-0.98 of the image's."""
     image = flat_centre(blur, side)
-    assert statistics_region(image, 17, 17) == (0, 0, 512, 512)
+    assert statistics_region(image) == (0, 0, 512, 512)
     truth = embed(BLURS[blur], 9, 9)
     bounded = nd.estimate_kernels(image)
     monkeypatch.setattr("nsdeblur.pipeline.statistics_region", whole)
@@ -139,8 +159,8 @@ def test_the_flat_share_is_the_rule(monkeypatch):
                                          (0.5, bounded, whole_image),
                                          (1.5, whole_image, whole_image)):
         monkeypatch.setattr(grid, "FLAT_SHARE", share)
-        assert statistics_region(texture, 17, 17) == for_texture
-        assert statistics_region(flat, 17, 17) == for_flat
+        assert statistics_region(texture) == for_texture
+        assert statistics_region(flat) == for_flat
 
 
 @pytest.mark.parametrize("shape", [(200, 10000), (10, 5000), (5000, 10),
@@ -149,6 +169,6 @@ def test_thin_images_get_a_region_quietly(shape, recwarn):
     """An image too thin for a row or column of tiles keeps its centred
     region, with no warning from an empty median."""
     image = np.random.default_rng(0).random(shape)
-    top, left, rows, cols = statistics_region(image, 17, 17)
+    top, left, rows, cols = statistics_region(image)
     assert (rows, cols) == tuple(min(n, 336) for n in shape)
     assert not recwarn.list
