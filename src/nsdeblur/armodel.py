@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_odd
 from .errors import (DegenerateOperatorError, DimensionError,
                      InsufficientDataError)
-from .grid import as_image, fold_gram, statistics_region, unfold, window_gram
+from .grid import (as_image, fold_gram, region_with_halo, statistics_region,
+                   unfold, window_gram)
 
 #: Ridge added to the normal equations, relative to their trace.
 RIDGE_SCALE = 1e-8
@@ -54,11 +56,6 @@ class OperatorMatrix:
         return self.stencil.shape[1]
 
 
-def _check_order(p: int, q: int) -> None:
-    if p < 1 or q < 1 or p % 2 == 0 or q % 2 == 0:
-        raise DimensionError(f"model orders must be odd and >= 1, got {p}x{q}")
-
-
 def estimate_ar(image, p: int, q: int, region=None, *,
                 centrosymmetric: bool = False) -> ArModel:
     """Least-squares fit of the P x Q stencil with pinned unit center.
@@ -83,13 +80,11 @@ def estimate_ar(image, p: int, q: int, region=None, *,
     and the residual is a^T G a on the full Gram.
     """
     img = as_image(image)
-    _check_order(p, q)
+    check_odd("model orders", p, q)
     if region is None:
         region = statistics_region(img)
-    top, left, rows, cols = region
-    if (top < 0 or left < 0 or top + rows > img.shape[0]
-            or left + cols > img.shape[1]):
-        raise DimensionError(f"fit region {region} outside image {img.shape}")
+    fit = region_with_halo(img, region, (0, 0))[0]
+    rows, cols = fit.shape
     if rows < p or cols < q:
         raise InsufficientDataError(
             f"fit region {rows}x{cols} smaller than model {p}x{q}")
@@ -101,7 +96,7 @@ def estimate_ar(image, p: int, q: int, region=None, *,
 
     # one pass over the windows: the free block and the center column of
     # the full Gram give the normal equations, and a^T G a the residual
-    gram = window_gram(img[top:top + rows, left:left + cols], p, q)
+    gram = window_gram(fit, p, q)
     c = (p // 2) * q + (q // 2)         # the center's column
     diagonal = np.diagonal(gram)
     # the free block's trace, summed in the order np.trace sums it
@@ -142,8 +137,7 @@ def build_operator(model: ArModel, l: int, m: int) -> OperatorMatrix:
     the product with a flattened patch evaluates the model sum at every
     kernel-space shift.  Requires l < p and m < q, both odd.
     """
-    if l % 2 == 0 or m % 2 == 0 or l < 1 or m < 1:
-        raise DimensionError(f"kernel dims must be odd and >= 1, got {l}x{m}")
+    check_odd("kernel dims", l, m)
     if l >= model.p or m >= model.q:
         raise DimensionError(
             f"kernel {l}x{m} must be strictly smaller than model "

@@ -119,8 +119,6 @@ def _parse_blur(spec: str) -> tuple:
     try:
         if not 1 <= len(values) <= len(types):
             raise ValueError(f"expected {kind}:{usage}")
-        if not np.isfinite([float(v) for v in values]).all():
-            raise ValueError("parameters must be finite")
         args = [convert(v) for convert, v in zip(types, values)]
         return shape(*args), lambda: build(*args)
     except ValueError as exc:

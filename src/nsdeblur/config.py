@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionError, InputError
 
 STOP_EPS = "eps_reached"
 STOP_INCREASE = "residual_increased"
@@ -29,13 +29,23 @@ def check_setting(name: str, value, low: float, above: bool = False) -> None:
                          f" {low}, got {value!r}")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise InputError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def check_integers(cfg, *names: str) -> None:
-    """Raise InputError unless each named field of ``cfg`` holds an
-    integer (numpy's included, a bool not)."""
+    """:func:`check_integer` on each named field of ``cfg``."""
     for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, getattr(cfg, name))
+
+
+def check_odd(what: str, *sizes: int) -> None:
+    """Raise DimensionError unless each of ``sizes`` is odd and >= 1."""
+    if any(s < 1 or s % 2 == 0 for s in sizes):
+        raise DimensionError(f"{what} must be odd and >= 1, got "
+                             + "x".join(map(str, sizes)))
 
 
 @dataclass(frozen=True)

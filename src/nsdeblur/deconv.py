@@ -29,7 +29,7 @@ import numpy as np
 
 from .armodel import build_operator, estimate_ar
 from .config import OptimizerConfig, RunReport, iterate, make_report
-from .errors import DeblurError
+from .errors import DeblurError, DimensionError
 from .grid import (_beside, as_image, as_kernel, check_fits, convolve,
                    normalize_kernel, replicate_filter, statistics_region)
 from .ipsf import ipsf_space, space_system
@@ -68,8 +68,11 @@ def _parts(x: np.ndarray, h, g, halo) -> list[_Part]:
     of h and g.  The halo covers every row whose filtered or
     differentiated values a part's own rows read, so the replicated slab
     edge never reaches them.  An image of fewer than 2 halo + 2 rows is
-    one part: there a slab would hold at least the whole other half.  A
-    kernel larger than the image raises DimensionError."""
+    one part: there a slab would hold at least the whole other half.  An
+    image below the 2 x 2 that the curvature needs, or a kernel larger than
+    the image, raises DimensionError."""
+    if min(x.shape) < 2:
+        raise DimensionError(f"optimizers need a >=2x2 image, got {x.shape}")
     kernels = (as_kernel(h), as_kernel(g))
     for k in kernels:
         check_fits(k.shape, x.shape)

@@ -31,7 +31,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateKernelError, DimensionError
+from .config import check_integer, check_odd
+from .errors import DegenerateKernelError, DimensionError, InputError
 
 #: Tap-sum tolerance for a normalized kernel.
 KERNEL_SUM_TOL = 1e-12
@@ -82,9 +83,7 @@ def as_kernel(data) -> np.ndarray:
     k = np.asarray(data, dtype=np.float64)
     if k.ndim != 2:
         raise DimensionError(f"kernel must be 2D, got shape {k.shape}")
-    l, m = k.shape
-    if l % 2 == 0 or m % 2 == 0 or l < 1 or m < 1:
-        raise DimensionError(f"kernel dims must be odd and >= 1, got {l}x{m}")
+    check_odd("kernel dims", *k.shape)
     if not np.all(np.isfinite(k)):
         raise DimensionError("kernel contains NaN or Inf")
     return k
@@ -302,10 +301,16 @@ def region_with_halo(image: np.ndarray, region: tuple[int, int, int, int],
     grown by halo = (rows, cols) pixels on each side as far as the image
     reaches, and the slices of the region within that view.  A filter of
     at most that radius gives the whole image's values on the region, at
-    the image's own edges too.  A region outside the image raises
+    the image's own edges too.  This is the package's one region rule: a
+    region not of four integers raises InputError, one outside the image
     DimensionError."""
-    top, left, rows, cols = region
-    if (min(region) < 0 or top + rows > image.shape[0]
+    try:
+        top, left, rows, cols = region
+    except (TypeError, ValueError):
+        raise InputError(f"region {region!r} is not 4 integers") from None
+    for value in (top, left, rows, cols):
+        check_integer(f"each entry of region {region}", value)
+    if (min(top, left, rows, cols) < 0 or top + rows > image.shape[0]
             or left + cols > image.shape[1]):
         raise DimensionError(f"region {region} outside image {image.shape}")
     t0, l0 = max(top - halo[0], 0), max(left - halo[1], 0)

@@ -110,11 +110,11 @@ def space_system(image, h, ridge_relative: float = SPACE_RIDGE,
     wl, wm = 2 * l - 1, 2 * m - 1
     if region is None:
         region = statistics_region(x)
+    view, inner = region_with_halo(x, region, (l // 2, m // 2))
     if region[2] < 4 * l or region[3] < 4 * m:
         raise DimensionError(
             f"region {region} of image {x.shape} too small for a {l}x{m} "
             "space-route inverse")
-    view, inner = region_with_halo(x, region, (l // 2, m // 2))
     y = convolve(view, hk)[inner]
     ni, nk = y.shape[0] - wl + 1, y.shape[1] - wm + 1
     centers = view[inner][l - 1:l - 1 + ni, m - 1:m - 1 + nk]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armodel import ArModel, build_operator, estimate_ar
-from .config import OptimizerConfig, RunReport, check_integers
+from .config import (OptimizerConfig, RunReport, check_integers,
+                     check_odd)
 from .deconv import bvdr_optimize, cs_optimize, deconvolve_once, denoise_prefilter
 from .errors import DimensionError, InputError
 from .grid import (_beside, _fast_len, as_image, bounded_shape,
@@ -64,9 +65,7 @@ class PipelineConfig:
         for name in ("ar_p", "ar_q", "psf_l", "psf_m", "denoise_order",
                      "denoise_size"):
             check_integers(self, name)
-            v = getattr(self, name)
-            if v < 1 or v % 2 == 0:
-                raise DimensionError(f"{name} must be odd and >= 1, got {v}")
+            check_odd(name, getattr(self, name))
         if self.psf_l == self.psf_m == 1:
             # one tap, one eigenvalue: no eigen/null split to take
             raise DimensionError("a 1x1 kernel cannot be estimated; "

@@ -63,10 +63,10 @@ def gradient_moments(image, l: int, m: int, region=None
             f"image {img.shape} too small for {l}x{m} gradient statistics")
     if region is None:
         region = statistics_region(img)
+    view, inner = region_with_halo(img, region, (1, 1))
     if region[2] < 2 * l + 1 or region[3] < 2 * m + 1:
         raise DimensionError(
             f"region {region} too small for {l}x{m} gradient statistics")
-    view, inner = region_with_halo(img, region, (1, 1))
     grad = gradient(view)[inner]
     # window positions limited to (rows-l) x (cols-m), as in the
     # extended-matrix layout

@@ -53,32 +53,9 @@ def _diff(f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _first_derivatives(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _diff(grid, 0), _diff(grid, 1)
-
-
-def _by_slabs(block, g: np.ndarray, halo: int, count: int
-              ) -> tuple[np.ndarray, ...]:
-    """The ``count`` fields of ``block(g)``, evaluated slab by slab:
-    ``block`` applied to each slab with ``halo`` rows on either side
-    (fewer at the field's edges), and the slab's own rows kept."""
-    rows = g.shape[0]
-    step = _slab_rows(g.shape[1])
-    out = tuple(np.empty(g.shape) for _ in range(count))
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
-        lo, hi = max(a - halo, 0), min(b + halo, rows)
-        for whole, part in zip(out, block(g[lo:hi])):
-            whole[a:b] = part[a - lo:b - lo]
-    return out
-
-
 def surface_area(grid) -> float:
     """sum over grid points of sqrt(1 + Sx^2 + Sy^2); >= point count."""
-    g = as_image(grid)
-    if g.shape[0] < 2 or g.shape[1] < 2:
-        raise DimensionError(f"surface_area needs a >=2x2 grid, got {g.shape}")
-    return float(np.sqrt(_metric_block(g)).sum())
+    return float(np.sqrt(metric_determinant(grid)).sum())
 
 
 def metric_determinant(grid) -> np.ndarray:
@@ -91,7 +68,7 @@ def metric_determinant(grid) -> np.ndarray:
 
 
 def _metric_block(g: np.ndarray) -> np.ndarray:
-    sx, sy = _first_derivatives(g)
+    sx, sy = _diff(g, 0), _diff(g, 1)
     return 1.0 + sx * sx + sy * sy
 
 
@@ -118,13 +95,19 @@ def curvature_fields(g: np.ndarray, metric: bool = False
     """(:func:`curvature_operator`,) of ``g``, by row slabs, and with
     ``metric`` its :func:`metric_determinant` after it, bit for bit, from
     the same derivative fields.  Unchecked: ``g`` must be a finite 2D
-    float64 array of at least 3 x 3; validate once where it enters."""
-    return _by_slabs(lambda slab: _curvature_block(slab, metric), g,
-                     CURVATURE_REACH, 1 + metric)
+    float64 array of at least 2 x 2 (a difference reads two lines)."""
+    rows, step = g.shape[0], _slab_rows(g.shape[1])
+    out = tuple(np.empty(g.shape) for _ in range(1 + metric))
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        lo, hi = max(a - CURVATURE_REACH, 0), min(b + CURVATURE_REACH, rows)
+        for whole, part in zip(out, _curvature_block(g[lo:hi], metric)):
+            whole[a:b] = part[a - lo:b - lo]
+    return out
 
 
 def _curvature_block(g: np.ndarray, metric: bool) -> tuple[np.ndarray, ...]:
-    sx, sy = _first_derivatives(g)
+    sx, sy = _diff(g, 0), _diff(g, 1)
     sxx, syy, sxy = _diff(sx, 0), _diff(sy, 1), _diff(sy, 0)
     sxy *= sx
     sxy *= sy

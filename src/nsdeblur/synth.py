@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .config import check_setting
 from .errors import InputError
 from .grid import as_image, as_kernel, delta_kernel
 
@@ -24,9 +25,9 @@ _DISK_SUPERSAMPLE = 8
 
 
 def gaussian_shape(sigma: float, size: int | None = None) -> tuple[int, int]:
-    """Shape of ``gaussian_kernel(sigma, size)``, which it checks."""
-    if sigma < 0:
-        raise InputError(f"sigma must be nonnegative, got {sigma}")
+    """Shape of ``gaussian_kernel(sigma, size)``, which it checks: sigma
+    finite and >= 0, size odd and >= 1; else InputError."""
+    check_setting("sigma", sigma, 0)
     if size is None:
         size = 2 * int(np.ceil(3.0 * sigma)) + 1
     if size % 2 == 0 or size < 1:
@@ -54,8 +55,8 @@ def _motion_path(length: int, angle_deg: float
     """(di, dk, ri, rk) of a motion blur: the unit step along the angle,
     components under 1e-12 set to 0, and the kernel's row and column
     radii."""
-    if length < 1:
-        raise InputError(f"length must be >= 1, got {length}")
+    check_setting("length", length, 1)
+    check_setting("angle_deg", angle_deg, -math.inf)
     ang = np.deg2rad(angle_deg)
     di, dk = (0.0 if abs(v) < 1e-12 else v
               for v in (np.sin(ang), np.cos(ang)))
@@ -66,7 +67,8 @@ def _motion_path(length: int, angle_deg: float
 
 
 def motion_shape(length: int, angle_deg: float = 0.0) -> tuple[int, int]:
-    """Shape of ``motion_kernel(length, angle_deg)``, which it checks."""
+    """Shape of ``motion_kernel(length, angle_deg)``, which it checks:
+    length finite and >= 1, angle finite; else InputError."""
     _, _, ri, rk = _motion_path(length, angle_deg)
     return 2 * ri + 1, 2 * rk + 1
 
@@ -95,9 +97,9 @@ def motion_kernel(length: int, angle_deg: float = 0.0) -> np.ndarray:
 
 
 def disk_shape(radius: float) -> tuple[int, int]:
-    """Shape of ``disk_kernel(radius)``, which it checks."""
-    if radius < 0:
-        raise InputError(f"radius must be nonnegative, got {radius}")
+    """Shape of ``disk_kernel(radius)``, which it checks: radius finite
+    and >= 0, else InputError."""
+    check_setting("radius", radius, 0)
     size = 2 * int(np.ceil(radius)) + 1
     return size, size
 
@@ -135,9 +137,13 @@ def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
             noise_floor: float = 0.02) -> np.ndarray:
     """Natural-looking test texture in [0, 1]: power-law shaped noise with
     a few hard-edged blocks for contour content and a small white floor so
-    the spectrum is full-band (as camera images are)."""
-    rng = np.random.default_rng(seed)
+    the spectrum is full-band (as camera images are).  A side below 1
+    raises InputError; below 8 px, where a block has no height or width,
+    no block is drawn."""
     h, w = shape
+    check_setting("texture rows", h, 1)
+    check_setting("texture cols", w, 1)
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(shape)
     fi = np.fft.fftfreq(h)[:, None]
     fk = np.fft.fftfreq(w)[None, :]
@@ -149,7 +155,7 @@ def texture(shape: tuple[int, int], seed: int = 0, rolloff: float = 1.5,
     shaped += noise_floor * rng.standard_normal(shape)
     img = shaped - shaped.min()
     img /= max(img.max(), _LUMA_EPS)
-    for _ in range(_EDGE_OBJECTS):
+    for _ in range(_EDGE_OBJECTS if min(h, w) >= 8 else 0):
         top, left = rng.integers(0, h - h // 4), rng.integers(0, w - w // 4)
         hh, ww = rng.integers(h // 8, h // 4), rng.integers(w // 8, w // 4)
         img[top:top + hh, left:left + ww] *= 0.55

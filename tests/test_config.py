@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nsdeblur.config import (LAMBDA_FLOOR, STOP_CAP, STOP_EPS, STOP_GATE,
-                             STOP_INCREASE, OptimizerConfig, gated_iterate,
-                             iterate)
-from nsdeblur.errors import InputError
+                             STOP_INCREASE, OptimizerConfig, check_integer,
+                             check_odd, gated_iterate, iterate)
+from nsdeblur.errors import DimensionError, InputError
 
 
 @pytest.mark.parametrize("name", ["delta_t", "lambda0", "theta", "eps",
@@ -117,3 +117,22 @@ def test_iterate_records_a_refused_step_but_keeps_its_state():
                                  refuse_third)
     assert (state, sizes, stop) == (2, [0.5, 0.25, 1e-9], STOP_INCREASE)
     assert judged == [[0.5], [0.5, 0.25], [0.5, 0.25, 1e-9]]
+
+
+@pytest.mark.parametrize("sizes, text", [((2, 2), "2x2"), ((8,), "8"),
+                                         ((3, 0), "3x0"), ((-1, 5), "-1x5")])
+def test_check_odd_names_every_size(sizes, text):
+    with pytest.raises(DimensionError) as caught:
+        check_odd("kernel dims", *sizes)
+    assert str(caught.value) == f"kernel dims must be odd and >= 1, got {text}"
+
+
+def test_check_odd_passes_odd_sizes():
+    check_odd("model orders", 1, 17, np.int64(33))
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", None])
+def test_check_integer_refuses_non_integers(value):
+    with pytest.raises(InputError, match="top must be an integer"):
+        check_integer("top", value)
+    check_integer("top", np.int32(-4))

@@ -771,3 +771,15 @@ def test_forked_child_gets_its_own_worker(motion_case):
             pytest.fail("the forked child waited on the parent's worker")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("optimize", [nd.bvdr_optimize, nd.cs_optimize])
+def test_optimizers_need_a_2x2_image(optimize):
+    """The curvature's differences read two lines: a one-pixel-wide image
+    is refused with DimensionError, and a 2 x N image is restored."""
+    delta = nd.delta_kernel(1)
+    for shape in ((1, 64), (64, 1)):
+        with pytest.raises(nd.DimensionError, match="2x2"):
+            optimize(np.ones(shape), delta, delta)
+    restored, _ = optimize(nd.texture((64, 40), seed=2)[:2], delta, delta)
+    assert restored.shape == (2, 40) and np.all(np.isfinite(restored))

@@ -69,17 +69,23 @@ def test_mutated_kernel_file_is_read_or_rejected(tmp_path):
 
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
-    """Two small blurred textures, and kernel files for deblur: usable
-    ones, unusable ones (zero, even-sized, absurd gain) and the files
-    once misread."""
+    """Two small blurred textures, a 1 x 64 and a 64 x 1 image, and
+    kernel files for deblur: usable ones (3 x 3, 5 x 5 and 1 x 1),
+    unusable ones (zero, even-sized, absurd gain) and the files once
+    misread."""
     root = tmp_path_factory.mktemp("fuzz")
     images = []
     for shape, seed in (((24, 24), 1), ((40, 32), 2)):
         images.append(str(root / f"t{seed}.pgm"))
         write_pgm(images[-1], nd.convolve(nd.texture(shape, seed=seed),
                                           nd.gaussian_kernel(1.0, 3)))
+    square = nd.texture((64, 64), seed=3)
+    for name, pixels in (("row", square[:1]), ("column", square[:, :1])):
+        images.append(str(root / f"{name}.pgm"))
+        write_pgm(images[-1], pixels)
     kernels = []
     for i, taps in enumerate((nd.delta_kernel(3), nd.gaussian_kernel(1.0, 5),
+                              nd.delta_kernel(1),
                               np.zeros((3, 3)), np.full((2, 2), 0.25),
                               np.array([[-5e3, 1e4 + 1.0, -5e3]]))):
         kernels.append(str(root / f"k{i}.kern"))
@@ -108,7 +114,7 @@ def pick_flags(rng: random.Random, choices: dict) -> list[str]:
 
 
 def draw_argv(rng: random.Random, images, kernels, out) -> list[str]:
-    """One command line; ``kernels`` holds two usable files first."""
+    """One command line; ``kernels`` holds three usable files first."""
     command = rng.choice(("estimate", "deblur", "quality"))
     image = rng.choice(images)
     iters = draw(rng, ("1", "3", "5"), ("0", "-1", "2.5"))
@@ -131,7 +137,7 @@ def draw_argv(rng: random.Random, images, kernels, out) -> list[str]:
                     "--eps": (0.2, draw(rng, ("1e-8", "1e-3"), ("0", "-1"))),
                     "--max-iters": (0.8, iters)})]
     if command == "deblur":
-        usable, unusable = kernels[:2], kernels[2:]
+        usable, unusable = kernels[:3], kernels[3:]
         return ["deblur", image, "--ipsf-file", draw(rng, usable, unusable),
                 "--output", str(out / "out.pgm"), *pick_flags(rng, {
                     "--psf-file": (0.6, draw(rng, usable, unusable)),
@@ -179,11 +185,11 @@ def test_overflowing_delta_t_exits_4_quietly(cli_inputs, tmp_path, capsys,
                                              optimizer):
     """``--delta-t 1e308`` with a forward kernel and an optimizer, a
     combination the draws above never make: the first step overflows, and
-    each image's run exits 4 with "diverged", writes nothing and shows no
-    traceback and no RuntimeWarning."""
+    each textured image's run exits 4 with "diverged", writes nothing and
+    shows no traceback and no RuntimeWarning."""
     images, kernels = cli_inputs
     out = tmp_path / "out.pgm"
-    for image in images:
+    for image in images[:2]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["deblur", image, "--ipsf-file", kernels[0],
@@ -196,6 +202,25 @@ def test_overflowing_delta_t_exits_4_quietly(cli_inputs, tmp_path, capsys,
         assert not out.exists()
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("optimizer", ["bvdr", "cs"])
+def test_a_one_pixel_wide_image_exits_3_quietly(cli_inputs, tmp_path, capsys,
+                                                optimizer):
+    """A 1 x 64 and a 64 x 1 image with 1 x 1 kernels: the curvature needs
+    2 x 2, so each image optimizer refuses the image at stage restore with
+    exit 3, writes nothing and shows no traceback."""
+    images, kernels = cli_inputs
+    out = tmp_path / "out.pgm"
+    for image in images[2:]:
+        code = main(["deblur", image, "--ipsf-file", kernels[2],
+                     "--psf-file", kernels[2], "--optimizer", optimizer,
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "deblur failed at stage restore" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 #: A settings file each command reads whole: every key it reads, at

@@ -172,3 +172,25 @@ def test_thin_images_get_a_region_quietly(shape, recwarn):
     top, left, rows, cols = statistics_region(image)
     assert (rows, cols) == tuple(min(n, 336) for n in shape)
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("region", [(0, 0, 32.0, 32), (0, 0, 32),
+                                    (True, 0, 32, 32), 7],
+                         ids=["float", "three", "bool", "int"])
+def test_a_region_not_of_four_integers_is_an_input_error(region):
+    """Every statistic reads the one region rule: a float entry, a bool,
+    three entries or no sequence at all end in InputError, not in a
+    TypeError or IndexError of the slicing."""
+    image = nd.texture((64, 64), seed=5)
+    for read in (lambda: nd.estimate_ar(image, 5, 5, region),
+                 lambda: psf.gradient_moments(image, 3, 3, region),
+                 lambda: space_system(image, nd.gaussian_kernel(1.0, 3),
+                                      region=region)):
+        with pytest.raises(nd.InputError, match="region"):
+            read()
+
+
+def test_numpy_integers_make_a_region():
+    image = nd.texture((64, 64), seed=5)
+    region = tuple(np.array([2, 3, 40, 50]))
+    assert nd.estimate_ar(image, 5, 5, region).region == (2, 3, 40, 50)

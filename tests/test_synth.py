@@ -81,3 +81,33 @@ def test_texture_range_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
     assert a.std() > 0.05
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: nd.gaussian_kernel(v), "sigma"),
+    (lambda v: nd.gaussian_kernel(v, 5), "sigma"),
+    (lambda v: nd.disk_kernel(v), "radius"),
+    (lambda v: nd.motion_kernel(5, v), "angle_deg"),
+], ids=["gaussian", "gaussian-sized", "disk", "motion-angle"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_blur_parameter_is_an_input_error(build, name, value):
+    """NaN and +-inf end in InputError naming the parameter, not in
+    numpy's untyped ValueError or OverflowError."""
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("shape", [(3, 400), (400, 3), (1, 1), (2, 9),
+                                   (4, 4), (7, 64)])
+def test_texture_of_a_small_side(shape):
+    """Below 8 px a side holds no block: a texture of the shape in [0, 1],
+    with no draw of a block's extent failing."""
+    img = nd.texture(shape, seed=3)
+    assert img.shape == shape
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (-1, 4)])
+def test_texture_of_an_empty_side_is_an_input_error(shape):
+    with pytest.raises(InputError, match="texture"):
+        nd.texture(shape)
